@@ -37,7 +37,7 @@ from .corpus import (
     write_conll,
 )
 from .evaluation import EvalReport, SignificanceResult, TypeScore, bootstrap_test, score
-from .features import FeatureIndex, FeatureVector, linear_features, segment_features, word_shape
+from .features import FeatureIndex, word_shape
 from .inference import (
     InvariantViolation,
     ScoredLattice,

@@ -1,10 +1,11 @@
-"""Sparse feature extraction for position factors and segment factors.
+"""Feature templates for position factors and segment factors.
 
 Every feature is a string with a template-name prefix (so no two templates
-can collide), conjoined with the factor's label, e.g. "w:Ami|I-PER".
-Transition features carry both labels: "t:O+PER". The FeatureIndex maps
-strings to dense ids; while unfrozen it allocates on sight, after freeze()
-unseen strings are dropped.
+can collide), conjoined with the factor's label, e.g. "w:Ami|I-PER";
+emission_features() is the one place that format is written. Transition
+features carry both labels: "t:O+PER". The FeatureIndex maps strings to
+dense ids; while unfrozen it allocates on sight, after freeze() unseen
+strings are dropped.
 
 Position templates: current/previous word, POS, and word shape, plus
 prefixes and suffixes of the current word up to length 3. Segment
@@ -18,8 +19,7 @@ inside a segment.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .corpus import Sentence
 
@@ -63,16 +63,6 @@ class FeatureIndex:
         return len(self._ids)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sorted sparse (feature id, count) pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def word_shape(surface: str) -> str:
     """Character-class sketch of a word, truncated to 4 characters.
 
@@ -92,6 +82,11 @@ def word_shape(surface: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def emission_features(templates: Iterable[str], label: str) -> list[str]:
+    """Templates conjoined with the label of the factor they fire on."""
+    return [f"{template}|{label}" for template in templates]
 
 
 def transition_feature(y_prev: str, y: str) -> str:
@@ -183,46 +178,3 @@ def _segment_templates(sentence: Sentence, span: tuple[int, int], dep_features: 
         for i in range(u, v + 1):
             templates.extend(_dep_templates(sentence, i))
     return templates
-
-
-def _vector(counts: Counter, index: FeatureIndex) -> FeatureVector:
-    pairs = []
-    for feature, count in counts.items():
-        fid = index.intern(feature)
-        if fid is not None:
-            pairs.append((fid, count))
-    pairs.sort()
-    return FeatureVector(tuple(pairs))
-
-
-def linear_features(
-    sentence: Sentence,
-    i: int,
-    y_prev: str,
-    y: str,
-    index: FeatureIndex,
-    dep_features: bool = True,
-) -> FeatureVector:
-    """Features of the position factor (y_prev, y) at token i."""
-    if not 1 <= i <= sentence.n:
-        raise ValueError(f"position {i} out of range 1..{sentence.n}")
-    counts = Counter(f"{t}|{y}" for t in _position_templates(sentence, i, dep_features))
-    counts[transition_feature(y_prev, y)] += 1
-    return _vector(counts, index)
-
-
-def segment_features(
-    sentence: Sentence,
-    span: tuple[int, int],
-    y_prev: str,
-    y: str,
-    index: FeatureIndex,
-    dep_features: bool = True,
-) -> FeatureVector:
-    """Features of the segment factor (y_prev, y) over span = (start, end)."""
-    u, v = span
-    if not 1 <= u <= v <= sentence.n:
-        raise ValueError(f"span ({u},{v}) out of range for sentence of length {sentence.n}")
-    counts = Counter(f"{t}|{y}" for t in _segment_templates(sentence, span, dep_features))
-    counts[transition_feature(y_prev, y)] += 1
-    return _vector(counts, index)

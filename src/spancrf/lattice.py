@@ -82,9 +82,14 @@ def arc_spans(n: int, arcs: frozenset[tuple[int, int]], max_len: int) -> frozens
     return frozenset(spans)
 
 
-@lru_cache(maxsize=None)
+# Lattices depend only on (tree, mode, L) and are memoized so repeated passes
+# reuse them. The bound keeps a long-lived process from holding every tree it
+# ever saw, while a 500-sentence corpus stays memoized across CV folds.
+_LATTICE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_LATTICE_MEMO_SIZE)
 def _lattice(n: int, arcs: frozenset[tuple[int, int]], kind: str, max_len: int) -> SpanLattice:
-    # lattices depend only on (tree, mode, L); memoized so repeated passes reuse them
     if kind == LINEAR:
         allowed = frozenset((i, i) for i in range(1, n + 1))
     elif kind == SEMI:

@@ -1,9 +1,11 @@
 """Independent reference implementations the tests compare against.
 
-Everything here is written the slow, obvious way and shares no code with
-the package internals: exhaustive enumeration of segmentations, a direct
-increasing-chain search for valid spans, a textbook first-order chain
-forward pass, and small corpus builders over random trees.
+Everything here is written the slow, obvious way: exhaustive enumeration of
+segmentations, a direct increasing-chain search for valid spans, a textbook
+first-order chain forward pass, small corpus builders over random trees, and
+a string-lookup factor scorer for trained models. Only the scorer touches
+package internals, and only for what it scores (lattice, labeling mask,
+templates); it shares nothing with the compiled emission rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import math
 
 import numpy as np
 
-from spancrf import DependencyTree, EntitySpan, Sentence, Token, random_tree
+from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, allowed_mask, build_lattice
+from spancrf import iob_to_spans, random_tree
+from spancrf.features import BOS, _position_templates, _segment_templates
+from spancrf.inference import IOB_SCHEME, label_scheme
 
 
 def enumerate_labelings(scored):
@@ -150,3 +155,44 @@ def random_sentence(rng, n: int | None = None, types: tuple[str, ...] = ("A", "B
         i = int(rng.integers(1, n + 1))
         gold = (EntitySpan(i, i, types[int(rng.integers(len(types)))]),)
     return Sentence(tokens, DependencyTree(heads, rels), gold)
+
+
+def reference_scores(model, sentence) -> ScoredLattice:
+    """Factor table of one sentence by looking up every label-conjoined
+    feature string in the model's index: emission(span, y) summed template
+    by template, plus the transition weight, -inf where the mask forbids."""
+    scheme = label_scheme(model.mode)
+    lattice = build_lattice(sentence, model.mode)
+    mask = allowed_mask(lattice, model.labels, scheme)
+    K = len(model.labels)
+
+    def weight(feature: str) -> float:
+        fid = model.index.lookup(feature)
+        return 0.0 if fid is None else model.weights[fid]
+
+    tw = np.array([[weight(f"t:{p}+{y}") for y in model.labels] for p in model.labels + (BOS,)])
+    e_sy = np.zeros((len(lattice), K))
+    live = mask.any(axis=1)
+    for s, span in enumerate(lattice.sorted_spans()):
+        if scheme == IOB_SCHEME:
+            templates = _position_templates(sentence, span[0], model.dep_features)
+        else:
+            templates = _segment_templates(sentence, span, model.dep_features)
+        counts: dict[str, int] = {}
+        for t in templates:
+            counts[t] = counts.get(t, 0) + 1
+        for y in range(K):
+            if live[s, y]:
+                total = 0.0
+                for template, c in counts.items():
+                    total += weight(f"{template}|{model.labels[y]}") * c
+                e_sy[s, y] = total
+    scores = np.where(mask, e_sy[:, None, :] + tw[None, :, :], -np.inf)
+    return ScoredLattice(lattice, model.labels, scores)
+
+
+def segmentation_entities(seg, scheme: str) -> tuple[EntitySpan, ...]:
+    """Entity spans of a Viterbi segmentation: IOB tags decoded, or the non-O segments."""
+    if scheme == IOB_SCHEME:
+        return iob_to_spans(seg.labels())[0]
+    return tuple(EntitySpan(u, v, label) for (u, v), label in seg if label != "O")

@@ -1,19 +1,18 @@
-"""Feature templates, the string index, and label conjunction."""
+"""Feature templates, the string index, and label conjunction.
+
+Feature strings are read back from the emission rows that training
+compiles, so the tests see exactly what the model is trained and decoded on.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from spancrf.features import (
-    BOS,
-    EOS,
-    FeatureIndex,
-    FeatureVector,
-    linear_features,
-    segment_features,
-    transition_feature,
-    word_shape,
-)
+from spancrf import LabelSet, Sentence
+from spancrf.features import BOS, EOS, FeatureIndex, emission_features, transition_feature, word_shape
+from spancrf.inference import mode_labels
+from spancrf.lattice import Mode
+from spancrf.training import _compile
 
 
 @pytest.mark.parametrize(
@@ -58,15 +57,35 @@ def test_frozen_index_drops_unseen():
     assert len(idx) == 1
 
 
-def _strings(sentence, vector, idx):
-    names = idx.strings()
-    return {names[fid]: count for fid, count in vector.pairs}
+def _compiled(sentence, kind, dep=True, index=None):
+    mode = Mode(kind, 8)
+    labels = mode_labels(LabelSet.from_corpus([sentence]), mode)
+    index = FeatureIndex() if index is None else index
+    return _compile([sentence], mode, labels, index, dep, project=True), index
+
+
+def emission_strings(sentence, span, label, kind="semi", dep=True, index=None):
+    """Feature string -> count of the compiled emission row of (span, label)."""
+    compiled, index = _compiled(sentence, kind, dep, index)
+    block = compiled.blocks[0]
+    comp = block.comps[0]
+    row = comp.col_id[comp.scored.span_index(span), compiled.labels.index(label)]
+    assert row >= 0, "no emission row for a forbidden (span, label) pair"
+    lo, hi = block.emit.indptr[row], block.emit.indptr[row + 1]
+    names = index.strings()
+    return {names[fid]: count for fid, count in zip(block.emit.indices[lo:hi], block.emit.data[lo:hi])}
+
+
+def transition_string(sentence, y_prev, y, kind="semi"):
+    """Feature string of the compiled transition y_prev -> y."""
+    compiled, index = _compiled(sentence, kind)
+    labels = compiled.labels
+    p = len(labels) if y_prev == BOS else labels.index(y_prev)
+    return index.strings()[compiled.trans_ids[p, labels.index(y)]]
 
 
 def test_segment_feature_strings(shlomo):
-    idx = FeatureIndex()
-    vec = segment_features(shlomo, (3, 6), "O", "PER", idx)
-    got = _strings(shlomo, vec, idx)
+    got = emission_strings(shlomo, (3, 6), "PER")
 
     expected_once = {
         "bw:Minister|PER",
@@ -108,7 +127,6 @@ def test_segment_feature_strings(shlomo):
         "dwl:Ami+gave+nsubj|PER",
         "dp:NNP+VBD|PER",
         "dpl:NNP+VBD+nsubj|PER",
-        "t:O+PER",
     }
     for feature in expected_once:
         assert got.get(feature) == 1, feature
@@ -116,21 +134,19 @@ def test_segment_feature_strings(shlomo):
     assert got["dp:NNP+NNP|PER"] == 2
     assert got["dpl:NNP+NNP+compound|PER"] == 2
     assert got["dp:HYPH+NNP|PER"] == 1
+    assert transition_string(shlomo, "O", "PER") == "t:O+PER"
 
 
 def test_segment_sentinels_at_sentence_edges(womack):
-    idx = FeatureIndex()
-    got = _strings(womack, segment_features(womack, (1, 3), "O", "PER", idx), idx)
+    got = emission_strings(womack, (1, 3), "PER")
     assert f"bw:{BOS}|PER" in got
     assert "aw:won|PER" in got
-    idx2 = FeatureIndex()
-    got2 = _strings(womack, segment_features(womack, (8, 9), "O", "MISC", idx2), idx2)
+    got2 = emission_strings(womack, (8, 9), "MISC")
     assert f"aw:{EOS}|MISC" in got2
 
 
 def test_linear_feature_strings(shlomo):
-    idx = FeatureIndex()
-    got = _strings(shlomo, linear_features(shlomo, 6, "I-PER", "I-PER", idx), idx)
+    got = emission_strings(shlomo, (6, 6), "I-PER", kind="linear")
     for feature in (
         "w:Ami|I-PER",
         "p:NNP|I-PER",
@@ -143,87 +159,60 @@ def test_linear_feature_strings(shlomo):
         "suf3:Ami|I-PER",
         "dw:Ami+gave|I-PER",
         "dpl:NNP+VBD+nsubj|I-PER",
-        "t:I-PER+I-PER",
     ):
         assert got.get(feature) == 1, feature
+    assert transition_string(shlomo, "I-PER", "I-PER", kind="linear") == "t:I-PER+I-PER"
 
 
 def test_linear_bos_at_first_token(shlomo):
-    idx = FeatureIndex()
-    got = _strings(shlomo, linear_features(shlomo, 1, "O", "B-PER", idx), idx)
+    got = emission_strings(shlomo, (1, 1), "B-PER", kind="linear")
     assert f"pw:{BOS}|B-PER" in got
     assert f"psh:{BOS}|B-PER" in got
 
 
 def test_root_head_templates(shlomo):
     # token 7 "gave" attaches to the artificial root
-    idx = FeatureIndex()
-    got = _strings(shlomo, linear_features(shlomo, 7, "O", "O", idx), idx)
+    got = emission_strings(shlomo, (7, 7), "O", kind="linear")
     assert "dw:gave+<ROOT>|O" in got
     assert "dpl:VBD+<ROOT>+root|O" in got
 
 
 def test_dep_features_can_be_disabled(shlomo):
-    idx = FeatureIndex()
-    got = _strings(shlomo, segment_features(shlomo, (3, 6), "O", "PER", idx, dep_features=False), idx)
+    got = emission_strings(shlomo, (3, 6), "PER", dep=False)
     assert not any(name.startswith(("dw:", "dwl:", "dp:", "dpl:")) for name in got)
     assert "sw:Shlomo|PER" in got
 
 
 def test_short_word_affixes(womack):
     # "of" only has prefixes/suffixes up to its own length
-    idx = FeatureIndex()
-    got = _strings(womack, linear_features(womack, 6, "O", "O", idx), idx)
+    got = emission_strings(womack, (6, 6), "O", kind="linear")
     assert "w:of|O" in got
     assert "pre1:o|O" in got and "pre2:of|O" in got
     assert not any(name.startswith("pre3:") for name in got)
 
 
 def test_label_conjunction_separates_labels(womack):
-    idx = FeatureIndex()
-    a = segment_features(womack, (1, 3), "O", "PER", idx)
-    b = segment_features(womack, (1, 3), "O", "MISC", idx)
-    ids_a = {fid for fid, _ in a.pairs}
-    ids_b = {fid for fid, _ in b.pairs}
-    assert ids_a.isdisjoint(ids_b)
+    a = emission_strings(womack, (1, 3), "PER")
+    b = emission_strings(womack, (1, 3), "MISC")
+    assert a and b
+    assert set(a).isdisjoint(b)
 
 
 def test_frozen_index_filters_vectors(womack):
-    idx = FeatureIndex()
-    segment_features(womack, (1, 3), "O", "PER", idx)
-    size = len(idx)
-    idx.freeze()
-    vec = segment_features(womack, (1, 3), "O", "MISC", idx)
-    assert vec.pairs == ()
-    assert len(idx) == size
+    # an index trained without MISC gives the MISC rows no features
+    index = FeatureIndex()
+    _compiled(Sentence(womack.tokens, womack.tree, womack.gold[:1]), "semi", index=index)
+    size = len(index)
+    index.freeze()
+    assert emission_strings(womack, (1, 3), "MISC", index=index) == {}
+    assert emission_strings(womack, (1, 3), "PER", index=index)
+    assert len(index) == size
 
 
-def test_vectors_are_sorted_and_hashable(womack):
-    idx = FeatureIndex()
-    vec = segment_features(womack, (5, 8), "PER", "MISC", idx)
-    ids = [fid for fid, _ in vec.pairs]
-    assert ids == sorted(ids)
-    assert isinstance(hash(vec), int)
-    assert len(vec) == len(vec.pairs)
-
-
-def test_position_and_span_validation(womack):
-    idx = FeatureIndex()
-    with pytest.raises(ValueError):
-        linear_features(womack, 0, "O", "O", idx)
-    with pytest.raises(ValueError):
-        linear_features(womack, 10, "O", "O", idx)
-    with pytest.raises(ValueError):
-        segment_features(womack, (3, 2), "O", "O", idx)
-    with pytest.raises(ValueError):
-        segment_features(womack, (8, 10), "O", "O", idx)
+def test_emission_feature_format():
+    assert emission_features(["w:Ami", "p:NNP"], "I-PER") == ["w:Ami|I-PER", "p:NNP|I-PER"]
 
 
 def test_transition_feature_format():
     assert transition_feature("O", "PER") == "t:O+PER"
     assert transition_feature("<BOS>", "O") == "t:<BOS>+O"
-
-
-def test_feature_vector_equality():
-    assert FeatureVector(((0, 1),)) == FeatureVector(((0, 1),))
-    assert FeatureVector(((0, 1),)) != FeatureVector(((0, 2),))

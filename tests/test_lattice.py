@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
+from spancrf import lattice
 from spancrf.combinatorics import enumerate_trees, random_tree
 from spancrf.lattice import (
     DGM,
@@ -134,3 +137,12 @@ def test_mode_ordering_on_a_sentence(womack):
         for kind in (DGM_S, DGM, SEMI)
     }
     assert counts[DGM_S] < counts[DGM] < counts[SEMI]
+
+
+def test_lattice_memo_is_bounded():
+    bound = lattice._lattice.cache_info().maxsize
+    # one 500-sentence corpus must stay memoized across cross-validation folds
+    assert 500 <= bound < 7**5
+    for tree in islice(enumerate_trees(7), bound + 50):
+        lattice._lattice(tree.n, tree.edges, DGM, 8)
+    assert lattice._lattice.cache_info().currsize <= bound

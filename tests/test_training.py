@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -28,9 +29,10 @@ from spancrf import (
     representability_stats,
     synthesize,
 )
-from spancrf.lattice import Mode
+from spancrf.inference import label_scheme, viterbi
+from spancrf.lattice import MODE_KINDS, Mode
 
-from oracles import random_sentence
+from oracles import random_sentence, reference_scores, segmentation_entities
 
 
 def one_word_corpus():
@@ -241,6 +243,76 @@ def test_load_rejects_bad_documents(tmp_path):
     )
     with pytest.raises(SerializationError, match="weights"):
         Model.load(path)
+
+
+_GOOD_MODEL = {
+    "version": 1,
+    "mode": "dgm",
+    "L": 8,
+    "lambda": 0.1,
+    "dep_features": True,
+    "labels": ["O", "A"],
+    "features": ["w:a|O", "t:O+A"],
+    "weights": [0.5, -0.5],
+}
+
+
+@pytest.mark.parametrize(
+    ("text", "match"),
+    [
+        ("[1, 2]", "JSON object"),
+        ('{"version": 1, "mode": ', "not JSON"),
+        (json.dumps({**_GOOD_MODEL, "features": ["w:a|O", "w:a|O"]}), "repeated"),
+        (json.dumps({**_GOOD_MODEL, "weights": [float("nan"), 0.0]}), "finite"),
+        (json.dumps({**_GOOD_MODEL, "labels": ["A", "O"]}), "labels"),
+        (json.dumps({**_GOOD_MODEL, "mode": "linear"}), "labels"),
+    ],
+    ids=["top-level-list", "invalid-json", "repeated-feature", "nan-weight", "label-0-not-O", "linear-segment-labels"],
+)
+def test_load_rejects_malformed_models(tmp_path, text, match):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_GOOD_MODEL))
+    assert Model.load(path).labels == ("O", "A")
+    path.write_text(text)
+    with pytest.raises(SerializationError, match=match):
+        Model.load(path)
+
+
+def test_fit_warns_when_the_optimizer_stops_early(caplog):
+    corpus = synthesize(10, mean_len=6.0, num_types=2, vocab=30, seed=22)
+    with caplog.at_level(logging.WARNING, logger="spancrf.training"):
+        fit(corpus, quick(max_iter=2), Mode("linear"))
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "did not converge after 2 iterations" in warnings[0]
+    assert "ITERATIONS REACHED LIMIT" in warnings[0].upper()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="spancrf.training"):
+        fit(one_word_corpus(), quick(l2=1.0), Mode("semi", 2))
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_decode_matches_string_lookup_reference(kind):
+    rng = np.random.default_rng(40 + MODE_KINDS.index(kind))
+    mode = Mode(kind, 4)
+    train = [random_sentence(rng, n=int(rng.integers(1, 8))) for _ in range(6)]
+    held = [random_sentence(rng, n=int(rng.integers(1, 8))) for _ in range(20)]
+    model = fit(train, quick(max_iter=1), mode)
+    scheme = label_scheme(mode)
+    for _ in range(3):
+        model.weights = rng.normal(scale=1.0, size=len(model.index))
+        want = [segmentation_entities(viterbi(reference_scores(model, s))[0], scheme) for s in train + held]
+        assert decode_corpus(model, train + held) == want
+
+
+def test_decode_does_not_depend_on_block_layout():
+    corpus = synthesize(150, mean_len=8.0, num_types=3, vocab=60, entity_rate=0.3, seed=25)
+    model = fit(corpus[:40], quick(l2=0.01, max_iter=20), Mode("dgm", 8))
+    whole = decode_corpus(model, corpus)
+    assert len(whole) == 150 and sum(map(len, whole)) > 0
+    assert whole == [decode(model, s) for s in corpus]
+    assert whole == decode_corpus(model, corpus[:37]) + decode_corpus(model, corpus[37:])
 
 
 def test_decode_single_sentence_matches_corpus_decode(womack):

@@ -6,15 +6,13 @@ grad_k   = sum_i (E[f_k] - f_k(x_i, y_i)) + 2 lambda w_k
 The corpus is compiled once into fixed 64-sentence blocks. A factor score
 decomposes as emission(span, y) + transition(y_prev, y), so each block
 stores a sparse count matrix with one emission row per live (span, label)
-pair of its sentences, plus aggregated gold counts; one objective call then
-costs a sparse matvec per block plus the span-proportional DP per sentence.
-Blocks are evaluated independently, optionally in a fork pool, and reduced
-in block order, so the result is bitwise identical for any worker count.
-
-Training and prediction share one scoring path: decoding compiles its
-sentences into the same emission rows against the frozen feature index,
-scores each block with one matvec, fills the same factor tables and runs
-Viterbi over them.
+pair, its gold counts, and one ScoredBlock whose flat DP layout is built
+here once. One objective call costs, per block, a sparse matvec, one
+span-proportional forward, backward and marginal pass over the whole block
+(inference.py), and a gradient scatter. Blocks are reduced in block order,
+so the result is bitwise identical for any worker count of the fork pool.
+Decoding compiles its sentences into the same emission rows and blocks,
+against the frozen feature index, and runs one Viterbi pass per block.
 """
 
 from __future__ import annotations
@@ -34,13 +32,14 @@ from .corpus import EntitySpan, LabelSet, Sentence, SerializationError, iob_to_s
 from .features import BOS, FeatureIndex, _position_templates, _segment_templates, emission_features, transition_feature
 from .inference import (
     IOB_SCHEME,
-    ScoredLattice,
+    ScoredBlock,
     Segmentation,
     allowed_mask,
     backward,
     forward,
     label_scheme,
     mode_labels,
+    posteriors,
     viterbi,
 )
 from .lattice import Mode, SpanLattice, build_lattice
@@ -206,21 +205,13 @@ def project_gold(sentence: Sentence, lattice: SpanLattice) -> tuple[Segmentation
     return _segment_gold(sentence, lattice, split=True)
 
 
-@dataclass
-class _SentenceComp:
-    scored: ScoredLattice
-    neg_mask: np.ndarray  # (S, K+1, K) bool, True where the factor is forbidden
-    col_id: np.ndarray  # (S, K) int64 block-local emission row, -1 dead
-    live: np.ndarray  # (S, K) bool, col_id >= 0
-
-
 class _EmissionRows:
     """Sparse emission rows of one block, under construction.
 
-    Every live (span, label) pair of a sentence gets one row: the counts of
-    the span's templates conjoined with the label. feature_id maps a feature
-    string to its id or None; training passes FeatureIndex.intern, decoding
-    the frozen index's lookup.
+    Every live (span, label) pair of the block gets one row, in span order
+    and then label order: the counts of the span's templates conjoined with
+    the label. feature_id maps a feature string to its id or None; training
+    passes FeatureIndex.intern, decoding the frozen index's lookup.
     """
 
     def __init__(self, labels: tuple[str, ...], scheme: str, dep: bool, feature_id) -> None:
@@ -228,38 +219,43 @@ class _EmissionRows:
         self.scheme = scheme
         self.dep = dep
         self.feature_id = feature_id
+        self.lattices: list[SpanLattice] = []
+        self.masks: list[np.ndarray] = []
         self.indptr = [0]
         self.indices: list[int] = []
         self.data: list[float] = []
 
-    def add(self, sentence: Sentence, lattice: SpanLattice, mask: np.ndarray) -> _SentenceComp:
+    def add(self, sentence: Sentence, lattice: SpanLattice, mask: np.ndarray) -> None:
         feature_id, indptr, indices, data = self.feature_id, self.indptr, self.indices, self.data
-        live = mask.any(axis=1)  # (S, K)
-        col_id = np.full(live.shape, -1, dtype=np.int64)
-        for s, (span, live_y) in enumerate(zip(lattice.sorted_spans(), live.tolist())):
+        self.lattices.append(lattice)
+        self.masks.append(mask)
+        for span, live_y in zip(lattice.sorted_spans(), mask.any(axis=1).tolist()):
             base = Counter(_emission_templates(sentence, span, self.scheme, self.dep))
             counts = [float(c) for c in base.values()]
-            for y, label in enumerate(self.labels):
-                if not live_y[y]:
+            for label, live in zip(self.labels, live_y):
+                if not live:
                     continue
-                col_id[s, y] = len(indptr) - 1
                 for fid, c in zip(map(feature_id, emission_features(base, label)), counts):
                     if fid is not None:
                         indices.append(fid)
                         data.append(c)
                 indptr.append(len(indices))
-        scored = ScoredLattice(lattice, self.labels, np.zeros(mask.shape))
-        return _SentenceComp(scored, ~mask, col_id, col_id >= 0)
 
-    def matrix(self, num_features: int) -> sparse.csr_matrix:
-        indices = np.asarray(self.indices, dtype=np.int32)
-        arrays = (np.asarray(self.data), indices, np.asarray(self.indptr, dtype=np.int64))
-        return sparse.csr_matrix(arrays, shape=(len(self.indptr) - 1, num_features))
+    def finish(self, num_features: int, gold: Counter) -> _Block:
+        arrays = (np.asarray(self.data), np.asarray(self.indices, np.int32), np.asarray(self.indptr, np.int64))
+        emit = sparse.csr_matrix(arrays, shape=(len(self.indptr) - 1, num_features))
+        mask = np.concatenate(self.masks)
+        scored = ScoredBlock(tuple(self.lattices), self.labels, np.zeros(mask.shape))
+        gold_ids = np.fromiter(gold.keys(), dtype=np.int64, count=len(gold))
+        gold_cnts = np.fromiter(gold.values(), dtype=np.float64, count=len(gold))
+        return _Block(scored, ~mask, mask.any(axis=1), emit, gold_ids, gold_cnts)
 
 
 @dataclass
 class _Block:
-    comps: list[_SentenceComp]
+    scored: ScoredBlock  # the block's lattices and its one factor table
+    forbidden: np.ndarray  # (S, K+1, K) bool, True where the labeling rule forbids the factor
+    live: np.ndarray  # (S, K) bool; the emission rows are its True cells in row-major order
     emit: sparse.csr_matrix  # (rows, D) feature counts per emission row
     gold_ids: np.ndarray
     gold_cnts: np.ndarray
@@ -317,7 +313,6 @@ def _compile(
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         rows = _EmissionRows(labels, scheme, dep, index.intern)
-        comps: list[_SentenceComp] = []
         gold: Counter = Counter()
         for offset, sentence in enumerate(chunk):
             lat = build_lattice(sentence, mode)
@@ -325,7 +320,7 @@ def _compile(
             for p, y in np.argwhere(mask.any(axis=0) & ~pair_seen):
                 pair_seen[p, y] = True
                 index.intern(transition_feature(prev_names[p], labels[y]))
-            comps.append(rows.add(sentence, lat, mask))
+            rows.add(sentence, lat, mask)
             if scheme == IOB_SCHEME:
                 seg = _iob_gold(sentence)
             elif project:
@@ -334,55 +329,36 @@ def _compile(
             else:
                 seg, _ = _segment_gold(sentence, lat, split=False, name=str(block_start + offset + 1))
             gold.update(_gold_counts(sentence, seg, scheme, index, dep))
-        raw_blocks.append((comps, rows, gold))
+        raw_blocks.append((rows, gold))
     num_features = len(index)
-    blocks = []
-    for comps, rows, gold in raw_blocks:
-        gold_ids = np.fromiter(gold.keys(), dtype=np.int64, count=len(gold))
-        gold_cnts = np.fromiter(gold.values(), dtype=np.float64, count=len(gold))
-        blocks.append(_Block(comps, rows.matrix(num_features), gold_ids, gold_cnts))
+    blocks = [rows.finish(num_features, gold) for rows, gold in raw_blocks]
     return _Compiled(blocks, _transition_ids(index, labels), labels, num_features, splits_total)
 
 
 def _transition_weights(w: np.ndarray, trans_ids: np.ndarray) -> np.ndarray:
     tw = np.zeros(trans_ids.shape)
-    sel = trans_ids >= 0
-    tw[sel] = w[trans_ids[sel]]
+    tw[trans_ids >= 0] = w[trans_ids[trans_ids >= 0]]
     return tw
 
 
-def _fill_scores(comp: _SentenceComp, emissions: np.ndarray, tw: np.ndarray) -> None:
+def _fill_scores(block: _Block, emissions: np.ndarray, tw: np.ndarray) -> None:
     """Factor table: emission(span, y) + transition(y_prev, y), -inf where the mask forbids."""
-    e_sy = np.zeros(comp.col_id.shape)
-    e_sy[comp.live] = emissions[comp.col_id[comp.live]]
-    np.copyto(comp.scored.scores, e_sy[:, None, :] + tw[None, :, :])
-    comp.scored.scores[comp.neg_mask] = -np.inf
+    e_sy = np.zeros(block.live.shape)
+    e_sy[block.live] = emissions
+    np.add(e_sy[:, None, :], tw[None, :, :], out=block.scored.scores)
+    block.scored.scores[block.forbidden] = -np.inf
 
 
 def _eval_block(block: _Block, w: np.ndarray, tw: np.ndarray, trans_ids: np.ndarray) -> tuple[float, np.ndarray]:
-    K = tw.shape[1]
-    emissions = block.emit @ w  # (rows,)
-    mcol = np.zeros(block.emit.shape[0])
-    mtrans = np.zeros(tw.shape)
-    value = 0.0
-    for comp in block.comps:
-        _fill_scores(comp, emissions, tw)
-        scored = comp.scored
-        alpha = forward(scored)
-        beta = backward(scored)
-        logz = np.logaddexp.reduce(alpha[scored.n, :K])
-        value += logz
-        msy = np.empty(comp.col_id.shape)
-        for s, (u, v) in enumerate(scored.spans):
-            mval = np.exp(alpha[u - 1, :, None] + scored.scores[s] + beta[v, :K][None, :] - logz)
-            msy[s] = mval.sum(axis=0)
-            mtrans += mval
-        mcol[comp.col_id[comp.live]] = msy[comp.live]
-    grad = block.emit.T @ mcol
+    _fill_scores(block, block.emit @ w, tw)
+    scored = block.scored
+    logz, m = posteriors(scored, forward(scored), backward(scored))
+    grad = block.emit.T @ m.sum(axis=1)[block.live]
     sel = trans_ids >= 0
-    grad[trans_ids[sel]] += mtrans[sel]
+    grad[trans_ids[sel]] += m.sum(axis=0)[sel]
     grad[block.gold_ids] -= block.gold_cnts
-    value -= float(w[block.gold_ids] @ block.gold_cnts)
+    # a sequential sum over sentences; np.sum would add pairwise and round differently
+    value = np.cumsum(logz)[-1] - float(w[block.gold_ids] @ block.gold_cnts)
     return value, grad
 
 
@@ -436,10 +412,11 @@ class Objective:
         return value, grad
 
     def close(self) -> None:
+        global _FORK_STATE
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
-            self._pool = None
+            self._pool = _FORK_STATE = None
 
 
 def objective_and_gradient(model: Model, corpus: list[Sentence]) -> tuple[float, np.ndarray]:
@@ -533,15 +510,12 @@ def decode_corpus(model: Model, corpus: list[Sentence]) -> list[tuple[EntitySpan
     out = []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         rows = _EmissionRows(model.labels, scheme, model.dep_features, model.index.lookup)
-        comps = []
         for sentence in corpus[block_start : block_start + _BLOCK_SIZE]:
             lat = build_lattice(sentence, model.mode)
-            comps.append(rows.add(sentence, lat, allowed_mask(lat, model.labels, scheme)))
-        emissions = rows.matrix(len(model.weights)) @ model.weights
-        for comp in comps:
-            _fill_scores(comp, emissions, tw)
-            seg, _ = viterbi(comp.scored)
-            out.append(_segmentation_entities(seg, scheme))
+            rows.add(sentence, lat, allowed_mask(lat, model.labels, scheme))
+        block = rows.finish(len(model.weights), Counter())
+        _fill_scores(block, block.emit @ model.weights, tw)
+        out.extend(_segmentation_entities(seg, scheme) for seg, _ in viterbi(block.scored))
     return out
 
 

@@ -81,6 +81,26 @@ def brute_best_score(scored) -> float:
     return max(path_score(scored, lab) for lab in enumerate_labelings(scored))
 
 
+def brute_viterbi(scored):
+    """Best labeling by enumeration, ties broken by the rule viterbi documents.
+
+    Among the top-scoring labelings, read from the end of the sentence: the
+    shorter last segment, then the smaller last label; then at each earlier
+    boundary the smaller previous label, then the shorter segment carrying it.
+    """
+    labelings = enumerate_labelings(scored)
+    top = max(path_score(scored, lab) for lab in labelings)
+
+    def key(lab):
+        lengths = [scored.spans[s][1] - scored.spans[s][0] for s, _ in lab]
+        out = [lengths[-1], lab[-1][1]]
+        for k in range(len(lab) - 2, -1, -1):
+            out += [lab[k][1], lengths[k]]
+        return out
+
+    return min((lab for lab in labelings if path_score(scored, lab) == top), key=key)
+
+
 def chain_spans_reference(n: int, arcs, max_len: int) -> set[tuple[int, int]]:
     """Valid spans by direct definition: singletons, plus (u,v) covered by
     an increasing chain u = u1 < u2 < ... < uk = v of undirected arcs."""

@@ -1,0 +1,103 @@
+"""The block DP core against per-sentence enumeration, over random blocks.
+
+A block concatenates scored sentences of mixed lengths under one mode;
+every per-sentence quantity read off the block must equal brute force, and
+equal what the same sentence gives as a block of one, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spancrf.corpus import LabelSet
+from spancrf.inference import (
+    InvariantViolation,
+    ScoredBlock,
+    ScoredLattice,
+    allowed_mask,
+    backward,
+    forward,
+    label_scheme,
+    marginals,
+    mode_labels,
+    posteriors,
+    viterbi,
+)
+from spancrf.lattice import MODE_KINDS, Mode, SpanLattice, build_lattice
+
+from oracles import brute_log_partition, brute_marginals, brute_viterbi, path_score, random_sentence
+
+
+@st.composite
+def scored_sentences(draw):
+    """1-6 scored sentences of lengths 1-5 under one mode and label set.
+
+    Scores are random where the labeling rule allows a factor and -inf
+    where it forbids one; small integers when ties are drawn, so equal
+    path scores are exact and the tie rule decides.
+    """
+    mode = Mode(draw(st.sampled_from(MODE_KINDS)), max_len=draw(st.integers(1, 4)))
+    labels = mode_labels(LabelSet(["A", "B"][: draw(st.integers(1, 2))]), mode)
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    ties = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for n in lengths:
+        lattice = build_lattice(random_sentence(rng, n=n), mode)
+        mask = allowed_mask(lattice, labels, label_scheme(mode))
+        values = rng.integers(-2, 3, size=mask.shape).astype(float) if ties else rng.normal(scale=1.5, size=mask.shape)
+        out.append(ScoredLattice(lattice, labels, np.where(mask, values, -np.inf)))
+    return out
+
+
+def as_block(singles):
+    return ScoredBlock(tuple(s.lattice for s in singles), singles[0].labels, np.concatenate([s.scores for s in singles]))
+
+
+def per_sentence(rows, singles):
+    return np.split(rows, np.cumsum([len(s.spans) for s in singles])[:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_sentences())
+def test_block_partition_and_marginals_match_enumeration(singles):
+    block = as_block(singles)
+    logz, m = posteriors(block, forward(block), backward(block))
+    assert logz.shape == (len(singles),)
+    for scored, z, m_b in zip(singles, logz, per_sentence(m, singles)):
+        assert z == pytest.approx(brute_log_partition(scored), abs=1e-9)
+        np.testing.assert_allclose(m_b, brute_marginals(scored), rtol=0, atol=1e-9)
+        # the block layout does not change a sentence's numbers
+        alone_z, alone_m = posteriors(scored, forward(scored), backward(scored))
+        assert alone_z[0] == z
+        assert np.array_equal(alone_m, m_b)
+    assert np.array_equal(marginals(block), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_sentences())
+def test_block_viterbi_matches_enumeration_with_tie_rule(singles):
+    decoded = viterbi(as_block(singles))
+    assert len(decoded) == len(singles)
+    for scored, (seg, best) in zip(singles, decoded):
+        want = brute_viterbi(scored)
+        assert list(seg) == [(scored.spans[s], scored.labels[y]) for s, y in want]
+        assert best == pytest.approx(path_score(scored, want), abs=1e-9)
+        assert viterbi(scored) == (seg, best)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scored_sentences(), st.integers(2, 5), st.data())
+def test_gapped_lattice_inside_a_block_raises(singles, n, data):
+    gap = data.draw(st.integers(1, n), label="gap")
+    where = data.draw(st.integers(0, len(singles)), label="where")
+    labels = singles[0].labels
+    spans = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + 1) + 1) if v != gap)
+    gapped = ScoredLattice(SpanLattice(n, spans), labels, np.zeros((len(spans), len(labels) + 1, len(labels))))
+    block = as_block(singles[:where] + [gapped] + singles[where:])
+    for dp in (forward, marginals, viterbi):
+        with pytest.raises(InvariantViolation, match=f"position {gap} .sentence {where} "):
+            dp(block)

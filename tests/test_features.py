@@ -6,6 +6,7 @@ compiles, so the tests see exactly what the model is trained and decoded on.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from spancrf import LabelSet, Sentence
@@ -68,9 +69,10 @@ def emission_strings(sentence, span, label, kind="semi", dep=True, index=None):
     """Feature string -> count of the compiled emission row of (span, label)."""
     compiled, index = _compiled(sentence, kind, dep, index)
     block = compiled.blocks[0]
-    comp = block.comps[0]
-    row = comp.col_id[comp.scored.span_index(span), compiled.labels.index(label)]
-    assert row >= 0, "no emission row for a forbidden (span, label) pair"
+    # the block holds one sentence; its emission rows are the live cells in row-major order
+    cell = (sorted(block.scored.lattices[0].allowed).index(span), compiled.labels.index(label))
+    assert block.live[cell], "no emission row for a forbidden (span, label) pair"
+    row = np.count_nonzero(block.live.ravel()[: np.ravel_multi_index(cell, block.live.shape)])
     lo, hi = block.emit.indptr[row], block.emit.indptr[row + 1]
     names = index.strings()
     return {names[fid]: count for fid, count in zip(block.emit.indices[lo:hi], block.emit.data[lo:hi])}

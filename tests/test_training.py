@@ -29,6 +29,7 @@ from spancrf import (
     representability_stats,
     synthesize,
 )
+from spancrf import training
 from spancrf.inference import label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
@@ -185,6 +186,12 @@ def test_worker_count_does_not_change_training():
     b = fit(corpus, quick(max_iter=3, workers=2), Mode("linear"))
     assert np.array_equal(a.weights, b.weights)
     assert a.index.strings() == b.index.strings()
+
+
+def test_fork_pool_releases_the_compiled_corpus():
+    corpus = synthesize(70, mean_len=5.0, num_types=2, vocab=40, seed=15)
+    fit(corpus, quick(max_iter=2, workers=2), Mode("linear"))
+    assert training._FORK_STATE is None
 
 
 def test_objective_is_additive_over_sentences():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import math
 import sys
@@ -79,9 +80,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for lam in sorted(means):
             print(f"lambda {lam:g}: mean F1 {means[lam]:.2f}")
         print(f"selected lambda {best:g}")
-        config = TrainConfig(
-            l2=best, folds=config.folds, workers=config.workers, dep_features=config.dep_features, seed=config.seed
-        )
+        config = dataclasses.replace(config, l2=best)
     last = [time.perf_counter()]
 
     def report(k: int, value: float) -> None:

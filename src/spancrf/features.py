@@ -1,11 +1,12 @@
 """Feature templates for position factors and segment factors.
 
-Every feature is a string with a template-name prefix (so no two templates
-can collide), conjoined with the factor's label, e.g. "w:Ami|I-PER";
-emission_features() is the one place that format is written. Transition
-features carry both labels: "t:O+PER". The FeatureIndex maps strings to
-dense ids; while unfrozen it allocates on sight, after freeze() unseen
-strings are dropped.
+A template is a string with a template-name prefix, so no two templates
+can collide: "w:Ami", "seg:Shlomo Ben - Ami". Templates carry no label.
+Every lattice span gets one row of template counts, and the weight of a
+template for a label is one cell of the model's weight matrix, so labels
+and transitions need no strings (training.py describes that matrix). The
+FeatureIndex maps template strings to dense ids; while unfrozen it
+allocates on sight, after freeze() unseen strings are dropped.
 
 Position templates: current/previous word, POS, and word shape, plus
 prefixes and suffixes of the current word up to length 3. Segment
@@ -18,8 +19,6 @@ inside a segment.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 from .corpus import Sentence
 
@@ -82,15 +81,6 @@ def word_shape(surface: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
-
-
-def emission_features(templates: Iterable[str], label: str) -> list[str]:
-    """Templates conjoined with the label of the factor they fire on."""
-    return [f"{template}|{label}" for template in templates]
-
-
-def transition_feature(y_prev: str, y: str) -> str:
-    return f"t:{y_prev}+{y}"
 
 
 def _prefixes(surface: str) -> list[str]:

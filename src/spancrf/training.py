@@ -3,16 +3,23 @@
 value    = sum_i log Z_i - sum_i w.f(x_i, y_i) + lambda ||w||^2
 grad_k   = sum_i (E[f_k] - f_k(x_i, y_i)) + 2 lambda w_k
 
-The corpus is compiled once into fixed 64-sentence blocks. A factor score
-decomposes as emission(span, y) + transition(y_prev, y), so each block
-stores a sparse count matrix with one emission row per live (span, label)
-pair, its gold counts, and one ScoredBlock whose flat DP layout is built
-here once. One objective call costs, per block, a sparse matvec, one
-span-proportional forward, backward and marginal pass over the whole block
-(inference.py), and a gradient scatter. Blocks are reduced in block order,
-so the result is bitwise identical for any worker count of the fork pool.
-Decoding compiles its sentences into the same emission rows and blocks,
-against the frozen feature index, and runs one Viterbi pass per block.
+A factor score decomposes as emission(span, y) + transition(y_prev, y).
+All parameters live in one matrix W of shape (T+K+1, K): row t < T holds
+the weight of template t for each label, row T+p the weight of the
+transition from previous label p (p = K is the begin sentinel). The
+optimizer sees W.ravel().
+
+The corpus is compiled once into fixed 64-sentence blocks. Each block
+stores a sparse count matrix X with one row per span (its template counts)
+and one ScoredBlock whose flat DP layout is built here once; the gold
+counts of the whole corpus are one constant (T+K+1, K) matrix, built from
+the gold cells' own rows. One objective call costs, per block, a sparse
+product X @ W[:T], one span-proportional forward, backward and marginal
+pass over the whole block (inference.py), and the expected counts
+X.T @ m.sum(axis=1) stacked over m.sum(axis=0). Blocks are reduced in block
+order, so the result is bitwise identical for any worker count of the fork
+pool. Decoding compiles its sentences into the same rows and blocks,
+against the frozen template index, and runs one Viterbi pass per block.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import scipy.optimize
 from scipy import sparse
 
 from .corpus import EntitySpan, LabelSet, Sentence, SerializationError, iob_to_spans, spans_to_iob
-from .features import BOS, FeatureIndex, _position_templates, _segment_templates, emission_features, transition_feature
+from .features import FeatureIndex, _position_templates, _segment_templates
 from .inference import (
     IOB_SCHEME,
     ScoredBlock,
@@ -46,7 +53,7 @@ from .lattice import Mode, SpanLattice, build_lattice
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 _BLOCK_SIZE = 64
 
 
@@ -86,7 +93,12 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    """Frozen feature index, labels, and trained weights for one mode."""
+    """Frozen template index, labels, and trained weights for one mode.
+
+    weights is the (T+K+1, K) matrix W of the module doc, for T templates
+    and K labels. converged and optimizer_message are scipy's success flag
+    and message from the fit that made the model (None if it was not fit).
+    """
 
     mode: Mode
     labels: tuple[str, ...]
@@ -94,10 +106,13 @@ class Model:
     weights: np.ndarray
     lam: float
     dep_features: bool = True
+    converged: bool | None = None
+    optimizer_message: str | None = None
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.index):
-            raise ValueError(f"{len(self.weights)} weights for {len(self.index)} features")
+        K = len(self.labels)
+        if self.weights.shape != (len(self.index) + K + 1, K):
+            raise ValueError(f"weights of shape {self.weights.shape} for {len(self.index)} templates and {K} labels")
         if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
         if self.lam < 0:
@@ -120,9 +135,11 @@ class Model:
             "L": self.mode.max_len,
             "lambda": self.lam,
             "dep_features": self.dep_features,
+            "converged": self.converged,
+            "optimizer_message": self.optimizer_message,
             "labels": list(self.labels),
-            "features": list(self.index.strings()),
-            "weights": [float(w) for w in self.weights],
+            "templates": list(self.index.strings()),
+            "weights": self.weights.tolist(),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
@@ -141,14 +158,18 @@ class Model:
             raise SerializationError(f"unsupported model version {doc.get('version')!r}")
         try:
             labels = tuple(doc["labels"])
-            features = doc["features"]
-            if not all(isinstance(item, str) for item in (*labels, *features)):
-                raise TypeError("labels and features must be strings")
-            if len(set(features)) != len(features):
-                raise ValueError("repeated feature strings")
+            templates = doc["templates"]
+            if not all(isinstance(item, str) for item in (*labels, *templates)):
+                raise TypeError("labels and templates must be strings")
+            if len(set(templates)) != len(templates):
+                raise ValueError("repeated template strings")
+            if not isinstance(doc["converged"], (bool, type(None))):
+                raise TypeError("converged must be true, false or null")
+            if not isinstance(doc["optimizer_message"], (str, type(None))):
+                raise TypeError("optimizer_message must be a string or null")
             index = FeatureIndex()
-            for f in features:
-                index.intern(f)
+            for t in templates:
+                index.intern(t)
             index.freeze()
             return cls(
                 mode=Mode(doc["mode"], doc["L"]),
@@ -157,6 +178,8 @@ class Model:
                 weights=np.asarray(doc["weights"], dtype=np.float64),
                 lam=float(doc["lambda"]),
                 dep_features=bool(doc["dep_features"]),
+                converged=doc["converged"],
+                optimizer_message=doc["optimizer_message"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed model file: {exc}") from exc
@@ -206,94 +229,75 @@ def project_gold(sentence: Sentence, lattice: SpanLattice) -> tuple[Segmentation
 
 
 class _EmissionRows:
-    """Sparse emission rows of one block, under construction.
+    """Sparse template rows of one block, under construction.
 
-    Every live (span, label) pair of the block gets one row, in span order
-    and then label order: the counts of the span's templates conjoined with
-    the label. feature_id maps a feature string to its id or None; training
-    passes FeatureIndex.intern, decoding the frozen index's lookup.
+    Every span of the block gets one row, in span order: the counts of its
+    templates. template_id maps a template string to its id or None;
+    training passes FeatureIndex.intern, decoding the frozen index's lookup.
     """
 
-    def __init__(self, labels: tuple[str, ...], scheme: str, dep: bool, feature_id) -> None:
+    def __init__(self, labels: tuple[str, ...], scheme: str, dep: bool, template_id) -> None:
         self.labels = labels
         self.scheme = scheme
         self.dep = dep
-        self.feature_id = feature_id
+        self.template_id = template_id
         self.lattices: list[SpanLattice] = []
         self.masks: list[np.ndarray] = []
         self.indptr = [0]
         self.indices: list[int] = []
-        self.data: list[float] = []
+        self.data: list[int] = []
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.indptr) - 1
 
     def add(self, sentence: Sentence, lattice: SpanLattice, mask: np.ndarray) -> None:
-        feature_id, indptr, indices, data = self.feature_id, self.indptr, self.indices, self.data
+        template_id, indptr, indices, data = self.template_id, self.indptr, self.indices, self.data
         self.lattices.append(lattice)
         self.masks.append(mask)
-        for span, live_y in zip(lattice.sorted_spans(), mask.any(axis=1).tolist()):
-            base = Counter(_emission_templates(sentence, span, self.scheme, self.dep))
-            counts = [float(c) for c in base.values()]
-            for label, live in zip(self.labels, live_y):
-                if not live:
-                    continue
-                for fid, c in zip(map(feature_id, emission_features(base, label)), counts):
-                    if fid is not None:
-                        indices.append(fid)
-                        data.append(c)
-                indptr.append(len(indices))
+        for span in lattice.sorted_spans():
+            counts = Counter(_emission_templates(sentence, span, self.scheme, self.dep))
+            for tid, c in zip(map(template_id, counts), counts.values()):
+                if tid is not None:
+                    indices.append(tid)
+                    data.append(c)
+            indptr.append(len(indices))
 
-    def finish(self, num_features: int, gold: Counter) -> _Block:
-        arrays = (np.asarray(self.data), np.asarray(self.indices, np.int32), np.asarray(self.indptr, np.int64))
-        emit = sparse.csr_matrix(arrays, shape=(len(self.indptr) - 1, num_features))
+    def finish(self, num_templates: int) -> _Block:
+        data = np.asarray(self.data, np.float64)
+        arrays = (data, np.asarray(self.indices, np.int32), np.asarray(self.indptr, np.int64))
+        emit = sparse.csr_matrix(arrays, shape=(self.num_rows, num_templates))
         mask = np.concatenate(self.masks)
         scored = ScoredBlock(tuple(self.lattices), self.labels, np.zeros(mask.shape))
-        gold_ids = np.fromiter(gold.keys(), dtype=np.int64, count=len(gold))
-        gold_cnts = np.fromiter(gold.values(), dtype=np.float64, count=len(gold))
-        return _Block(scored, ~mask, mask.any(axis=1), emit, gold_ids, gold_cnts)
+        return _Block(scored, ~mask, emit)
 
 
 @dataclass
 class _Block:
     scored: ScoredBlock  # the block's lattices and its one factor table
     forbidden: np.ndarray  # (S, K+1, K) bool, True where the labeling rule forbids the factor
-    live: np.ndarray  # (S, K) bool; the emission rows are its True cells in row-major order
-    emit: sparse.csr_matrix  # (rows, D) feature counts per emission row
-    gold_ids: np.ndarray
-    gold_cnts: np.ndarray
+    emit: sparse.csr_matrix  # (S, T) template counts per span
 
 
 @dataclass
 class _Compiled:
     blocks: list[_Block]
-    trans_ids: np.ndarray  # (K+1, K) int64 feature id of each transition, -1 absent
     labels: tuple[str, ...]
-    num_features: int
+    gold: np.ndarray  # (T+K+1, K) gold counts of the corpus, laid out like W
     splits: int
 
-
-def _transition_ids(index: FeatureIndex, labels: tuple[str, ...]) -> np.ndarray:
-    """(K+1, K) feature id of each transition (previous label K is BOS), -1 where absent."""
-    prev_names = labels + (BOS,)
-    trans_ids = np.full((len(labels) + 1, len(labels)), -1, dtype=np.int64)
-    for p, y in np.ndindex(trans_ids.shape):
-        fid = index.lookup(transition_feature(prev_names[p], labels[y]))
-        if fid is not None:
-            trans_ids[p, y] = fid
-    return trans_ids
+    @property
+    def num_features(self) -> int:
+        """Number of weights: the size of W."""
+        return self.gold.size
 
 
-def _gold_counts(sentence: Sentence, seg: Segmentation, scheme: str, index: FeatureIndex, dep: bool) -> Counter:
-    counts: Counter = Counter()
-    y_prev = BOS
-    for span, label in seg:
-        base = Counter(_emission_templates(sentence, span, scheme, dep))
-        for fid, c in zip(map(index.intern, emission_features(base, label)), base.values()):
-            if fid is not None:
-                counts[fid] += c
-        tid = index.intern(transition_feature(y_prev, label))
-        if tid is not None:
-            counts[tid] += 1
-        y_prev = label
-    return counts
+def _add_counts(out: np.ndarray, emit: sparse.csr_matrix, m: np.ndarray) -> None:
+    """Add the counts of (S, K+1, K) factor weights m, laid out like W:
+    emit.T @ m.sum(axis=1) stacked over m.sum(axis=0)."""
+    T = emit.shape[1]
+    out[:T] += emit.T @ m.sum(axis=1)
+    out[T:] += m.sum(axis=0)
 
 
 def _compile(
@@ -306,21 +310,17 @@ def _compile(
 ) -> _Compiled:
     scheme = label_scheme(mode)
     K = len(labels)
-    prev_names = labels + (BOS,)
-    pair_seen = np.zeros((K + 1, K), dtype=bool)
+    label_id = {label: y for y, label in enumerate(labels)}
     splits_total = 0
     raw_blocks = []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         rows = _EmissionRows(labels, scheme, dep, index.intern)
-        gold: Counter = Counter()
+        gold = []  # (span row, previous label, label) of every gold factor in the block
         for offset, sentence in enumerate(chunk):
             lat = build_lattice(sentence, mode)
-            mask = allowed_mask(lat, labels, scheme)
-            for p, y in np.argwhere(mask.any(axis=0) & ~pair_seen):
-                pair_seen[p, y] = True
-                index.intern(transition_feature(prev_names[p], labels[y]))
-            rows.add(sentence, lat, mask)
+            row_of = {span: rows.num_rows + s for s, span in enumerate(lat.sorted_spans())}
+            rows.add(sentence, lat, allowed_mask(lat, labels, scheme))
             if scheme == IOB_SCHEME:
                 seg = _iob_gold(sentence)
             elif project:
@@ -328,46 +328,46 @@ def _compile(
                 splits_total += nsplit
             else:
                 seg, _ = _segment_gold(sentence, lat, split=False, name=str(block_start + offset + 1))
-            gold.update(_gold_counts(sentence, seg, scheme, index, dep))
+            prev = K
+            for span, label in seg:
+                gold.append((row_of[span], prev, label_id[label]))
+                prev = label_id[label]
         raw_blocks.append((rows, gold))
-    num_features = len(index)
-    blocks = [rows.finish(num_features, gold) for rows, gold in raw_blocks]
-    return _Compiled(blocks, _transition_ids(index, labels), labels, num_features, splits_total)
+    blocks = []
+    gold_counts = np.zeros((len(index) + K + 1, K))
+    for rows, gold in raw_blocks:
+        blocks.append(rows.finish(len(index)))
+        # a span is at most one gold segment, so the gold factors are distinct cells
+        indicator = np.zeros(blocks[-1].forbidden.shape)
+        indicator[tuple(np.array(gold).T)] = 1.0
+        _add_counts(gold_counts, blocks[-1].emit, indicator)
+    return _Compiled(blocks, labels, gold_counts, splits_total)
 
 
-def _transition_weights(w: np.ndarray, trans_ids: np.ndarray) -> np.ndarray:
-    tw = np.zeros(trans_ids.shape)
-    tw[trans_ids >= 0] = w[trans_ids[trans_ids >= 0]]
-    return tw
-
-
-def _fill_scores(block: _Block, emissions: np.ndarray, tw: np.ndarray) -> None:
-    """Factor table: emission(span, y) + transition(y_prev, y), -inf where the mask forbids."""
-    e_sy = np.zeros(block.live.shape)
-    e_sy[block.live] = emissions
-    np.add(e_sy[:, None, :], tw[None, :, :], out=block.scored.scores)
+def _fill_scores(block: _Block, W: np.ndarray) -> None:
+    """Factor table (X @ W[:T])[:, None, :] + W[T:][None], -inf where the mask forbids."""
+    T = block.emit.shape[1]
+    np.add((block.emit @ W[:T])[:, None, :], W[T:][None], out=block.scored.scores)
     block.scored.scores[block.forbidden] = -np.inf
 
 
-def _eval_block(block: _Block, w: np.ndarray, tw: np.ndarray, trans_ids: np.ndarray) -> tuple[float, np.ndarray]:
-    _fill_scores(block, block.emit @ w, tw)
+def _eval_block(block: _Block, W: np.ndarray, grad: np.ndarray) -> float:
+    """Summed log Z of the block's sentences; their expected counts are added to grad."""
+    _fill_scores(block, W)
     scored = block.scored
     logz, m = posteriors(scored, forward(scored), backward(scored))
-    grad = block.emit.T @ m.sum(axis=1)[block.live]
-    sel = trans_ids >= 0
-    grad[trans_ids[sel]] += m.sum(axis=0)[sel]
-    grad[block.gold_ids] -= block.gold_cnts
+    _add_counts(grad, block.emit, m)
     # a sequential sum over sentences; np.sum would add pairwise and round differently
-    value = np.cumsum(logz)[-1] - float(w[block.gold_ids] @ block.gold_cnts)
-    return value, grad
+    return np.cumsum(logz)[-1]
 
 
 _FORK_STATE: _Compiled | None = None
 
 
 def _worker_eval(args) -> tuple[float, np.ndarray]:
-    bidx, w, tw = args
-    return _eval_block(_FORK_STATE.blocks[bidx], w, tw, _FORK_STATE.trans_ids)
+    bidx, W = args
+    grad = np.zeros(W.shape)
+    return _eval_block(_FORK_STATE.blocks[bidx], W, grad), grad
 
 
 class Objective:
@@ -390,26 +390,30 @@ class Objective:
             self._pool = multiprocessing.get_context("fork").Pool(workers)
 
     def __call__(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and gradient at w, either W or W.ravel(); the gradient has w's shape."""
         w = np.asarray(w, dtype=np.float64)
         if not np.isfinite(w).all():
             raise TrainingError("non-finite weights")
-        tw = _transition_weights(w, self.compiled.trans_ids)
-        if self._pool is not None:
-            parts = self._pool.map(_worker_eval, [(b, w, tw) for b in range(len(self.compiled.blocks))])
-        else:
-            parts = [_eval_block(block, w, tw, self.compiled.trans_ids) for block in self.compiled.blocks]
+        gold = self.compiled.gold
+        W = w.reshape(gold.shape)
         value = 0.0
-        grad = np.zeros(self.compiled.num_features)
-        for v, g in parts:
-            value += v
-            grad += g
-        value += self.l2 * float(w @ w)
-        grad += 2.0 * self.l2 * w
+        grad = np.zeros(gold.shape)
+        if self._pool is not None:
+            for v, g in self._pool.map(_worker_eval, [(b, W) for b in range(len(self.compiled.blocks))]):
+                value += v
+                grad += g
+        else:
+            for block in self.compiled.blocks:
+                value += _eval_block(block, W, grad)
+        value -= float(np.vdot(gold, W))
+        grad -= gold
+        value += self.l2 * float(np.vdot(W, W))
+        grad += 2.0 * self.l2 * W
         if not np.isfinite(value):
             raise TrainingError("non-finite objective value")
         self.evals += 1
         self.last_value = value
-        return value, grad
+        return value, grad.reshape(w.shape)
 
     def close(self) -> None:
         global _FORK_STATE
@@ -420,7 +424,7 @@ class Objective:
 
 
 def objective_and_gradient(model: Model, corpus: list[Sentence]) -> tuple[float, np.ndarray]:
-    """Objective value and gradient at the model's weights.
+    """Objective value and gradient (shaped like the weights) at the model's weights.
 
     Every gold entity span must be present in its sentence's lattice;
     otherwise a ValueError names the sentence and span.
@@ -432,7 +436,7 @@ def objective_and_gradient(model: Model, corpus: list[Sentence]) -> tuple[float,
 
 
 def _prepare(corpus: list[Sentence], mode: Mode, dep: bool) -> tuple[FeatureIndex, _Compiled]:
-    """Labels, a fresh feature index and the compiled corpus; the index is frozen on return."""
+    """Labels, a fresh template index and the compiled corpus; the index is frozen on return."""
     if not corpus:
         raise ValueError("empty corpus")
     labels = mode_labels(LabelSet.from_corpus(corpus), mode)
@@ -450,7 +454,8 @@ def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, on_iteration=No
     Unrepresentable gold entities are first split into typed singletons.
     on_iteration(k, value), if given, is called after each accepted step.
     If the optimizer stops without converging (for example at max_iter),
-    a warning carries its message and the model is still returned.
+    a warning carries its message and the model is still returned; the
+    model records scipy's success flag and message either way.
     """
     index, compiled = _prepare(corpus, mode, config.dep_features)
     objective = Objective(compiled, config.l2, config.workers)
@@ -481,9 +486,11 @@ def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, on_iteration=No
         mode=mode,
         labels=compiled.labels,
         index=index,
-        weights=np.asarray(result.x, dtype=np.float64),
+        weights=np.asarray(result.x, dtype=np.float64).reshape(compiled.gold.shape),
         lam=config.l2,
         dep_features=config.dep_features,
+        converged=bool(result.success),
+        optimizer_message=str(result.message),
     )
 
 
@@ -501,20 +508,19 @@ def decode(model: Model, sentence: Sentence) -> tuple[EntitySpan, ...]:
 def decode_corpus(model: Model, corpus: list[Sentence]) -> list[tuple[EntitySpan, ...]]:
     """Viterbi entity spans for every sentence.
 
-    Sentences are compiled block by block into the emission rows training
+    Sentences are compiled block by block into the template rows training
     uses, against the frozen index, so templates first seen here score 0.
     The spans do not depend on how the corpus is split into calls.
     """
     scheme = label_scheme(model.mode)
-    tw = _transition_weights(model.weights, _transition_ids(model.index, model.labels))
     out = []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         rows = _EmissionRows(model.labels, scheme, model.dep_features, model.index.lookup)
         for sentence in corpus[block_start : block_start + _BLOCK_SIZE]:
             lat = build_lattice(sentence, model.mode)
             rows.add(sentence, lat, allowed_mask(lat, model.labels, scheme))
-        block = rows.finish(len(model.weights), Counter())
-        _fill_scores(block, block.emit @ model.weights, tw)
+        block = rows.finish(len(model.index))
+        _fill_scores(block, model.weights)
         out.extend(_segmentation_entities(seg, scheme) for seg, _ in viterbi(block.scored))
     return out
 

@@ -5,7 +5,7 @@ segmentations, a direct increasing-chain search for valid spans, a textbook
 first-order chain forward pass, small corpus builders over random trees, and
 a string-lookup factor scorer for trained models. Only the scorer touches
 package internals, and only for what it scores (lattice, labeling mask,
-templates); it shares nothing with the compiled emission rows.
+templates); it shares nothing with the compiled span rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, allowed_mask, build_lattice
 from spancrf import iob_to_spans, random_tree
-from spancrf.features import BOS, _position_templates, _segment_templates
+from spancrf.features import _position_templates, _segment_templates
 from spancrf.inference import IOB_SCHEME, label_scheme
 
 
@@ -178,19 +178,21 @@ def random_sentence(rng, n: int | None = None, types: tuple[str, ...] = ("A", "B
 
 
 def reference_scores(model, sentence) -> ScoredLattice:
-    """Factor table of one sentence by looking up every label-conjoined
-    feature string in the model's index: emission(span, y) summed template
-    by template, plus the transition weight, -inf where the mask forbids."""
+    """Factor table of one sentence by looking up every template string in
+    the model's index: emission(span, y) is W[template, y] summed template
+    by template, plus the transition weight W[T + p, y], -inf where the mask
+    forbids. Unseen templates weigh 0."""
     scheme = label_scheme(model.mode)
     lattice = build_lattice(sentence, model.mode)
     mask = allowed_mask(lattice, model.labels, scheme)
     K = len(model.labels)
+    T = len(model.index)
 
-    def weight(feature: str) -> float:
-        fid = model.index.lookup(feature)
-        return 0.0 if fid is None else model.weights[fid]
+    def weight(template: str, y: int) -> float:
+        tid = model.index.lookup(template)
+        return 0.0 if tid is None else model.weights[tid, y]
 
-    tw = np.array([[weight(f"t:{p}+{y}") for y in model.labels] for p in model.labels + (BOS,)])
+    tw = np.array([[model.weights[T + p, y] for y in range(K)] for p in range(K + 1)])
     e_sy = np.zeros((len(lattice), K))
     live = mask.any(axis=1)
     for s, span in enumerate(lattice.sorted_spans()):
@@ -205,7 +207,7 @@ def reference_scores(model, sentence) -> ScoredLattice:
             if live[s, y]:
                 total = 0.0
                 for template, c in counts.items():
-                    total += weight(f"{template}|{model.labels[y]}") * c
+                    total += weight(template, y) * c
                 e_sy[s, y] = total
     scores = np.where(mask, e_sy[:, None, :] + tw[None, :, :], -np.inf)
     return ScoredLattice(lattice, model.labels, scores)

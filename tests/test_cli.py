@@ -78,7 +78,7 @@ def test_train_records_dep_feature_flag(tmp_path, corpus_path):
     assert doc["dep_features"] is False
     assert doc["mode"] == "dgm"
     assert doc["lambda"] == 0.01
-    assert not any(f.startswith(("dw:", "dwl:", "dp:", "dpl:")) for f in doc["features"])
+    assert not any(f.startswith(("dw:", "dwl:", "dp:", "dpl:")) for f in doc["templates"])
 
 
 def test_train_cv_prints_grid_and_selection(tmp_path, corpus_path, capsys):

@@ -1,7 +1,7 @@
-"""Feature templates, the string index, and label conjunction.
+"""Feature templates, the string index, and the weight-matrix layout.
 
-Feature strings are read back from the emission rows that training
-compiles, so the tests see exactly what the model is trained and decoded on.
+Template strings are read back from the span rows that training compiles,
+so the tests see exactly what the model is trained and decoded on.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spancrf import LabelSet, Sentence
-from spancrf.features import BOS, EOS, FeatureIndex, emission_features, transition_feature, word_shape
+from spancrf.features import BOS, EOS, FeatureIndex, word_shape
 from spancrf.inference import mode_labels
 from spancrf.lattice import Mode
 from spancrf.training import _compile
@@ -65,156 +65,152 @@ def _compiled(sentence, kind, dep=True, index=None):
     return _compile([sentence], mode, labels, index, dep, project=True), index
 
 
-def emission_strings(sentence, span, label, kind="semi", dep=True, index=None):
-    """Feature string -> count of the compiled emission row of (span, label)."""
+def template_counts(sentence, span, kind="semi", dep=True, index=None):
+    """Template string -> count of the compiled row of the span."""
     compiled, index = _compiled(sentence, kind, dep, index)
     block = compiled.blocks[0]
-    # the block holds one sentence; its emission rows are the live cells in row-major order
-    cell = (sorted(block.scored.lattices[0].allowed).index(span), compiled.labels.index(label))
-    assert block.live[cell], "no emission row for a forbidden (span, label) pair"
-    row = np.count_nonzero(block.live.ravel()[: np.ravel_multi_index(cell, block.live.shape)])
+    # the block holds one sentence; its rows are its spans in sorted order
+    row = sorted(block.scored.lattices[0].allowed).index(span)
     lo, hi = block.emit.indptr[row], block.emit.indptr[row + 1]
     names = index.strings()
-    return {names[fid]: count for fid, count in zip(block.emit.indices[lo:hi], block.emit.data[lo:hi])}
+    return {names[tid]: count for tid, count in zip(block.emit.indices[lo:hi], block.emit.data[lo:hi])}
 
 
-def transition_string(sentence, y_prev, y, kind="semi"):
-    """Feature string of the compiled transition y_prev -> y."""
+def gold_transitions(sentence, kind="semi"):
+    """(previous label, label) -> gold count, read from the transition rows T.. of the gold matrix."""
     compiled, index = _compiled(sentence, kind)
-    labels = compiled.labels
-    p = len(labels) if y_prev == BOS else labels.index(y_prev)
-    return index.strings()[compiled.trans_ids[p, labels.index(y)]]
+    prev_names = compiled.labels + (BOS,)
+    trans = compiled.gold[len(index) :]
+    return {(prev_names[p], compiled.labels[y]): trans[p, y] for p, y in zip(*np.nonzero(trans))}
 
 
 def test_segment_feature_strings(shlomo):
-    got = emission_strings(shlomo, (3, 6), "PER")
+    got = template_counts(shlomo, (3, 6))
 
     expected_once = {
-        "bw:Minister|PER",
-        "bp:NNP|PER",
-        "bsh:Xxxx|PER",
-        "aw:gave|PER",
-        "ap:VBD|PER",
-        "ash:xxxx|PER",
-        "sw:Shlomo|PER",
-        "ew:Ami|PER",
-        "sp:NNP|PER",
-        "ep:NNP|PER",
-        "len:4|PER",
-        "seg:Shlomo Ben - Ami|PER",
-        "pre1:S|PER",
-        "pre2:Sh|PER",
-        "pre3:Shl|PER",
-        "suf1:i|PER",
-        "suf2:mi|PER",
-        "suf3:Ami|PER",
-        "iw:1:Shlomo|PER",
-        "iw:2:Ben|PER",
-        "iw:3:-|PER",
-        "iw:4:Ami|PER",
-        "ip:1:NNP|PER",
-        "ip:2:NNP|PER",
-        "ip:3:HYPH|PER",
-        "ip:4:NNP|PER",
-        "ish:1:Xxxx|PER",
-        "ish:2:Xxx|PER",
-        "ish:3:-|PER",
-        "ish:4:Xxx|PER",
-        "dw:Shlomo+Ami|PER",
-        "dwl:Shlomo+Ami+compound|PER",
-        "dw:Ben+Ami|PER",
-        "dw:-+Ami|PER",
-        "dwl:-+Ami+punct|PER",
-        "dw:Ami+gave|PER",
-        "dwl:Ami+gave+nsubj|PER",
-        "dp:NNP+VBD|PER",
-        "dpl:NNP+VBD+nsubj|PER",
+        "bw:Minister",
+        "bp:NNP",
+        "bsh:Xxxx",
+        "aw:gave",
+        "ap:VBD",
+        "ash:xxxx",
+        "sw:Shlomo",
+        "ew:Ami",
+        "sp:NNP",
+        "ep:NNP",
+        "len:4",
+        "seg:Shlomo Ben - Ami",
+        "pre1:S",
+        "pre2:Sh",
+        "pre3:Shl",
+        "suf1:i",
+        "suf2:mi",
+        "suf3:Ami",
+        "iw:1:Shlomo",
+        "iw:2:Ben",
+        "iw:3:-",
+        "iw:4:Ami",
+        "ip:1:NNP",
+        "ip:2:NNP",
+        "ip:3:HYPH",
+        "ip:4:NNP",
+        "ish:1:Xxxx",
+        "ish:2:Xxx",
+        "ish:3:-",
+        "ish:4:Xxx",
+        "dw:Shlomo+Ami",
+        "dwl:Shlomo+Ami+compound",
+        "dw:Ben+Ami",
+        "dw:-+Ami",
+        "dwl:-+Ami+punct",
+        "dw:Ami+gave",
+        "dwl:Ami+gave+nsubj",
+        "dp:NNP+VBD",
+        "dpl:NNP+VBD+nsubj",
     }
     for feature in expected_once:
         assert got.get(feature) == 1, feature
     # Shlomo and Ben both attach to Ami with the same POS pair
-    assert got["dp:NNP+NNP|PER"] == 2
-    assert got["dpl:NNP+NNP+compound|PER"] == 2
-    assert got["dp:HYPH+NNP|PER"] == 1
-    assert transition_string(shlomo, "O", "PER") == "t:O+PER"
+    assert got["dp:NNP+NNP"] == 2
+    assert got["dpl:NNP+NNP+compound"] == 2
+    assert got["dp:HYPH+NNP"] == 1
+    # transition rows of the gold matrix: <BOS> O O PER O O O
+    assert gold_transitions(shlomo) == {(BOS, "O"): 1, ("O", "O"): 3, ("O", "PER"): 1, ("PER", "O"): 1}
 
 
 def test_segment_sentinels_at_sentence_edges(womack):
-    got = emission_strings(womack, (1, 3), "PER")
-    assert f"bw:{BOS}|PER" in got
-    assert "aw:won|PER" in got
-    got2 = emission_strings(womack, (8, 9), "MISC")
-    assert f"aw:{EOS}|MISC" in got2
+    got = template_counts(womack, (1, 3))
+    assert f"bw:{BOS}" in got
+    assert "aw:won" in got
+    got2 = template_counts(womack, (8, 9))
+    assert f"aw:{EOS}" in got2
 
 
 def test_linear_feature_strings(shlomo):
-    got = emission_strings(shlomo, (6, 6), "I-PER", kind="linear")
+    got = template_counts(shlomo, (6, 6), kind="linear")
     for feature in (
-        "w:Ami|I-PER",
-        "p:NNP|I-PER",
-        "pw:-|I-PER",
-        "pp:HYPH|I-PER",
-        "sh:Xxx|I-PER",
-        "psh:-|I-PER",
-        "pre1:A|I-PER",
-        "pre3:Ami|I-PER",
-        "suf3:Ami|I-PER",
-        "dw:Ami+gave|I-PER",
-        "dpl:NNP+VBD+nsubj|I-PER",
+        "w:Ami",
+        "p:NNP",
+        "pw:-",
+        "pp:HYPH",
+        "sh:Xxx",
+        "psh:-",
+        "pre1:A",
+        "pre3:Ami",
+        "suf3:Ami",
+        "dw:Ami+gave",
+        "dpl:NNP+VBD+nsubj",
     ):
         assert got.get(feature) == 1, feature
-    assert transition_string(shlomo, "I-PER", "I-PER", kind="linear") == "t:I-PER+I-PER"
+    transitions = gold_transitions(shlomo, kind="linear")
+    assert transitions[("B-PER", "I-PER")] == 1 and transitions[("I-PER", "I-PER")] == 2
 
 
 def test_linear_bos_at_first_token(shlomo):
-    got = emission_strings(shlomo, (1, 1), "B-PER", kind="linear")
-    assert f"pw:{BOS}|B-PER" in got
-    assert f"psh:{BOS}|B-PER" in got
+    got = template_counts(shlomo, (1, 1), kind="linear")
+    assert f"pw:{BOS}" in got
+    assert f"psh:{BOS}" in got
 
 
 def test_root_head_templates(shlomo):
     # token 7 "gave" attaches to the artificial root
-    got = emission_strings(shlomo, (7, 7), "O", kind="linear")
-    assert "dw:gave+<ROOT>|O" in got
-    assert "dpl:VBD+<ROOT>+root|O" in got
+    got = template_counts(shlomo, (7, 7), kind="linear")
+    assert "dw:gave+<ROOT>" in got
+    assert "dpl:VBD+<ROOT>+root" in got
 
 
 def test_dep_features_can_be_disabled(shlomo):
-    got = emission_strings(shlomo, (3, 6), "PER", dep=False)
+    got = template_counts(shlomo, (3, 6), dep=False)
     assert not any(name.startswith(("dw:", "dwl:", "dp:", "dpl:")) for name in got)
-    assert "sw:Shlomo|PER" in got
+    assert "sw:Shlomo" in got
 
 
 def test_short_word_affixes(womack):
     # "of" only has prefixes/suffixes up to its own length
-    got = emission_strings(womack, (6, 6), "O", kind="linear")
-    assert "w:of|O" in got
-    assert "pre1:o|O" in got and "pre2:of|O" in got
+    got = template_counts(womack, (6, 6), kind="linear")
+    assert "w:of" in got
+    assert "pre1:o" in got and "pre2:of" in got
     assert not any(name.startswith("pre3:") for name in got)
 
 
-def test_label_conjunction_separates_labels(womack):
-    a = emission_strings(womack, (1, 3), "PER")
-    b = emission_strings(womack, (1, 3), "MISC")
-    assert a and b
-    assert set(a).isdisjoint(b)
+def test_labels_share_one_row_per_span(womack):
+    # every span has one row; a gold segment's counts sit in its label's column
+    compiled, index = _compiled(womack, "semi")
+    block = compiled.blocks[0]
+    spans = sorted(block.scored.lattices[0].allowed)
+    assert block.emit.shape == (len(spans), len(index))
+    per, misc = compiled.labels.index("PER"), compiled.labels.index("MISC")
+    np.testing.assert_array_equal(compiled.gold[: len(index), per], block.emit[spans.index((1, 3))].toarray()[0])
+    np.testing.assert_array_equal(compiled.gold[: len(index), misc], block.emit[spans.index((5, 8))].toarray()[0])
 
 
-def test_frozen_index_filters_vectors(womack):
-    # an index trained without MISC gives the MISC rows no features
+def test_frozen_index_filters_vectors(shlomo, womack):
+    # an index frozen after one sentence drops the templates first seen in another
     index = FeatureIndex()
-    _compiled(Sentence(womack.tokens, womack.tree, womack.gold[:1]), "semi", index=index)
+    _compiled(shlomo, "semi", index=index)
     size = len(index)
     index.freeze()
-    assert emission_strings(womack, (1, 3), "MISC", index=index) == {}
-    assert emission_strings(womack, (1, 3), "PER", index=index)
+    got = template_counts(womack, (1, 3), index=index)
+    assert f"bw:{BOS}" in got and "sw:Lee" not in got
+    assert got == {t: c for t, c in template_counts(womack, (1, 3)).items() if t in index}
     assert len(index) == size
-
-
-def test_emission_feature_format():
-    assert emission_features(["w:Ami", "p:NNP"], "I-PER") == ["w:Ami|I-PER", "p:NNP|I-PER"]
-
-
-def test_transition_feature_format():
-    assert transition_feature("O", "PER") == "t:O+PER"
-    assert transition_feature("<BOS>", "O") == "t:<BOS>+O"

@@ -112,14 +112,19 @@ def test_strict_objective_names_sentence_and_span(womack, shlomo):
 def test_value_and_gradient_at_zero_weights():
     corpus = one_word_corpus()
     model = fit(corpus, quick(l2=1.0, max_iter=1), Mode("semi", 2))
-    model.weights = np.zeros(len(model.index))
+    model.weights = np.zeros(model.weights.shape)
     value, grad = objective_and_gradient(model, corpus)
+    assert grad.shape == model.weights.shape
     # two labelings, uniform: log Z = log 2; zero weights kill both the
     # regularizer and the gold linear term
     assert value == pytest.approx(math.log(2), abs=1e-12)
-    # every feature fires in exactly one labeling: expectation 0.5, gold
-    # count 1 on the entity labeling, 0 on the other
-    np.testing.assert_allclose(np.abs(grad), 0.5, atol=1e-12)
+    # every template row and the begin-transition row fire in exactly one
+    # labeling per label: expectation 0.5, gold count 1 on the entity
+    # labeling, 0 on the other; transitions out of O or A never fire
+    T = len(model.index)
+    np.testing.assert_allclose(np.abs(grad[:T]), 0.5, atol=1e-12)
+    np.testing.assert_allclose(np.abs(grad[T + 2]), 0.5, atol=1e-12)
+    assert not grad[T : T + 2].any()
     assert (grad > 0).sum() == (grad < 0).sum()
 
 
@@ -127,19 +132,19 @@ def test_finite_difference_gradient():
     rng = np.random.default_rng(31)
     corpus = [random_sentence(rng, n=4) for _ in range(3)]
     model = fit(corpus, quick(l2=0.05, max_iter=1), Mode("dgm", 3))
-    w = rng.normal(scale=0.2, size=len(model.index))
+    w = rng.normal(scale=0.2, size=model.weights.shape)
     model.weights = w
     _, grad = objective_and_gradient(model, corpus)
     h = 1e-6
-    for k in rng.choice(len(w), size=min(8, len(w)), replace=False):
+    for k in rng.choice(w.size, size=min(8, w.size), replace=False):
         model.weights = w.copy()
-        model.weights[k] += h
+        model.weights.flat[k] += h
         up, _ = objective_and_gradient(model, corpus)
         model.weights = w.copy()
-        model.weights[k] -= h
+        model.weights.flat[k] -= h
         down, _ = objective_and_gradient(model, corpus)
         fd = (up - down) / (2 * h)
-        assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert grad.flat[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_objective_is_convex_along_segments():
@@ -147,8 +152,8 @@ def test_objective_is_convex_along_segments():
     corpus = [random_sentence(rng, n=4) for _ in range(3)]
     model = fit(corpus, quick(l2=0.0, max_iter=1), Mode("semi", 3))
     for _ in range(5):
-        w1 = rng.normal(scale=0.5, size=len(model.index))
-        w2 = rng.normal(scale=0.5, size=len(model.index))
+        w1 = rng.normal(scale=0.5, size=model.weights.shape)
+        w2 = rng.normal(scale=0.5, size=model.weights.shape)
         values = []
         for w in (w1, w2, (w1 + w2) / 2):
             model.weights = w
@@ -217,50 +222,74 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.index.strings() == model.index.strings()
     assert loaded.index.frozen
     np.testing.assert_array_equal(loaded.weights, model.weights)
+    assert loaded.converged == model.converged
     assert decode_corpus(loaded, corpus) == decode_corpus(model, corpus)
 
     doc = json.loads(path.read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["mode"] == "dgm" and doc["L"] == 6
     assert doc["lambda"] == 0.01 and doc["dep_features"] is False
-    assert len(doc["features"]) == len(doc["weights"])
+    assert len(doc["weights"]) == len(doc["templates"]) + len(doc["labels"]) + 1
+    assert all(len(row) == len(doc["labels"]) for row in doc["weights"])
+
+
+def test_optimizer_status_survives_save_and_load(tmp_path):
+    corpus = synthesize(10, mean_len=6.0, num_types=2, vocab=30, seed=22)
+    model = fit(corpus, quick(max_iter=2), Mode("linear"))
+    assert model.converged is False
+    assert "ITERATIONS REACHED LIMIT" in model.optimizer_message.upper()
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = Model.load(path)
+    assert loaded.converged is False
+    assert loaded.optimizer_message == model.optimizer_message
+    converged = fit(one_word_corpus(), quick(l2=1.0), Mode("semi", 2))
+    assert converged.converged is True and converged.optimizer_message
 
 
 def test_load_rejects_bad_documents(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 2}))
+    path.write_text(json.dumps({"version": 3}))
     with pytest.raises(SerializationError, match="version"):
         Model.load(path)
-    path.write_text(json.dumps({"version": 1, "mode": "dgm"}))
+    path.write_text(json.dumps({"version": 2, "mode": "dgm"}))
     with pytest.raises(SerializationError, match="malformed"):
         Model.load(path)
-    path.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "mode": "dgm",
-                "L": 8,
-                "lambda": 0.1,
-                "dep_features": True,
-                "labels": ["O", "A"],
-                "features": ["w:a|O"],
-                "weights": [0.0, 1.0],
-            }
-        )
-    )
+    path.write_text(json.dumps({**_GOOD_MODEL, "weights": [[0.0, 1.0]]}))
     with pytest.raises(SerializationError, match="weights"):
         Model.load(path)
 
 
+def test_load_rejects_version_1_models(tmp_path):
+    # a version-1 file: one weight per label-conjoined feature string
+    v1 = {
+        "version": 1,
+        "mode": "dgm",
+        "L": 8,
+        "lambda": 0.1,
+        "dep_features": True,
+        "labels": ["O", "A"],
+        "features": ["w:a|O", "w:a|A", "t:<BOS>+O", "t:O+A"],
+        "weights": [0.5, -0.5, 0.25, 1.0],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(v1))
+    with pytest.raises(SerializationError, match="unsupported model version 1"):
+        Model.load(path)
+
+
+# one template and two labels: W has 1 + 2 + 1 rows of 2
 _GOOD_MODEL = {
-    "version": 1,
+    "version": 2,
     "mode": "dgm",
     "L": 8,
     "lambda": 0.1,
     "dep_features": True,
+    "converged": True,
+    "optimizer_message": "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
     "labels": ["O", "A"],
-    "features": ["w:a|O", "t:O+A"],
-    "weights": [0.5, -0.5],
+    "templates": ["w:a"],
+    "weights": [[0.5, -0.5], [0.0, 1.0], [0.0, 0.25], [0.25, 0.0]],
 }
 
 
@@ -269,12 +298,25 @@ _GOOD_MODEL = {
     [
         ("[1, 2]", "JSON object"),
         ('{"version": 1, "mode": ', "not JSON"),
-        (json.dumps({**_GOOD_MODEL, "features": ["w:a|O", "w:a|O"]}), "repeated"),
-        (json.dumps({**_GOOD_MODEL, "weights": [float("nan"), 0.0]}), "finite"),
+        (json.dumps({**_GOOD_MODEL, "templates": ["w:a", "w:a"]}), "repeated"),
+        (json.dumps({**_GOOD_MODEL, "weights": [[float("nan"), 0.0]] + _GOOD_MODEL["weights"][1:]}), "finite"),
+        (json.dumps({**_GOOD_MODEL, "weights": [[0.5, -0.5, 1.0]] + _GOOD_MODEL["weights"][1:]}), "malformed"),
         (json.dumps({**_GOOD_MODEL, "labels": ["A", "O"]}), "labels"),
         (json.dumps({**_GOOD_MODEL, "mode": "linear"}), "labels"),
+        (json.dumps({**_GOOD_MODEL, "converged": 1}), "converged"),
+        (json.dumps({**_GOOD_MODEL, "optimizer_message": ["stop"]}), "optimizer_message"),
     ],
-    ids=["top-level-list", "invalid-json", "repeated-feature", "nan-weight", "label-0-not-O", "linear-segment-labels"],
+    ids=[
+        "top-level-list",
+        "invalid-json",
+        "repeated-feature",
+        "nan-weight",
+        "ragged-weights",
+        "label-0-not-O",
+        "linear-segment-labels",
+        "converged-not-bool",
+        "message-not-string",
+    ],
 )
 def test_load_rejects_malformed_models(tmp_path, text, match):
     path = tmp_path / "model.json"
@@ -308,9 +350,29 @@ def test_decode_matches_string_lookup_reference(kind):
     model = fit(train, quick(max_iter=1), mode)
     scheme = label_scheme(mode)
     for _ in range(3):
-        model.weights = rng.normal(scale=1.0, size=len(model.index))
+        model.weights = rng.normal(scale=1.0, size=model.weights.shape)
         want = [segmentation_entities(viterbi(reference_scores(model, s))[0], scheme) for s in train + held]
         assert decode_corpus(model, train + held) == want
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_never_live_weights_stay_zero(kind):
+    # a (template, label) cell or transition that no lattice of the corpus
+    # allows has zero gradient, so L-BFGS from w = 0 never moves it
+    corpus = synthesize(30, mean_len=8.0, num_types=2, vocab=40, seed=26)
+    mode = Mode(kind, 4)
+    model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
+    compiled = training._compile(corpus, mode, model.labels, model.index, True, project=True)
+    T = len(model.index)
+    live_cells = np.zeros((T, len(model.labels)))
+    live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
+    for block in compiled.blocks:
+        allowed = ~block.forbidden
+        live_cells += block.emit.T @ allowed.any(axis=1)
+        live_pairs |= allowed.any(axis=0)
+    never = np.vstack([live_cells == 0, ~live_pairs])
+    assert never.any() and np.abs(model.weights[~never]).max() > 0
+    assert (model.weights[never] == 0.0).all()
 
 
 def test_decode_does_not_depend_on_block_layout():
@@ -377,7 +439,7 @@ def test_huge_regularizer_collapses_weights():
 def test_nonfinite_weights_raise_training_error():
     corpus = one_word_corpus()
     model = fit(corpus, quick(max_iter=1), Mode("semi", 2))
-    model.weights = np.full(len(model.index), np.inf)
+    model.weights = np.full(model.weights.shape, np.inf)
     with pytest.raises(TrainingError):
         objective_and_gradient(model, corpus)
 

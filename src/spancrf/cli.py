@@ -8,8 +8,10 @@ CSV outputs go to stdout unless --output is given; logs go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import json
 import logging
 import math
 import sys
@@ -88,7 +90,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"iter {k}: objective {value:.6f} ({now - last[0]:.3f}s)")
         last[0] = now
 
-    model = fit(sentences, config, mode, on_iteration=report)
+    with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as trace:
+        record = (lambda entry: trace.write(json.dumps(entry) + "\n")) if trace else None
+        model = fit(sentences, config, mode, on_iteration=report, trace=record)
     model.save(args.output)
     print(f"model written to {args.output}")
     return 0
@@ -220,6 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="training corpus")
     p.add_argument("output", help="model JSON path")
     p.add_argument("--cv", action="store_true", help="pick lambda by cross-validation first")
+    p.add_argument(
+        "--trace",
+        metavar="PATH",
+        help="write one JSON line per L-BFGS iteration of the final fit (iteration, objective, "
+        "grad_inf_norm, step_s, fevals)",
+    )
     _add_common(p, folds=True)
     p.set_defaults(func=cmd_train)
 

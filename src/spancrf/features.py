@@ -1,4 +1,4 @@
-"""Feature templates for position factors and segment factors.
+"""Feature templates and the block featurizer that compiles them into span rows.
 
 A template is a string with a template-name prefix, so no two templates
 can collide: "w:Ami", "seg:Shlomo Ben - Ami". Templates carry no label.
@@ -8,17 +8,35 @@ and transitions need no strings (training.py describes that matrix). The
 FeatureIndex maps template strings to dense ids; while unfrozen it
 allocates on sight, after freeze() unseen strings are dropped.
 
-Position templates: current/previous word, POS, and word shape, plus
-prefixes and suffixes of the current word up to length 3. Segment
-templates: word/POS/shape before and after the segment, prefixes of the
-first word and suffixes of the last, start/end word and POS, segment
-length, indexed word/POS/shape per offset, and the whole surface form.
-Dependency templates (word+head, word+head+relation, POS+headPOS,
-POS+headPOS+relation) apply to the current position, or to every token
-inside a segment.
+Position templates (one row per token, linear mode), in row order:
+w, p, pw, pp, sh, psh (current/previous word, POS and word shape, <BOS>
+before the first token), then pre1..pre3 and suf1..suf3 of the current
+word (up to its length). Segment templates (one row per span u..v), in
+row order: bw, bp, bsh and aw, ap, ash (word/POS/shape before and after
+the segment, <BOS>/<EOS> at the sentence edges), sw, ew, sp, ep
+(start/end word and POS), len, seg (the surface form joined by spaces),
+prefixes of the first word, suffixes of the last, then iw:o, ip:o, ish:o
+for each offset o = 1..v-u+1. Dependency templates dw (word+head),
+dwl (word+head+relation), dp (POS+headPOS) and dpl (POS+headPOS+relation)
+follow, for the current position or for every token of the segment; the
+head of the root token is <ROOT>. A template repeated within a row (only
+dependency templates can repeat) is one entry with its count, at its
+first occurrence.
+
+block_rows builds these rows for a whole block of sentences at once.
+Every distinct word, POS tag, shape and dependency tuple of the block
+gets its template strings once, as block-local ids (a shape is computed
+once per distinct word), and the rows are assembled from those tables by
+array gathers; only the seg string is formatted per span. The local ids
+that occur are then mapped to template ids with one intern or lookup per
+distinct string, in the order of first occurrence in the rows, so the
+template index and the rows are those of interning every row's templates
+one by one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .corpus import Sentence
 
@@ -83,88 +101,237 @@ def word_shape(surface: str) -> str:
     return "".join(out)
 
 
-def _prefixes(surface: str) -> list[str]:
-    return [f"pre{k}:{surface[:k]}" for k in range(1, min(3, len(surface)) + 1)]
+class _LocalIds:
+    """Block-local template ids, keyed by template string and allocated on sight."""
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+
+    def one(self, template: str) -> int:
+        return self.ids.setdefault(template, len(self.ids))
+
+    def table(self, prefix: str, values: list[str]) -> np.ndarray:
+        """Local ids of prefix + value for each value."""
+        ids = self.ids
+        return np.array([ids.setdefault(prefix + v, len(ids)) for v in values], dtype=np.int32)
 
 
-def _suffixes(surface: str) -> list[str]:
-    return [f"suf{k}:{surface[-k:]}" for k in range(1, min(3, len(surface)) + 1)]
+def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """Distinct values in first-seen order, and the code of each value."""
+    seen: dict[str, int] = {}
+    codes = [seen.setdefault(v, len(seen)) for v in values]
+    return list(seen), np.array(codes, dtype=np.intp)
 
 
-def _dep_templates(sentence: Sentence, i: int) -> list[str]:
-    token = sentence.tokens[i - 1]
-    head = sentence.tree.heads[i - 1]
-    relation = sentence.tree.labels[i - 1]
-    if head == 0:
-        head_word, head_pos = ROOT, ROOT
-    else:
-        head_word = sentence.tokens[head - 1].surface
-        head_pos = sentence.tokens[head - 1].pos
-    return [
-        f"dw:{token.surface}+{head_word}",
-        f"dwl:{token.surface}+{head_word}+{relation}",
-        f"dp:{token.pos}+{head_pos}",
-        f"dpl:{token.pos}+{head_pos}+{relation}",
+class _Tokens:
+    """The block's tokens, flattened: word, POS and shape codes per token.
+
+    fields lists (name, distinct values, code per token) for the word ("w"),
+    POS ("p") and shape ("sh"); a shape is computed once per distinct word.
+    """
+
+    def __init__(self, sentences: list[Sentence]) -> None:
+        self.sentences = sentences
+        self.words = [t.surface for s in sentences for t in s.tokens]
+        lengths = np.array([s.n for s in sentences], dtype=np.intp)
+        self.first = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        self.last = self.first + lengths - 1
+        words, self.word = _codes(self.words)
+        tags, self.tag = _codes([t.pos for s in sentences for t in s.tokens])
+        shapes, shape_of_word = _codes([word_shape(w) for w in words])
+        self.shape = shape_of_word[self.word]
+        self.fields = (("w", words, self.word), ("p", tags, self.tag), ("sh", shapes, self.shape))
+
+    def neighbour(self, codes: np.ndarray, step: int, sentinel: int) -> np.ndarray:
+        """Code of each token's previous (step -1) or next (step 1) token, sentinel at the sentence edge."""
+        out = np.roll(codes, -step)
+        out[self.first if step < 0 else self.last] = sentinel
+        return out
+
+    def affixes(self, local: _LocalIds) -> tuple[np.ndarray, np.ndarray]:
+        """(N, 3) local ids of pre1..pre3 and suf1..suf3 of each token's word, -1 past its length."""
+        words = self.fields[0][1]  # the distinct words
+        pre = np.full((len(words), 3), -1, dtype=np.int32)
+        suf = np.full((len(words), 3), -1, dtype=np.int32)
+        for k in range(1, 4):
+            fits = [i for i, w in enumerate(words) if len(w) >= k]
+            pre[fits, k - 1] = local.table(f"pre{k}:", [words[i][:k] for i in fits])
+            suf[fits, k - 1] = local.table(f"suf{k}:", [words[i][-k:] for i in fits])
+        return pre[self.word], suf[self.word]
+
+    def dependencies(self, local: _LocalIds) -> np.ndarray:
+        """(N, 4) local ids of dw, dwl, dp, dpl of every token."""
+        by_tuple: dict[tuple[str, ...], tuple[int, int, int, int]] = {}
+        out = []
+        for sentence in self.sentences:
+            tokens = sentence.tokens
+            for token, head, rel in zip(tokens, sentence.tree.heads, sentence.tree.labels):
+                head_word, head_pos = (ROOT, ROOT) if head == 0 else (tokens[head - 1].surface, tokens[head - 1].pos)
+                key = (token.surface, head_word, token.pos, head_pos, rel)
+                ids = by_tuple.get(key)
+                if ids is None:
+                    ids = by_tuple[key] = (
+                        local.one(f"dw:{token.surface}+{head_word}"),
+                        local.one(f"dwl:{token.surface}+{head_word}+{rel}"),
+                        local.one(f"dp:{token.pos}+{head_pos}"),
+                        local.one(f"dpl:{token.pos}+{head_pos}+{rel}"),
+                    )
+                out.append(ids)
+        return np.array(out, dtype=np.int32)
+
+
+def _offset_ids(local: _LocalIds, name: str, values: list[str], codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Local ids of name:offset:value for value codes at 1-based offsets. Strings
+    are made per value only up to the largest offset it is seen at."""
+    reach = np.zeros(len(values), dtype=np.intp)
+    np.maximum.at(reach, codes, offset)
+    table = np.full((len(values), int(reach.max(initial=0))), -1, dtype=np.int32)
+    for o in range(1, table.shape[1] + 1):
+        have = np.flatnonzero(reach >= o)
+        table[have, o - 1] = local.table(f"{name}:{o}:", [values[i] for i in have])
+    return table[codes, offset - 1]
+
+
+def _pack(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows that start with the present (>= 0) ids of their row of head, then
+    leave tail[r] slots free: (indptr, ids, offset of each row's tail)."""
+    present = head >= 0
+    width = present.sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(width + tail)))
+    ids = np.empty(int(indptr[-1]), dtype=np.int32)
+    ids[(indptr[:-1, None] + np.cumsum(present, axis=1) - 1)[present]] = head[present]
+    return indptr, ids, indptr[:-1] + width
+
+
+def _position_rows(tokens: _Tokens, local: _LocalIds, i: np.ndarray, dep: bool) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and local ids of the position templates of tokens i."""
+    (_, words, word), (_, tags, tag), (_, shapes, shape) = tokens.fields
+    prev = [tokens.neighbour(codes, -1, len(values)) for _, values, codes in tokens.fields]
+    pre, suf = tokens.affixes(local)
+    columns = [
+        local.table("w:", words)[word],
+        local.table("p:", tags)[tag],
+        local.table("pw:", words + [BOS])[prev[0]],
+        local.table("pp:", tags + [BOS])[prev[1]],
+        local.table("sh:", shapes)[shape],
+        local.table("psh:", shapes + [BOS])[prev[2]],
+        pre,
+        suf,
     ]
+    if dep:
+        columns.append(tokens.dependencies(local))
+    indptr, ids, _ = _pack(np.column_stack(columns)[i], np.zeros(len(i), dtype=np.intp))
+    return indptr, ids
 
 
-def _position_templates(sentence: Sentence, i: int, dep_features: bool) -> list[str]:
-    token = sentence.tokens[i - 1]
-    if i == 1:
-        prev_word, prev_pos, prev_shape = BOS, BOS, BOS
-    else:
-        prev = sentence.tokens[i - 2]
-        prev_word, prev_pos, prev_shape = prev.surface, prev.pos, word_shape(prev.surface)
-    templates = [
-        f"w:{token.surface}",
-        f"p:{token.pos}",
-        f"pw:{prev_word}",
-        f"pp:{prev_pos}",
-        f"sh:{word_shape(token.surface)}",
-        f"psh:{prev_shape}",
+def _segment_rows(
+    tokens: _Tokens, local: _LocalIds, start: np.ndarray, end: np.ndarray, dep: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, local ids and counts of the segment templates of the spans
+    start..end (0-based token indices of the block, inclusive)."""
+    length = end - start + 1
+    words = tokens.words
+    seg = [local.one("seg:" + " ".join(words[a : b + 1])) for a, b in zip(start.tolist(), end.tolist())]
+    pre, suf = tokens.affixes(local)
+    before = [
+        local.table(f"b{name}:", values + [BOS])[tokens.neighbour(codes, -1, len(values))[start]]
+        for name, values, codes in tokens.fields
     ]
-    templates.extend(_prefixes(token.surface))
-    templates.extend(_suffixes(token.surface))
-    if dep_features:
-        templates.extend(_dep_templates(sentence, i))
-    return templates
-
-
-def _segment_templates(sentence: Sentence, span: tuple[int, int], dep_features: bool) -> list[str]:
-    u, v = span
-    words = [t.surface for t in sentence.tokens[u - 1 : v]]
-    tags = [t.pos for t in sentence.tokens[u - 1 : v]]
-    if u == 1:
-        before_word, before_pos, before_shape = BOS, BOS, BOS
-    else:
-        before = sentence.tokens[u - 2]
-        before_word, before_pos, before_shape = before.surface, before.pos, word_shape(before.surface)
-    if v == sentence.n:
-        after_word, after_pos, after_shape = EOS, EOS, EOS
-    else:
-        after = sentence.tokens[v]
-        after_word, after_pos, after_shape = after.surface, after.pos, word_shape(after.surface)
-    templates = [
-        f"bw:{before_word}",
-        f"bp:{before_pos}",
-        f"bsh:{before_shape}",
-        f"aw:{after_word}",
-        f"ap:{after_pos}",
-        f"ash:{after_shape}",
-        f"sw:{words[0]}",
-        f"ew:{words[-1]}",
-        f"sp:{tags[0]}",
-        f"ep:{tags[-1]}",
-        f"len:{v - u + 1}",
-        f"seg:{' '.join(words)}",
+    after = [
+        local.table(f"a{name}:", values + [EOS])[tokens.neighbour(codes, 1, len(values))[end]]
+        for name, values, codes in tokens.fields
     ]
-    templates.extend(_prefixes(words[0]))
-    templates.extend(_suffixes(words[-1]))
-    for offset, (word, pos) in enumerate(zip(words, tags), start=1):
-        templates.append(f"iw:{offset}:{word}")
-        templates.append(f"ip:{offset}:{pos}")
-        templates.append(f"ish:{offset}:{word_shape(word)}")
-    if dep_features:
-        for i in range(u, v + 1):
-            templates.extend(_dep_templates(sentence, i))
-    return templates
+    (_, word_list, word), (_, tag_list, tag), _ = tokens.fields
+    head = np.column_stack(
+        before
+        + after
+        + [
+            local.table("sw:", word_list)[word[start]],
+            local.table("ew:", word_list)[word[end]],
+            local.table("sp:", tag_list)[tag[start]],
+            local.table("ep:", tag_list)[tag[end]],
+            local.table("len:", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
+            np.array(seg, dtype=np.int32),
+            pre[start],
+            suf[end],
+        ]
+    )
+    # after the head: iw, ip, ish for each offset, then dw, dwl, dp, dpl for each offset
+    indptr, ids, tail = _pack(head, (3 + 4 * dep) * length)
+    row = np.repeat(np.arange(len(start)), length)
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)
+    token = start[row] + offset
+    at = tail[row] + 3 * offset
+    for k, (name, values, codes) in enumerate(tokens.fields):
+        ids[at + k] = _offset_ids(local, f"i{name}", values, codes[token], offset + 1)
+    counts = np.ones(len(ids), dtype=np.int32)
+    if dep:
+        cells = ((tail + 3 * length)[row] + 4 * offset)[:, None] + np.arange(4)
+        ids[cells] = tokens.dependencies(local)[token]
+        # one token's four templates differ, so only rows of several tokens can repeat one
+        multi = length[row] > 1
+        counts, keep = _merge_repeats(ids, row[multi], cells[multi].ravel(), len(local.ids))
+        ids, counts = ids[keep], counts[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    return indptr, ids, counts
+
+
+def _merge_repeats(ids: np.ndarray, row: np.ndarray, cells: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of ids and a keep mask: within each row, the first of the cells
+    holding one id keeps the count of them all, the others are dropped.
+    cells are positions into ids in increasing order, 4 per entry of row."""
+    key = np.repeat(row, 4).astype(np.int64) * num_ids + ids[cells]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    group_start = np.flatnonzero(new)
+    counts = np.ones(len(ids), dtype=np.int32)
+    counts[cells[order[group_start]]] = np.diff(np.append(group_start, len(key)))
+    keep = np.ones(len(ids), dtype=bool)
+    keep[cells[order[~new]]] = False
+    return counts, keep
+
+
+def block_rows(
+    sentences: list[Sentence],
+    spans: list[tuple[tuple[int, int], ...]],
+    segments: bool,
+    dep: bool,
+    template_id,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, data) of the template rows of a block.
+
+    Row r is the r-th span of spans[0], then of spans[1], ... (spans[b]
+    belongs to sentences[b]). segments selects segment templates; otherwise
+    a span (i, i) gets the position templates of token i. template_id maps
+    a template string to its id or None (FeatureIndex.intern, or the frozen
+    index's lookup); a None template is left out of its row.
+    """
+    tokens = _Tokens(sentences)
+    uv = np.array([span for row in spans for span in row], dtype=np.intp).reshape(-1, 2)
+    first = tokens.first[np.repeat(np.arange(len(sentences)), [len(row) for row in spans])]
+    start, end = first + uv[:, 0] - 1, first + uv[:, 1] - 1
+    local = _LocalIds()
+    if segments:
+        indptr, ids, counts = _segment_rows(tokens, local, start, end, dep)
+    else:
+        indptr, ids = _position_rows(tokens, local, start, dep)
+        counts = np.ones(len(ids), dtype=np.int32)
+
+    # local ids to template ids, one call per string, in order of first occurrence in the rows
+    strings = list(local.ids)
+    first_at = np.full(len(strings), len(ids), dtype=np.int32)
+    np.minimum.at(first_at, ids, np.arange(len(ids), dtype=np.int32))
+    occurring = np.flatnonzero(first_at < len(ids))
+    global_id = np.full(len(strings), -1, dtype=np.int32)
+    for lid in occurring[np.argsort(first_at[occurring])].tolist():
+        tid = template_id(strings[lid])
+        if tid is not None:
+            global_id[lid] = tid
+    indices = global_id[ids]
+    known = indices >= 0
+    if not known.all():
+        indices, counts = indices[known], counts[known]
+        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
+    return indptr.astype(np.int64), indices, counts.astype(np.float64)

@@ -10,7 +10,7 @@ always valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .corpus import DependencyTree, Sentence
@@ -44,6 +44,11 @@ class SpanLattice:
     allowed: frozenset[tuple[int, int]]
 
     def sorted_spans(self) -> tuple[tuple[int, int], ...]:
+        """The allowed spans in sorted order, sorted once per lattice."""
+        return self._sorted_spans
+
+    @cached_property
+    def _sorted_spans(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.allowed))
 
     def __len__(self) -> int:

@@ -2,21 +2,23 @@
 
 Everything here is written the slow, obvious way: exhaustive enumeration of
 segmentations, a direct increasing-chain search for valid spans, a textbook
-first-order chain forward pass, small corpus builders over random trees, and
-a string-lookup factor scorer for trained models. Only the scorer touches
-package internals, and only for what it scores (lattice, labeling mask,
-templates); it shares nothing with the compiled span rows.
+first-order chain forward pass, small corpus builders over random trees,
+the feature templates built as strings one span at a time, and a
+string-lookup factor scorer for trained models. Only the scorer touches
+package internals, and only for what it scores (lattice, labeling mask);
+it shares nothing with the compiled span rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, allowed_mask, build_lattice
 from spancrf import iob_to_spans, random_tree
-from spancrf.features import _position_templates, _segment_templates
+from spancrf.features import BOS, EOS, ROOT, word_shape
 from spancrf.inference import IOB_SCHEME, label_scheme
 
 
@@ -177,6 +179,115 @@ def random_sentence(rng, n: int | None = None, types: tuple[str, ...] = ("A", "B
     return Sentence(tokens, DependencyTree(heads, rels), gold)
 
 
+def prefixes(surface: str) -> list[str]:
+    return [f"pre{k}:{surface[:k]}" for k in range(1, min(3, len(surface)) + 1)]
+
+
+def suffixes(surface: str) -> list[str]:
+    return [f"suf{k}:{surface[-k:]}" for k in range(1, min(3, len(surface)) + 1)]
+
+
+def dep_templates(sentence: Sentence, i: int) -> list[str]:
+    token = sentence.tokens[i - 1]
+    head = sentence.tree.heads[i - 1]
+    relation = sentence.tree.labels[i - 1]
+    if head == 0:
+        head_word, head_pos = ROOT, ROOT
+    else:
+        head_word = sentence.tokens[head - 1].surface
+        head_pos = sentence.tokens[head - 1].pos
+    return [
+        f"dw:{token.surface}+{head_word}",
+        f"dwl:{token.surface}+{head_word}+{relation}",
+        f"dp:{token.pos}+{head_pos}",
+        f"dpl:{token.pos}+{head_pos}+{relation}",
+    ]
+
+
+def position_templates(sentence: Sentence, i: int, dep_features: bool) -> list[str]:
+    """Template strings of token i, in row order (features.py lists them)."""
+    token = sentence.tokens[i - 1]
+    if i == 1:
+        prev_word, prev_pos, prev_shape = BOS, BOS, BOS
+    else:
+        prev = sentence.tokens[i - 2]
+        prev_word, prev_pos, prev_shape = prev.surface, prev.pos, word_shape(prev.surface)
+    templates = [
+        f"w:{token.surface}",
+        f"p:{token.pos}",
+        f"pw:{prev_word}",
+        f"pp:{prev_pos}",
+        f"sh:{word_shape(token.surface)}",
+        f"psh:{prev_shape}",
+    ]
+    templates.extend(prefixes(token.surface))
+    templates.extend(suffixes(token.surface))
+    if dep_features:
+        templates.extend(dep_templates(sentence, i))
+    return templates
+
+
+def segment_templates(sentence: Sentence, span: tuple[int, int], dep_features: bool) -> list[str]:
+    """Template strings of the segment span, in row order, repeats included."""
+    u, v = span
+    words = [t.surface for t in sentence.tokens[u - 1 : v]]
+    tags = [t.pos for t in sentence.tokens[u - 1 : v]]
+    if u == 1:
+        before_word, before_pos, before_shape = BOS, BOS, BOS
+    else:
+        before = sentence.tokens[u - 2]
+        before_word, before_pos, before_shape = before.surface, before.pos, word_shape(before.surface)
+    if v == sentence.n:
+        after_word, after_pos, after_shape = EOS, EOS, EOS
+    else:
+        after = sentence.tokens[v]
+        after_word, after_pos, after_shape = after.surface, after.pos, word_shape(after.surface)
+    templates = [
+        f"bw:{before_word}",
+        f"bp:{before_pos}",
+        f"bsh:{before_shape}",
+        f"aw:{after_word}",
+        f"ap:{after_pos}",
+        f"ash:{after_shape}",
+        f"sw:{words[0]}",
+        f"ew:{words[-1]}",
+        f"sp:{tags[0]}",
+        f"ep:{tags[-1]}",
+        f"len:{v - u + 1}",
+        f"seg:{' '.join(words)}",
+    ]
+    templates.extend(prefixes(words[0]))
+    templates.extend(suffixes(words[-1]))
+    for offset, (word, pos) in enumerate(zip(words, tags), start=1):
+        templates.append(f"iw:{offset}:{word}")
+        templates.append(f"ip:{offset}:{pos}")
+        templates.append(f"ish:{offset}:{word_shape(word)}")
+    if dep_features:
+        for i in range(u, v + 1):
+            templates.extend(dep_templates(sentence, i))
+    return templates
+
+
+def reference_rows(sentences, lattices, segments: bool, dep: bool, template_id):
+    """CSR arrays (indptr, indices, data) of a block's template rows, built
+    span by span: each span's template strings are counted in order of first
+    occurrence and mapped through template_id, None templates left out."""
+    indptr, indices, data = [0], [], []
+    for sentence, lattice in zip(sentences, lattices):
+        for span in lattice.sorted_spans():
+            if segments:
+                counts = Counter(segment_templates(sentence, span, dep))
+            else:
+                counts = Counter(position_templates(sentence, span[0], dep))
+            for template, c in counts.items():
+                tid = template_id(template)
+                if tid is not None:
+                    indices.append(tid)
+                    data.append(c)
+            indptr.append(len(indices))
+    return np.array(indptr, np.int64), np.array(indices, np.int32), np.array(data, np.float64)
+
+
 def reference_scores(model, sentence) -> ScoredLattice:
     """Factor table of one sentence by looking up every template string in
     the model's index: emission(span, y) is W[template, y] summed template
@@ -197,9 +308,9 @@ def reference_scores(model, sentence) -> ScoredLattice:
     live = mask.any(axis=1)
     for s, span in enumerate(lattice.sorted_spans()):
         if scheme == IOB_SCHEME:
-            templates = _position_templates(sentence, span[0], model.dep_features)
+            templates = position_templates(sentence, span[0], model.dep_features)
         else:
-            templates = _segment_templates(sentence, span, model.dep_features)
+            templates = segment_templates(sentence, span, model.dep_features)
         counts: dict[str, int] = {}
         for t in templates:
             counts[t] = counts.get(t, 0) + 1

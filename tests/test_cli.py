@@ -59,6 +59,29 @@ def test_train_predict_evaluate_round_trip(tmp_path, corpus_path, capsys):
     assert by_type["overall"][6] == "100.0000"
 
 
+def test_train_trace_writes_one_record_per_iteration(tmp_path, corpus_path, capsys):
+    model = tmp_path / "model.json"
+    trace = tmp_path / "run.jsonl"
+    assert main(["train", str(corpus_path), str(model), "--mode", "dgm", "--trace", str(trace)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("iter ")]
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(records) == len(printed) > 1
+    for k, (record, line) in enumerate(zip(records, printed), start=1):
+        assert set(record) == {"iteration", "objective", "grad_inf_norm", "step_s", "fevals"}
+        assert record["iteration"] == k
+        assert line.startswith(f"iter {k}: objective {record['objective']:.6f} ")
+        assert math.isfinite(record["grad_inf_norm"]) and record["grad_inf_norm"] >= 0
+        assert record["step_s"] >= 0 and record["fevals"] >= 1
+    # the first step also pays for the evaluation at the starting point
+    assert records[0]["fevals"] >= 2
+    assert records[-1]["objective"] < records[0]["objective"]
+
+
+def test_train_writes_no_trace_by_default(tmp_path, corpus_path):
+    assert main(["train", str(corpus_path), str(tmp_path / "model.json"), "--mode", "dgm"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.conll", "model.json"]
+
+
 def test_train_records_dep_feature_flag(tmp_path, corpus_path):
     model = tmp_path / "model.json"
     rc = main(

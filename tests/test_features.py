@@ -1,19 +1,27 @@
 """Feature templates, the string index, and the weight-matrix layout.
 
 Template strings are read back from the span rows that training compiles,
-so the tests see exactly what the model is trained and decoded on.
+so the tests see exactly what the model is trained and decoded on. The
+compiled rows are also compared, entry by entry, with rows built span by
+span from the template strings of tests/oracles.py.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spancrf import LabelSet, Sentence
+from oracles import orient_edges, reference_rows
+from spancrf import DependencyTree, LabelSet, Sentence, Token, random_tree, synthesize
+from spancrf import training
 from spancrf.features import BOS, EOS, FeatureIndex, word_shape
-from spancrf.inference import mode_labels
-from spancrf.lattice import Mode
-from spancrf.training import _compile
+from spancrf.inference import IOB_SCHEME, allowed_mask, label_scheme, mode_labels
+from spancrf.lattice import MODE_KINDS, Mode, build_lattice
+from spancrf.training import _compile, _EmissionRows
 
 
 @pytest.mark.parametrize(
@@ -214,3 +222,78 @@ def test_frozen_index_filters_vectors(shlomo, womack):
     assert f"bw:{BOS}" in got and "sw:Lee" not in got
     assert got == {t: c for t, c in template_counts(womack, (1, 3)).items() if t in index}
     assert len(index) == size
+
+
+# Short words (affixes shorter than 3), and '+' so that dependency templates
+# of different tokens can spell the same string.
+_WORDS = ("a", "b", "ab", "Ab", "a+b", "+", "b+", "x1", "Lee", "Ami")
+_UNSEEN = ("zz", "Q", "9")
+
+
+@st.composite
+def corpora(draw, words=_WORDS, max_sentences=5):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for _ in range(draw(st.integers(1, max_sentences))):
+        n = draw(st.integers(1, 7))
+        heads = orient_edges(n, random_tree(n, rng).edges, root=draw(st.integers(1, n)))
+        surfaces = draw(st.lists(st.sampled_from(words), min_size=n, max_size=n))
+        tags = draw(st.lists(st.sampled_from(("NN", "N+", "VB")), min_size=n, max_size=n))
+        rels = tuple("root" if h == 0 else draw(st.sampled_from(("dep", "mod"))) for h in heads)
+        out.append(Sentence(tuple(Token(w, t) for w, t in zip(surfaces, tags)), DependencyTree(heads, rels)))
+    return out
+
+
+def _assert_rows_equal(block, reference):
+    indptr, indices, data = reference
+    np.testing.assert_array_equal(block.emit.indptr, indptr)
+    np.testing.assert_array_equal(block.emit.indices, indices)
+    np.testing.assert_array_equal(block.emit.data, data)
+
+
+def _check_against_reference(train, test, kind, dep, block_size):
+    """Compile train (interning) and test (frozen lookup) and compare every
+    block's CSR arrays and the template index with the string reference."""
+    mode = Mode(kind, 4)
+    segments = label_scheme(mode) != IOB_SCHEME
+    labels = mode_labels(LabelSet.from_corpus(train), mode)
+    index, ref_index = FeatureIndex(), FeatureIndex()
+    with mock.patch.object(training, "_BLOCK_SIZE", block_size):
+        compiled = _compile(train, mode, labels, index, dep, project=True)
+    for b, block in enumerate(compiled.blocks):
+        chunk = train[b * block_size : (b + 1) * block_size]
+        lattices = [build_lattice(s, mode) for s in chunk]
+        _assert_rows_equal(block, reference_rows(chunk, lattices, segments, dep, ref_index.intern))
+    assert index.strings() == ref_index.strings()
+
+    index.freeze()
+    rows = _EmissionRows(labels, label_scheme(mode), dep, index.lookup)
+    lattices = [build_lattice(s, mode) for s in test]
+    for sentence, lattice in zip(test, lattices):
+        rows.add(sentence, lattice, allowed_mask(lattice, labels, label_scheme(mode)))
+    rows.featurize()
+    _assert_rows_equal(rows.finish(len(index)), reference_rows(test, lattices, segments, dep, ref_index.lookup))
+    assert len(index) == len(ref_index)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora(), corpora(words=_WORDS[::2] + _UNSEEN), st.sampled_from(MODE_KINDS), st.booleans())
+def test_rows_equal_string_reference(train, test, kind, dep):
+    _check_against_reference(train, test, kind, dep, block_size=2)
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+@pytest.mark.parametrize("dep", [True, False])
+def test_rows_equal_string_reference_with_distinct_words(kind, dep):
+    # vocab=0: every surface form in both corpora is distinct, so every
+    # word template of the second corpus is unseen
+    train = synthesize(70, mean_len=6.0, vocab=0, seed=31)
+    test = synthesize(10, mean_len=6.0, vocab=0, seed=32)
+    _check_against_reference(train, test, kind, dep, block_size=64)
+
+
+def test_one_token_sentences_touch_both_edges():
+    sentence = Sentence((Token("a", "NN"),), DependencyTree((0,), ("root",)))
+    got = template_counts(sentence, (1, 1))
+    assert {f"bw:{BOS}", f"aw:{EOS}", "pre1:a", "suf1:a", "iw:1:a", "dw:a+<ROOT>"} <= set(got)
+    assert not any(name.startswith(("pre2:", "suf2:")) for name in got)

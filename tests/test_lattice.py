@@ -44,6 +44,14 @@ def test_sorted_spans_order():
     assert len(lat) == 5
 
 
+def test_sorted_spans_are_sorted_once_per_lattice():
+    lat = SpanLattice(2, frozenset({(2, 2), (1, 2), (1, 1)}))
+    assert lat.sorted_spans() is lat.sorted_spans()
+    # the cached order leaves equality and hashing on (n, allowed) alone
+    assert lat == SpanLattice(2, frozenset({(1, 1), (1, 2), (2, 2)}))
+    assert hash(lat) == hash(SpanLattice(2, lat.allowed))
+
+
 def test_linear_is_singletons_regardless_of_cap(womack):
     for cap in (1, 4, 30):
         lat = build_lattice(womack, Mode(LINEAR, cap))

@@ -1,18 +1,39 @@
 """Log-space dynamic programming over blocks of span lattices.
 
-A factor is a (span, previous label, label) triple. Scores live in a dense
-float64 array of shape (S, K+1, K): axis 0 the span, axis 1 the previous
-label (index K is the begin sentinel), axis 2 the span's label; -inf marks
-combinations the labeling rule forbids.
+A factor is a (span, previous label, label) triple, and its score is
+emission[s, y] + transition[p, y]. A ScoredBlock holds these two factors,
+not their product: emission of shape (S, K), one row per span, and
+transition of shape (K+1, K), whose row K is the begin sentinel. -inf marks
+what the labeling rule forbids: a label on a span in emission (O on a span
+longer than one token), a label pair in transition (IOB). That the begin
+sentinel precedes exactly the spans starting a sentence is structural:
+alpha's column K is finite only at first rows. The scores property composes
+the dense (S, K+1, K) table on demand, for callers and tests.
 
 The DP runs on a whole ScoredBlock at once (a ScoredLattice is a block of
 one) in one flat layout: sentence b owns rows off_b .. off_b + n_b, one per
 boundary, and a span (u, v) of it reads row off_b + u - 1 and writes row
-off_b + v. Forward and Viterbi loop over end positions, backward over start
-positions; each step gathers the rows its spans read, adds their score
-tables, reduces over the previous (next) label and combines the spans that
-write one row with reduceat, shorter span first. Marginals are one
-expression over the block. The Python loop runs per position, not per span.
+off_b + v. The previous label meets a span only through transition, so the
+sum over it depends on the row a span reads, not on the span (the semi-CRF
+recursion of Sarawagi & Cohen, 2004). Each pass pushes the transition
+through each row once, and a span costs O(K):
+
+  forward   once row r is written, G[r, y] = logsumexp_p(alpha[r, p] +
+            transition[p, y]); a step adds G[start] + emission per span and
+            combines the spans that write one row with reduceat
+  backward  H[r, y] = logsumexp over the spans starting at r of emission +
+            beta[end, y]; then beta[r, p] = logsumexp_y(transition[p, y] + H[r, y])
+  gradient  posteriors gives m.sum(axis=1) = exp(G[start] + emission +
+            beta[end] - log Z) and m.sum(axis=0) = sum_r exp(alpha[r, :, None]
+            + transition + H[r] - log Z) without building the marginals m
+  Viterbi   the forward step in max-product; each row keeps max_p and the
+            first (smallest) argmax p per label
+
+Forward and Viterbi loop over end positions, backward over start
+positions, so the Python loop runs per position, not per span. Viterbi
+ties go to the smaller previous label within a row, then to the shorter of
+the spans that write one row, and at the end boundary to the shorter last
+segment, then the smaller label.
 
 Labeling rules (per scheme):
   segment  entity labels on any allowed span, O only on length-1 spans,
@@ -23,6 +44,7 @@ Labeling rules (per scheme):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +75,14 @@ def mode_labels(label_set: LabelSet, mode: Mode) -> tuple[str, ...]:
     return iob_labels(label_set) if label_scheme(mode) == IOB_SCHEME else segment_labels(label_set)
 
 
-def _iob_pair_mask(labels: tuple[str, ...]) -> np.ndarray:
+def pair_mask(labels: tuple[str, ...], scheme: str) -> np.ndarray:
     """(K+1, K) bool: may label y follow previous label p (p = K is begin)."""
+    if scheme not in (SEGMENT_SCHEME, IOB_SCHEME):
+        raise ValueError(f"unknown labeling scheme {scheme!r}")
+    if labels[0] != "O":
+        raise ValueError("label id 0 must be O")
+    if scheme == SEGMENT_SCHEME:
+        return np.ones((len(labels) + 1, len(labels)), dtype=bool)
     return np.array([[not y.startswith("I-") or p in (f"B-{y[2:]}", y) for y in labels] for p in labels + ("",)])
 
 
@@ -64,13 +92,9 @@ def allowed_mask(lattice: SpanLattice, labels: tuple[str, ...], scheme: str) -> 
     The begin-sentinel row (previous label K) is on only for spans starting
     at position 1, and those spans accept no other previous label.
     """
-    if scheme not in (SEGMENT_SCHEME, IOB_SCHEME):
-        raise ValueError(f"unknown labeling scheme {scheme!r}")
-    if labels[0] != "O":
-        raise ValueError("label id 0 must be O")
+    pair = pair_mask(labels, scheme)
     u, v = np.array(lattice.sorted_spans(), dtype=np.int64).reshape(-1, 2).T
     K = len(labels)
-    pair = _iob_pair_mask(labels) if scheme == IOB_SCHEME else np.ones((K + 1, K), dtype=bool)
     mask = np.repeat(pair[None], len(u), axis=0)
     mask[u == 1, :K] = False
     mask[u != 1, K] = False
@@ -109,6 +133,7 @@ class _Layout:
         self.forward_steps = _steps(np.lexsort((-u, self.end_row, v)), v, self.start_row, self.end_row)
         # backward, last start position first: by written row, then shorter span first
         self.backward_steps = _steps(np.lexsort((v, self.start_row, u)), u, self.end_row, self.start_row)[::-1]
+        self.row_sentence = np.repeat(np.arange(len(lattices)), ns + 1)
         reached = np.zeros(self.num_rows, dtype=bool)
         reached[self.first_row] = reached[self.end_row] = True
         self.gaps = np.flatnonzero(~reached)
@@ -123,32 +148,55 @@ class _Layout:
 
 @dataclass(eq=False)
 class ScoredBlock:
-    """Span lattices of several sentences plus one factor log-score table w·f.
+    """Span lattices of several sentences plus their factors (see module doc).
 
-    Row r of scores is span r of the block: the sentences' spans in
-    sentence order, each sentence's in sorted_spans() order.
+    Row s of emission is span s of the block: the sentences' spans in
+    sentence order, each sentence's in sorted_spans() order. All sentences
+    share one transition table. The factor arrays are made read-only; to
+    change the factors, assign new arrays.
     """
 
     lattices: tuple[SpanLattice, ...]
     labels: tuple[str, ...]
-    scores: np.ndarray
+    emission: np.ndarray
+    transition: np.ndarray
     layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.layout = _Layout(self.lattices)
         K = len(self.labels)
-        want = (len(self.layout.sentence), K + 1, K)
-        if self.scores.shape != want:
-            raise ValueError(f"score table shape {self.scores.shape}, expected {want}")
-        if np.isnan(self.scores).any() or np.isposinf(self.scores).any():
-            raise ValueError("factor scores must be finite or -inf")
+        for name, want in (("emission", (len(self.layout.sentence), K)), ("transition", (K + 1, K))):
+            table = getattr(self, name)
+            if table.shape != want:
+                raise ValueError(f"{name} shape {table.shape}, expected {want}")
+            if np.isnan(table).any() or np.isposinf(table).any():
+                raise ValueError(f"{name} scores must be finite or -inf")
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("emission", "transition"):
+            value.setflags(write=False)
+            self.__dict__.pop("scores", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """Read-only (S, K+1, K) factor table, composed from the factors on
+        first use: emission[s, y] + transition[p, y], -inf where the begin
+        rule forbids."""
+        K = len(self.labels)
+        table = self.emission[:, None, :] + self.transition[None]
+        first = self.layout.uv[:, 0] == 1
+        table[first, :K] = -np.inf
+        table[~first, K] = -np.inf
+        table.setflags(write=False)
+        return table
 
 
 class ScoredLattice(ScoredBlock):
-    """One sentence's span lattice plus its factor table: a block of one."""
+    """One sentence's span lattice plus its factors: a block of one."""
 
-    def __init__(self, lattice: SpanLattice, labels: tuple[str, ...], scores: np.ndarray) -> None:
-        super().__init__((lattice,), labels, scores)
+    def __init__(self, lattice: SpanLattice, labels: tuple[str, ...], emission: np.ndarray, transition: np.ndarray) -> None:
+        super().__init__((lattice,), labels, emission, transition)
         self.lattice = lattice
         self.n = lattice.n
         self.spans = lattice.sorted_spans()
@@ -194,31 +242,48 @@ class Segmentation:
         return len(self.segments)
 
 
-def forward(scored: ScoredBlock) -> np.ndarray:
-    """alpha[r, p]: log-sum of partial segmentations up to row r ending in label p.
+def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and the row messages G of the block.
 
-    For a ScoredLattice row j is position j. Column K is the begin sentinel,
-    finite only at first rows; log Z is the logsumexp of alpha[last row, :K].
+    alpha[r, p]: log-sum of partial segmentations up to row r ending in
+    label p. For a ScoredLattice row j is position j. Column K is the begin
+    sentinel, finite only at first rows; log Z is the logsumexp of
+    alpha[last row, :K]. G[r, y] = logsumexp_p(alpha[r, p] + transition[p, y])
+    is the score of entering label y from row r.
     """
-    lay, K = scored.layout, len(scored.labels)
+    lay, K, trans = scored.layout, len(scored.labels), scored.transition
     lay.check_gaps()
     alpha = np.full((lay.num_rows, K + 1), -np.inf)
     alpha[lay.first_row, K] = 0.0
+    G = np.full((lay.num_rows, K), -np.inf)
+    G[lay.first_row] = trans[K]
     for idx, src, dst, starts, _ in lay.forward_steps:
-        inc = np.logaddexp.reduce(alpha[src, :, None] + scored.scores[idx], axis=1)
-        alpha[dst, :K] = np.logaddexp.reduceat(inc, starts, axis=0)
-    return alpha
+        alpha[dst, :K] = np.logaddexp.reduceat(G[src] + scored.emission[idx], starts, axis=0)
+        G[dst] = np.logaddexp.reduce(alpha[dst, :K, None] + trans[:K], axis=1)
+    return alpha, G
 
 
-def backward(scored: ScoredBlock) -> np.ndarray:
-    """beta[r, p]: log-sum of completions after row r given label p there."""
-    lay, K = scored.layout, len(scored.labels)
+def backward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
+    """beta and the row messages H of the block.
+
+    beta[r, p]: log-sum of completions after row r given label p there (p =
+    K, the begin sentinel, only at first rows). H[r, y]: log-sum of the
+    completions after row r whose next segment has label y, without the
+    transition into it, so beta[r, p] = logsumexp_y(transition[p, y] + H[r, y]).
+    """
+    lay, K, trans = scored.layout, len(scored.labels), scored.transition
     beta = np.full((lay.num_rows, K + 1), -np.inf)
     beta[lay.last_row, :K] = 0.0
+    H = np.full((lay.num_rows, K), -np.inf)
+    into = trans[:K].T  # into[y, p]: reducing over axis 1 is faster than over the last axis
     for idx, src, dst, starts, _ in lay.backward_steps:
-        inc = np.logaddexp.reduce(scored.scores[idx] + beta[src, None, :K], axis=2)
-        beta[dst] = np.logaddexp.reduceat(inc, starts, axis=0)
-    return beta
+        H[dst] = np.logaddexp.reduceat(scored.emission[idx] + beta[src, :K], starts, axis=0)
+        beta[dst, :K] = np.logaddexp.reduce(H[dst, :, None] + into, axis=1)
+    # at first rows only the begin sentinel precedes (the last step wrote them)
+    first = lay.first_row
+    beta[first, K] = np.logaddexp.reduce(trans[K] + H[first], axis=1)
+    beta[first, :K] = -np.inf
+    return beta, H
 
 
 def _log_partitions(scored: ScoredBlock, alpha: np.ndarray) -> np.ndarray:
@@ -229,17 +294,27 @@ def _log_partitions(scored: ScoredBlock, alpha: np.ndarray) -> np.ndarray:
 
 
 def log_partition(scored: ScoredLattice) -> float:
-    return float(_log_partitions(scored, forward(scored))[0])
+    return float(_log_partitions(scored, forward(scored)[0])[0])
 
 
-def posteriors(scored: ScoredBlock, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sentence log Z and the factor marginals, given forward and backward."""
+def posteriors(scored: ScoredBlock, fwd: tuple, bwd: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sentence log Z and the two sums of the factor marginals m that
+    the gradient needs, given forward's and backward's results.
+
+    label = m.sum(axis=1), shape (S, K): label[s, y] is the probability that
+    span s is a segment with label y. pair = m.sum(axis=0), shape (K+1, K):
+    the expected number of (p, y) transitions in the block.
+    """
+    (alpha, G), (beta, H) = fwd, bwd
     lay, K = scored.layout, len(scored.labels)
     logz = _log_partitions(scored, alpha)
-    m = alpha[lay.start_row, :, None] + scored.scores
-    m += beta[lay.end_row, None, :K]
-    m -= logz[lay.sentence, None, None]
-    return logz, np.exp(m, out=m)
+    label = G[lay.start_row] + scored.emission
+    label += beta[lay.end_row, :K]
+    label -= logz[lay.sentence, None]
+    pair = alpha[:, :, None] + scored.transition
+    pair += H[:, None, :]
+    pair -= logz[lay.row_sentence, None, None]
+    return logz, np.exp(label, out=label), np.exp(pair, out=pair).sum(axis=0)
 
 
 def marginals(scored: ScoredBlock) -> np.ndarray:
@@ -249,7 +324,12 @@ def marginals(scored: ScoredBlock) -> np.ndarray:
     the labeling rule forbids get 0. For every position, the marginals of
     factors covering it sum to 1.
     """
-    return posteriors(scored, forward(scored), backward(scored))[1]
+    lay, K = scored.layout, len(scored.labels)
+    alpha, beta = forward(scored)[0], backward(scored)[0]
+    m = alpha[lay.start_row, :, None] + scored.scores
+    m += beta[lay.end_row, None, :K]
+    m -= _log_partitions(scored, alpha)[lay.sentence, None, None]
+    return np.exp(m, out=m)
 
 
 def viterbi(scored: ScoredBlock) -> tuple[Segmentation, float] | list[tuple[Segmentation, float]]:
@@ -261,22 +341,28 @@ def viterbi(scored: ScoredBlock) -> tuple[Segmentation, float] | list[tuple[Segm
     the smaller label id at the end boundary; with all scores equal this
     yields the all-singleton all-O segmentation.
     """
-    lay, K = scored.layout, len(scored.labels)
+    lay, K, trans = scored.layout, len(scored.labels), scored.transition
     lay.check_gaps()
     vit = np.full((lay.num_rows, K + 1), -np.inf)
     vit[lay.first_row, K] = 0.0
+    # per row and next label y: the best max_p(vit[r, p] + transition[p, y]) and its first p
+    enter = np.full((lay.num_rows, K), -np.inf)
+    enter[lay.first_row] = trans[K]
+    enter_prev = np.zeros((lay.num_rows, K), dtype=np.int64)
+    enter_prev[lay.first_row] = K
     back_span, back_prev = np.zeros((2, lay.num_rows, K), dtype=np.int64)
     for idx, src, dst, starts, group in lay.forward_steps:
-        cand = vit[src, :, None] + scored.scores[idx]
-        p_star = cand.argmax(axis=1)
-        val = np.take_along_axis(cand, p_star[:, None, :], axis=1)[:, 0]
+        val = enter[src] + scored.emission[idx]
         best = np.maximum.reduceat(val, starts, axis=0)
         # the first span of a group that reaches the group's best is the shortest
         hit = np.where(val == best[group], np.arange(len(idx))[:, None], len(idx))
         first = np.minimum.reduceat(hit, starts, axis=0)
         vit[dst, :K] = best
         back_span[dst] = idx[first]
-        back_prev[dst] = np.take_along_axis(p_star, first, axis=0)
+        back_prev[dst] = np.take_along_axis(enter_prev[src], first, axis=0)
+        cand = vit[dst, :K, None] + trans[:K]
+        enter_prev[dst] = cand.argmax(axis=1)
+        enter[dst] = cand.max(axis=1)
     last = vit[lay.last_row, :K]
     top = last.max(axis=1)
     if not np.isfinite(top).all():

@@ -10,15 +10,18 @@ transition from previous label p (p = K is the begin sentinel). The
 optimizer sees W.ravel().
 
 The corpus is compiled once into fixed 64-sentence blocks. Each block
-stores a sparse count matrix X with one row per span (its template counts)
-and one ScoredBlock whose flat DP layout is built here once; the gold
+stores a sparse count matrix X with one row per span (its template counts),
+the labeling rule as an (S, K) span-label mask and a (K+1, K) label-pair
+mask, and one ScoredBlock whose flat DP layout is built here once; the gold
 counts of the whole corpus are one constant (T+K+1, K) matrix, built from
-the gold cells' own rows. One objective call costs, per block, a sparse
-product X @ W[:T], one span-proportional forward, backward and marginal
-pass over the whole block (inference.py), and the expected counts
-X.T @ m.sum(axis=1) stacked over m.sum(axis=0). Blocks are reduced in block
-order, so the result is bitwise identical for any worker count of the fork
-pool. The rows of a block are built by features.block_rows, _GROUP
+the gold (span, label) cells and (previous label, label) pairs. One
+objective call costs, per block, a sparse product X @ W[:T] for the
+emission factor, the masked W[T:] for the transition factor, one
+span-proportional forward and backward pass over the whole block
+(inference.py), and the expected counts X.T @ m.sum(axis=1) stacked over
+m.sum(axis=0), both sums taken straight from the passes without the
+(S, K+1, K) marginals m. Blocks are reduced in block order, so the result is
+bitwise identical for any worker count of the fork pool. The rows of a block are built by features.block_rows, _GROUP
 sentences at a time, which interns their templates while training compiles
 and looks them up in the frozen template index while decoding. Decoding
 compiles its sentences into the same rows and blocks and runs one Viterbi
@@ -52,6 +55,7 @@ from .inference import (
     forward,
     label_scheme,
     mode_labels,
+    pair_mask,
     posteriors,
     viterbi,
 )
@@ -250,14 +254,15 @@ class _EmissionRows:
         self.template_id = template_id
         self.sentences: list[Sentence] = []
         self.lattices: list[SpanLattice] = []
-        self.masks: list[np.ndarray] = []
+        self.live: list[np.ndarray] = []
         self.num_rows = 0
         self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def add(self, sentence: Sentence, lattice: SpanLattice, mask: np.ndarray) -> None:
+        """mask is the lattice's allowed_mask; a label may sit on a span if some previous label allows it."""
         self.sentences.append(sentence)
         self.lattices.append(lattice)
-        self.masks.append(mask)
+        self.live.append(mask.any(axis=1))
         self.num_rows += len(lattice)
 
     def featurize(self) -> None:
@@ -273,15 +278,16 @@ class _EmissionRows:
 
     def finish(self, num_templates: int) -> _Block:
         emit = sparse.csr_matrix(self.csr, shape=(self.num_rows, num_templates))
-        mask = np.concatenate(self.masks)
-        scored = ScoredBlock(tuple(self.lattices), self.labels, np.zeros(mask.shape))
-        return _Block(scored, ~mask, emit)
+        K = len(self.labels)
+        scored = ScoredBlock(tuple(self.lattices), self.labels, np.zeros((self.num_rows, K)), np.zeros((K + 1, K)))
+        return _Block(scored, ~np.concatenate(self.live), ~pair_mask(self.labels, self.scheme), emit)
 
 
 @dataclass
 class _Block:
-    scored: ScoredBlock  # the block's lattices and its one factor table
-    forbidden: np.ndarray  # (S, K+1, K) bool, True where the labeling rule forbids the factor
+    scored: ScoredBlock  # the block's lattices and its emission and transition factors
+    label_forbidden: np.ndarray  # (S, K) bool, True where the labeling rule forbids the label on the span
+    pair_forbidden: np.ndarray  # (K+1, K) bool, True where label y may not follow p
     emit: sparse.csr_matrix  # (S, T) template counts per span
 
 
@@ -298,12 +304,12 @@ class _Compiled:
         return self.gold.size
 
 
-def _add_counts(out: np.ndarray, emit: sparse.csr_matrix, m: np.ndarray) -> None:
-    """Add the counts of (S, K+1, K) factor weights m, laid out like W:
-    emit.T @ m.sum(axis=1) stacked over m.sum(axis=0)."""
+def _add_counts(out: np.ndarray, emit: sparse.csr_matrix, label: np.ndarray, pair: np.ndarray) -> None:
+    """Add counts laid out like W: emit.T @ label for the (S, K) span-label
+    weights, stacked over the (K+1, K) transition counts pair."""
     T = emit.shape[1]
-    out[:T] += emit.T @ m.sum(axis=1)
-    out[T:] += m.sum(axis=0)
+    out[:T] += emit.T @ label
+    out[T:] += pair
 
 
 def _compile(
@@ -344,26 +350,31 @@ def _compile(
     gold_counts = np.zeros((len(index) + K + 1, K))
     for rows, gold in raw_blocks:
         blocks.append(rows.finish(len(index)))
-        # a span is at most one gold segment, so the gold factors are distinct cells
-        indicator = np.zeros(blocks[-1].forbidden.shape)
-        indicator[tuple(np.array(gold).T)] = 1.0
-        _add_counts(gold_counts, blocks[-1].emit, indicator)
+        row, prev, label = np.array(gold).T
+        # a span is at most one gold segment, so the (span, label) cells are distinct
+        indicator = np.zeros((blocks[-1].emit.shape[0], K))
+        indicator[row, label] = 1.0
+        pairs = np.zeros((K + 1, K))
+        np.add.at(pairs, (prev, label), 1.0)
+        _add_counts(gold_counts, blocks[-1].emit, indicator, pairs)
     return _Compiled(blocks, labels, gold_counts, splits_total)
 
 
 def _fill_scores(block: _Block, W: np.ndarray) -> None:
-    """Factor table (X @ W[:T])[:, None, :] + W[T:][None], -inf where the mask forbids."""
+    """Emission X @ W[:T] and transition W[T:], -inf where the labeling rule forbids."""
     T = block.emit.shape[1]
-    np.add((block.emit @ W[:T])[:, None, :], W[T:][None], out=block.scored.scores)
-    block.scored.scores[block.forbidden] = -np.inf
+    emission = block.emit @ W[:T]
+    emission[block.label_forbidden] = -np.inf
+    block.scored.emission = emission
+    block.scored.transition = np.where(block.pair_forbidden, -np.inf, W[T:])
 
 
 def _eval_block(block: _Block, W: np.ndarray, grad: np.ndarray) -> float:
     """Summed log Z of the block's sentences; their expected counts are added to grad."""
     _fill_scores(block, W)
     scored = block.scored
-    logz, m = posteriors(scored, forward(scored), backward(scored))
-    _add_counts(grad, block.emit, m)
+    logz, label, pair = posteriors(scored, forward(scored), backward(scored))
+    _add_counts(grad, block.emit, label, pair)
     # a sequential sum over sentences; np.sum would add pairwise and round differently
     return np.cumsum(logz)[-1]
 
@@ -413,9 +424,11 @@ class Objective:
         else:
             for block in self.compiled.blocks:
                 value += _eval_block(block, W, grad)
-        value -= float(np.vdot(gold, W))
+        # elementwise sums, not np.vdot: with OpenBLAS free to start threads,
+        # each vdot took about 8 ms on a 2-core Xeon and slowed the calls after it
+        value -= float((gold * W).sum())
         grad -= gold
-        value += self.l2 * float(np.vdot(W, W))
+        value += self.l2 * float((W * W).sum())
         grad += 2.0 * self.l2 * W
         if not np.isfinite(value):
             raise TrainingError("non-finite objective value")

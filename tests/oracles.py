@@ -2,11 +2,12 @@
 
 Everything here is written the slow, obvious way: exhaustive enumeration of
 segmentations, a direct increasing-chain search for valid spans, a textbook
-first-order chain forward pass, small corpus builders over random trees,
-the feature templates built as strings one span at a time, and a
-string-lookup factor scorer for trained models. Only the scorer touches
-package internals, and only for what it scores (lattice, labeling mask);
-it shares nothing with the compiled span rows.
+first-order chain forward pass, small corpus builders over random trees
+and random factors, the feature templates built as strings one span at a
+time, and a string-lookup factor scorer for trained models. Only the
+scorer and the factor builder touch package internals, and only for what
+they score (lattice, labeling masks); they share nothing with the compiled
+span rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, allowed_mask, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
-from spancrf.inference import IOB_SCHEME, label_scheme
+from spancrf.inference import IOB_SCHEME, label_scheme, pair_mask
 
 
 def enumerate_labelings(scored):
@@ -58,6 +59,18 @@ def path_score(scored, labeling) -> float:
         total += scored.scores[s, prev, y]
         prev = y
     return total
+
+
+def draw_factors(lattices, labels, scheme, values):
+    """Random factors for a block of lattices: one (S, K) emission per
+    lattice and one shared (K+1, K) transition, each values(shape) where the
+    labeling rule allows the label (the pair) and -inf where it forbids it."""
+    emissions = []
+    for lattice in lattices:
+        live = allowed_mask(lattice, labels, scheme).any(axis=1)
+        emissions.append(np.where(live, values(live.shape), -np.inf))
+    pair = pair_mask(labels, scheme)
+    return emissions, np.where(pair, values(pair.shape), -np.inf)
 
 
 def brute_log_partition(scored) -> float:
@@ -289,10 +302,10 @@ def reference_rows(sentences, lattices, segments: bool, dep: bool, template_id):
 
 
 def reference_scores(model, sentence) -> ScoredLattice:
-    """Factor table of one sentence by looking up every template string in
-    the model's index: emission(span, y) is W[template, y] summed template
-    by template, plus the transition weight W[T + p, y], -inf where the mask
-    forbids. Unseen templates weigh 0."""
+    """Factors of one sentence by looking up every template string in the
+    model's index: emission(span, y) is W[template, y] summed template by
+    template, transition(p, y) the weight W[T + p, y], each -inf where the
+    labeling rule forbids. Unseen templates weigh 0."""
     scheme = label_scheme(model.mode)
     lattice = build_lattice(sentence, model.mode)
     mask = allowed_mask(lattice, model.labels, scheme)
@@ -304,7 +317,7 @@ def reference_scores(model, sentence) -> ScoredLattice:
         return 0.0 if tid is None else model.weights[tid, y]
 
     tw = np.array([[model.weights[T + p, y] for y in range(K)] for p in range(K + 1)])
-    e_sy = np.zeros((len(lattice), K))
+    e_sy = np.full((len(lattice), K), -np.inf)
     live = mask.any(axis=1)
     for s, span in enumerate(lattice.sorted_spans()):
         if scheme == IOB_SCHEME:
@@ -320,8 +333,7 @@ def reference_scores(model, sentence) -> ScoredLattice:
                 for template, c in counts.items():
                     total += weight(template, y) * c
                 e_sy[s, y] = total
-    scores = np.where(mask, e_sy[:, None, :] + tw[None, :, :], -np.inf)
-    return ScoredLattice(lattice, model.labels, scores)
+    return ScoredLattice(lattice, model.labels, e_sy, np.where(pair_mask(model.labels, scheme), tw, -np.inf))
 
 
 def segmentation_entities(seg, scheme: str) -> tuple[EntitySpan, ...]:

@@ -43,6 +43,7 @@ from oracles import (
     brute_log_partition,
     brute_marginals,
     chain_spans_reference,
+    draw_factors,
     random_sentence,
 )
 
@@ -82,7 +83,7 @@ def test_criterion_03_average_bound():
 
 
 def _random_instance(rng, i):
-    from spancrf.inference import ScoredLattice, allowed_mask
+    from spancrf.inference import ScoredLattice
 
     kind = MODE_KINDS[i % len(MODE_KINDS)]
     mode = Mode(kind, max_len=int(rng.integers(1, 9)))
@@ -91,9 +92,8 @@ def _random_instance(rng, i):
     labels = mode_labels(LabelSet(list(types)), mode)
     assert len(labels) <= 3 or kind == "linear"
     lattice = build_lattice(sent, mode)
-    mask = allowed_mask(lattice, labels, label_scheme(mode))
-    scores = np.where(mask, rng.normal(scale=2.0, size=mask.shape), -np.inf)
-    return ScoredLattice(lattice, labels, scores)
+    (emission,), transition = draw_factors([lattice], labels, label_scheme(mode), lambda shape: rng.normal(scale=2.0, size=shape))
+    return ScoredLattice(lattice, labels, emission, transition)
 
 
 def test_criterion_04_dp_matches_enumeration():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from spancrf.corpus import LabelSet
 from spancrf.inference import (
+    IOB_SCHEME,
+    SEGMENT_SCHEME,
     InvariantViolation,
     ScoredBlock,
     ScoredLattice,
@@ -23,38 +25,45 @@ from spancrf.inference import (
     label_scheme,
     marginals,
     mode_labels,
+    pair_mask,
     posteriors,
     viterbi,
 )
 from spancrf.lattice import MODE_KINDS, Mode, SpanLattice, build_lattice
 
-from oracles import brute_log_partition, brute_marginals, brute_viterbi, path_score, random_sentence
+from oracles import brute_log_partition, brute_marginals, brute_viterbi, draw_factors, path_score, random_sentence
 
 
 @st.composite
 def scored_sentences(draw):
-    """1-6 scored sentences of lengths 1-5 under one mode and label set.
+    """1-6 scored sentences of lengths 1-5 under one mode and label set,
+    sharing one transition table.
 
-    Scores are random where the labeling rule allows a factor and -inf
-    where it forbids one; small integers when ties are drawn, so equal
-    path scores are exact and the tie rule decides.
+    Emission and transition scores are random where the labeling rule
+    allows them and -inf where it forbids; small integers when ties are
+    drawn, so equal path scores are exact and the tie rule decides.
     """
     mode = Mode(draw(st.sampled_from(MODE_KINDS)), max_len=draw(st.integers(1, 4)))
     labels = mode_labels(LabelSet(["A", "B"][: draw(st.integers(1, 2))]), mode)
     lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     ties = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    out = []
-    for n in lengths:
-        lattice = build_lattice(random_sentence(rng, n=n), mode)
-        mask = allowed_mask(lattice, labels, label_scheme(mode))
-        values = rng.integers(-2, 3, size=mask.shape).astype(float) if ties else rng.normal(scale=1.5, size=mask.shape)
-        out.append(ScoredLattice(lattice, labels, np.where(mask, values, -np.inf)))
-    return out
+
+    def values(shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if ties else rng.normal(scale=1.5, size=shape)
+
+    lattices = [build_lattice(random_sentence(rng, n=n), mode) for n in lengths]
+    emissions, transition = draw_factors(lattices, labels, label_scheme(mode), values)
+    return [ScoredLattice(lat, labels, emission, transition) for lat, emission in zip(lattices, emissions)]
 
 
 def as_block(singles):
-    return ScoredBlock(tuple(s.lattice for s in singles), singles[0].labels, np.concatenate([s.scores for s in singles]))
+    return ScoredBlock(
+        tuple(s.lattice for s in singles),
+        singles[0].labels,
+        np.concatenate([s.emission for s in singles]),
+        singles[0].transition,
+    )
 
 
 def per_sentence(rows, singles):
@@ -65,16 +74,42 @@ def per_sentence(rows, singles):
 @given(scored_sentences())
 def test_block_partition_and_marginals_match_enumeration(singles):
     block = as_block(singles)
-    logz, m = posteriors(block, forward(block), backward(block))
+    logz, label, _ = posteriors(block, forward(block), backward(block))
+    m = marginals(block)
     assert logz.shape == (len(singles),)
-    for scored, z, m_b in zip(singles, logz, per_sentence(m, singles)):
+    for scored, z, m_b, label_b in zip(singles, logz, per_sentence(m, singles), per_sentence(label, singles)):
         assert z == pytest.approx(brute_log_partition(scored), abs=1e-9)
         np.testing.assert_allclose(m_b, brute_marginals(scored), rtol=0, atol=1e-9)
         # the block layout does not change a sentence's numbers
-        alone_z, alone_m = posteriors(scored, forward(scored), backward(scored))
+        alone_z, alone_label, _ = posteriors(scored, forward(scored), backward(scored))
         assert alone_z[0] == z
-        assert np.array_equal(alone_m, m_b)
-    assert np.array_equal(marginals(block), m)
+        assert np.array_equal(alone_label, label_b)
+        assert np.array_equal(marginals(scored), m_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_sentences())
+def test_factors_and_gradient_reductions(singles):
+    block = as_block(singles)
+    labels, K = block.labels, len(block.labels)
+    scheme = IOB_SCHEME if any(y.startswith("B-") for y in labels) else SEGMENT_SCHEME
+    masks = [allowed_mask(s.lattice, labels, scheme) for s in singles]
+    # span mask, pair mask and begin rule reproduce the dense mask cell for cell
+    for mask, scored in zip(masks, singles):
+        begin = np.array([u == 1 for u, _ in scored.spans])[:, None] == (np.arange(K + 1) == K)[None, :]
+        factored = mask.any(axis=1)[:, None, :] & pair_mask(labels, scheme)[None] & begin[:, :, None]
+        assert np.array_equal(factored, mask)
+    assert np.array_equal(np.isfinite(block.scores), np.concatenate(masks))
+    # the gradient's two reductions are the sums of the dense marginals
+    _, label, pair = posteriors(block, forward(block), backward(block))
+    m = marginals(block)
+    np.testing.assert_allclose(label, m.sum(axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pair, m.sum(axis=0), rtol=0, atol=1e-12)
+    # exactly one labeled span covers each position
+    for scored, label_b in zip(singles, per_sentence(label, singles)):
+        for j in range(1, scored.n + 1):
+            covering = [s for s, (u, v) in enumerate(scored.spans) if u <= j <= v]
+            assert label_b[covering].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,7 +131,7 @@ def test_gapped_lattice_inside_a_block_raises(singles, n, data):
     where = data.draw(st.integers(0, len(singles)), label="where")
     labels = singles[0].labels
     spans = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + 1) + 1) if v != gap)
-    gapped = ScoredLattice(SpanLattice(n, spans), labels, np.zeros((len(spans), len(labels) + 1, len(labels))))
+    gapped = ScoredLattice(SpanLattice(n, spans), labels, np.zeros((len(spans), len(labels))), singles[0].transition)
     block = as_block(singles[:where] + [gapped] + singles[where:])
     for dp in (forward, marginals, viterbi):
         with pytest.raises(InvariantViolation, match=f"position {gap} .sentence {where} "):

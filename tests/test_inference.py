@@ -22,6 +22,7 @@ from spancrf.inference import (
     log_partition,
     marginals,
     mode_labels,
+    pair_mask,
     segment_labels,
     viterbi,
 )
@@ -32,6 +33,7 @@ from oracles import (
     brute_log_partition,
     brute_marginals,
     chain_forward_logz,
+    draw_factors,
     enumerate_labelings,
     path_score,
     random_sentence,
@@ -39,12 +41,11 @@ from oracles import (
 
 
 def scored_from(lattice, labels, scheme, rng=None, fill=0.0):
-    mask = allowed_mask(lattice, labels, scheme)
     if rng is None:
-        scores = np.where(mask, fill, -np.inf)
+        (emission,), transition = draw_factors([lattice], labels, scheme, lambda shape: np.full(shape, fill))
     else:
-        scores = np.where(mask, rng.normal(scale=1.5, size=mask.shape), -np.inf)
-    return ScoredLattice(lattice, labels, scores)
+        (emission,), transition = draw_factors([lattice], labels, scheme, lambda shape: rng.normal(scale=1.5, size=shape))
+    return ScoredLattice(lattice, labels, emission, transition)
 
 
 def singleton_lattice(n):
@@ -113,22 +114,33 @@ def test_allowed_mask_validation():
 def test_scored_lattice_validation():
     lat = singleton_lattice(2)
     labels = ("O", "A")
-    with pytest.raises(ValueError, match="shape"):
-        ScoredLattice(lat, labels, np.zeros((2, 2, 2)))
-    bad = np.zeros((2, 3, 2))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        ScoredLattice(lat, labels, bad)
-    bad[0, 0, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        ScoredLattice(lat, labels, bad)
+    with pytest.raises(ValueError, match="emission shape"):
+        ScoredLattice(lat, labels, np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="transition shape"):
+        ScoredLattice(lat, labels, np.zeros((2, 2)), np.zeros((2, 2)))
+    for bad_value in (np.nan, np.inf):
+        bad = np.zeros((2, 2))
+        bad[0, 0] = bad_value
+        with pytest.raises(ValueError, match="emission scores must be finite"):
+            ScoredLattice(lat, labels, bad, np.zeros((3, 2)))
+        bad = np.zeros((3, 2))
+        bad[0, 0] = bad_value
+        with pytest.raises(ValueError, match="transition scores must be finite"):
+            ScoredLattice(lat, labels, np.zeros((2, 2)), bad)
 
-    scores = np.zeros((2, 3, 2))
-    scores[1, 0, 1] = 2.5
-    scored = ScoredLattice(lat, labels, scores)
+    emission, transition = np.zeros((2, 2)), np.zeros((3, 2))
+    emission[1, 1] = 2.5
+    transition[0, 1] = 0.25
+    scored = ScoredLattice(lat, labels, emission, transition)
     assert scored.n == 2
     assert scored.span_index((2, 2)) == 1
-    assert scored.score((2, 2), 0, 1) == 2.5
+    assert scored.score((2, 2), 0, 1) == 2.75
+    # the begin sentinel precedes exactly the spans that start the sentence
+    assert scored.score((2, 2), 2, 1) == -np.inf
+    assert scored.score((1, 1), 0, 1) == -np.inf
+    assert scored.score((1, 1), 2, 0) == 0.0
+    with pytest.raises(ValueError):
+        scored.scores[0, 2, 0] = 1.0
     with pytest.raises(KeyError):
         scored.span_index((1, 2))
 
@@ -170,10 +182,7 @@ def test_uniform_marginals_are_half():
 def test_viterbi_prefers_scored_label():
     lat = singleton_lattice(1)
     labels = ("O", "PER")
-    scores = np.full((1, 3, 2), -np.inf)
-    scores[0, 2, 0] = 0.0
-    scores[0, 2, 1] = 1.0
-    seg, best = viterbi(ScoredLattice(lat, labels, scores))
+    seg, best = viterbi(ScoredLattice(lat, labels, np.array([[0.0, 1.0]]), np.zeros((3, 2))))
     assert seg.segments == (((1, 1), "PER"),)
     assert best == 1.0
 
@@ -191,12 +200,12 @@ def test_viterbi_tie_prefers_shorter_last_segment():
     # (1,2) directly, the singleton path via 0.5 + 0.5
     lat = SpanLattice(2, frozenset({(1, 1), (2, 2), (1, 2)}))
     labels = ("O", "A")
-    scores = np.full((3, 3, 2), -np.inf)
+    emission = np.full((3, 2), -np.inf)
     idx = {span: i for i, span in enumerate(lat.sorted_spans())}
-    scores[idx[(1, 1)], 2, 1] = 0.5
-    scores[idx[(2, 2)], 1, 1] = 0.5
-    scores[idx[(1, 2)], 2, 1] = 1.0
-    seg, best = viterbi(ScoredLattice(lat, labels, scores))
+    emission[idx[(1, 1)], 1] = 0.5
+    emission[idx[(2, 2)], 1] = 0.5
+    emission[idx[(1, 2)], 1] = 1.0
+    seg, best = viterbi(ScoredLattice(lat, labels, emission, np.zeros((3, 2))))
     assert best == pytest.approx(1.0)
     assert seg.segments == (((1, 1), "A"), ((2, 2), "A"))
 
@@ -239,11 +248,8 @@ def test_linear_mode_is_a_textbook_chain_crf():
         mask = allowed_mask(lat, labels, IOB_SCHEME)
         emit = rng.normal(size=(n, K))
         trans = rng.normal(size=(K + 1, K))
-        scores = np.empty((n, K + 1, K))
-        for i in range(n):
-            scores[i] = emit[i][None, :] + trans
-        scores[~mask] = -np.inf
-        logz = log_partition(ScoredLattice(lat, labels, scores))
+        emission = np.where(mask.any(axis=1), emit, -np.inf)
+        logz = log_partition(ScoredLattice(lat, labels, emission, np.where(pair_mask(labels, IOB_SCHEME), trans, -np.inf)))
 
         chain_trans = np.where(mask[1] if n > 1 else True, trans, -np.inf)[:K]
         begin = np.where(mask[0][K], trans[K] + 0.0, -np.inf)
@@ -266,7 +272,8 @@ def test_shrinking_the_lattice_never_raises_logz():
         smaller = ScoredLattice(
             SpanLattice(lattice.n, frozenset(span for span in scored.spans if span != drop)),
             labels,
-            scored.scores[keep],
+            scored.emission[keep],
+            scored.transition,
         )
         assert log_partition(smaller) <= log_partition(scored) + 1e-12
 
@@ -282,12 +289,9 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
     lat = singleton_lattice(4)
     labels = ("O", "A")
     mask = allowed_mask(lat, labels, SEGMENT_SCHEME)
-    scores = np.where(mask, 0.0, -np.inf)
-    prev = 2
-    for s in range(4):
-        scores[s, prev, 1] = 60.0
-        prev = 1
-    scored = ScoredLattice(lat, labels, scores)
+    emission = np.where(mask.any(axis=1), 0.0, -np.inf)
+    emission[:, 1] = 60.0
+    scored = ScoredLattice(lat, labels, emission, np.zeros((3, 2)))
     seg, best = viterbi(scored)
     assert best == pytest.approx(240.0)
     assert seg.labels() == ("A", "A", "A", "A")
@@ -297,8 +301,7 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
 def test_gapped_lattice_raises_invariant_violation():
     lat = SpanLattice(3, frozenset({(1, 1), (3, 3)}))
     labels = ("O", "A")
-    scores = np.zeros((2, 3, 2))
-    scored = ScoredLattice(lat, labels, scores)
+    scored = ScoredLattice(lat, labels, np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(InvariantViolation, match="position 2"):
         forward(scored)
     with pytest.raises(InvariantViolation):
@@ -311,15 +314,16 @@ def test_extreme_scores_stay_finite():
     rng = np.random.default_rng(25)
     lat = singleton_lattice(6)
     labels = ("O", "A", "B")
-    mask = allowed_mask(lat, labels, SEGMENT_SCHEME)
     with np.errstate(over="raise"):
         for fill in (-1e4, 1e4):
-            scored = ScoredLattice(lat, labels, np.where(mask, fill, -np.inf))
+            # every labeling scores fill per segment; transitions add 0
+            (emission,), _ = draw_factors([lat], labels, SEGMENT_SCHEME, lambda shape: np.full(shape, fill))
+            scored = ScoredLattice(lat, labels, emission, np.zeros((4, 3)))
             logz = log_partition(scored)
             assert math.isfinite(logz)
             assert logz == pytest.approx(6 * fill + math.log(3 ** 6), rel=1e-12)
-        spread = np.where(mask, rng.uniform(-1e4, 1e4, size=mask.shape), -np.inf)
-        scored = ScoredLattice(lat, labels, spread)
+        (emission,), transition = draw_factors([lat], labels, SEGMENT_SCHEME, lambda shape: rng.uniform(-1e4, 1e4, size=shape))
+        scored = ScoredLattice(lat, labels, emission, transition)
         m = marginals(scored)
         assert np.isfinite(log_partition(scored))
         # exponent arithmetic at 1e4 scale leaves ~1e-12 relative slack
@@ -331,6 +335,10 @@ def test_forward_backward_agree_on_logz():
     for _ in range(20):
         scored = random_scored(rng)
         K = len(scored.labels)
-        alpha = forward(scored)
-        beta = backward(scored)
+        alpha, G = forward(scored)
+        beta, H = backward(scored)
         assert np.logaddexp.reduce(alpha[scored.n, :K]) == pytest.approx(beta[0, K], abs=1e-10)
+        # the row messages fold the transition into alpha and beta
+        np.testing.assert_allclose(G, np.logaddexp.reduce(alpha[:, :, None] + scored.transition, axis=1), atol=1e-12)
+        inner = slice(1, scored.n)
+        np.testing.assert_allclose(beta[inner, :K], np.logaddexp.reduce(scored.transition[:K] + H[inner, None, :], axis=2), atol=1e-12)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spancrf import (
     DependencyTree,
@@ -27,13 +28,22 @@ from spancrf import (
     objective_and_gradient,
     project_gold,
     representability_stats,
+    spans_to_iob,
     synthesize,
 )
 from spancrf import training
-from spancrf.inference import label_scheme, viterbi
+from spancrf.inference import IOB_SCHEME, allowed_mask, label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
-from oracles import random_sentence, reference_scores, segmentation_entities
+from oracles import (
+    brute_log_partition,
+    brute_marginals,
+    path_score,
+    random_sentence,
+    reference_rows,
+    reference_scores,
+    segmentation_entities,
+)
 
 
 def one_word_corpus():
@@ -356,6 +366,47 @@ def test_decode_matches_string_lookup_reference(kind):
 
 
 @pytest.mark.parametrize("kind", MODE_KINDS)
+def test_objective_matches_enumeration_at_large_weights(kind):
+    # log Z, the gold score and the expected counts by enumeration over the
+    # string-lookup factor table, at weight scales where exp overflows
+    rng = np.random.default_rng(50 + MODE_KINDS.index(kind))
+    mode = Mode(kind, 3)
+    scheme = label_scheme(mode)
+    corpus = [random_sentence(rng, n=int(rng.integers(1, 6))) for _ in range(4)]
+    model = fit(corpus, quick(l2=0.0, max_iter=1), mode)
+    model.lam = 0.0
+    K, T = len(model.labels), len(model.index)
+    for scale in (0.0, 5.0, 50.0, 1e3):
+        model.weights = rng.normal(scale=scale, size=model.weights.shape)
+        value, grad = objective_and_gradient(model, corpus)
+        want_value, want_grad = 0.0, np.zeros(model.weights.shape)
+        for sentence in corpus:
+            scored = reference_scores(model, sentence)
+            if scheme == IOB_SCHEME:
+                tags = spans_to_iob(sentence.gold, sentence.n)
+                gold = [((i, i), tags[i - 1]) for i in range(1, sentence.n + 1)]
+            else:
+                gold = list(project_gold(sentence, scored.lattice)[0])
+            gold = [(scored.span_index(span), model.labels.index(label)) for span, label in gold]
+            want_value += brute_log_partition(scored) - path_score(scored, gold)
+            indptr, indices, data = reference_rows([sentence], [scored.lattice], scheme != IOB_SCHEME, True, model.index.lookup)
+            X = sparse.csr_matrix((data, indices, indptr), shape=(len(scored.spans), T))
+            m = brute_marginals(scored)
+            counts = np.zeros((len(scored.spans), K))
+            pairs = np.zeros((K + 1, K))
+            prev = K
+            for s, y in gold:
+                counts[s, y] += 1.0
+                pairs[prev, y] += 1.0
+                prev = y
+            want_grad[:T] += X.T @ (m.sum(axis=1) - counts)
+            want_grad[T:] += m.sum(axis=0) - pairs
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        assert value == pytest.approx(want_value, rel=1e-12, abs=1e-9), scale
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-9, err_msg=f"scale {scale}")
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
 def test_never_live_weights_stay_zero(kind):
     # a (template, label) cell or transition that no lattice of the corpus
     # allows has zero gradient, so L-BFGS from w = 0 never moves it
@@ -366,8 +417,9 @@ def test_never_live_weights_stay_zero(kind):
     T = len(model.index)
     live_cells = np.zeros((T, len(model.labels)))
     live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
+    scheme = label_scheme(mode)
     for block in compiled.blocks:
-        allowed = ~block.forbidden
+        allowed = np.concatenate([allowed_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
         live_cells += block.emit.T @ allowed.any(axis=1)
         live_pairs |= allowed.any(axis=0)
     never = np.vstack([live_cells == 0, ~live_pairs])

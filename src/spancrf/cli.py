@@ -43,7 +43,6 @@ def _add_common(p: argparse.ArgumentParser, folds: bool = False) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.1, help="L2 coefficient (default 0.1)")
     p.add_argument("--no-dep-features", dest="dep_features", action="store_false", help="drop dependency features")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
     if folds:
         p.add_argument("--folds", type=int, default=10, help="cross-validation folds (default 10)")
 
@@ -52,7 +51,6 @@ def _config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         l2=args.lam,
         folds=getattr(args, "folds", 10),
-        workers=args.workers,
         dep_features=args.dep_features,
         seed=args.seed,
     )

@@ -32,6 +32,8 @@ class Mode:
     def __post_init__(self) -> None:
         if self.kind not in MODE_KINDS:
             raise ValueError(f"unknown mode {self.kind!r}, expected one of {MODE_KINDS}")
+        if not isinstance(self.max_len, int) or isinstance(self.max_len, bool):
+            raise TypeError(f"max_len must be an integer, got {self.max_len!r}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 

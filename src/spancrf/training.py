@@ -20,12 +20,15 @@ emission factor, the masked W[T:] for the transition factor, one
 span-proportional forward and backward pass over the whole block
 (inference.py), and the expected counts X.T @ m.sum(axis=1) stacked over
 m.sum(axis=0), both sums taken straight from the passes without the
-(S, K+1, K) marginals m. Blocks are reduced in block order, so the result is
-bitwise identical for any worker count of the fork pool. The rows of a block are built by features.block_rows, _GROUP
-sentences at a time, which interns their templates while training compiles
-and looks them up in the frozen template index while decoding. Decoding
-compiles its sentences into the same rows and blocks and runs one Viterbi
-pass per block.
+(S, K+1, K) marginals m. Blocks are reduced in block order.
+
+_block builds a block in one step: its lattices, its masks, and its rows by
+features.block_rows, _GROUP sentences at a time. Training interns the
+templates into a growing index, so each block's X has as many columns as
+the index had after that block and an early block is narrower than W[:T];
+templates interned later have larger ids, so X @ W[:X.shape[1]] is exact.
+Decoding builds its blocks the same way against the model's frozen index,
+where interning is a lookup, and runs one Viterbi pass per block.
 
 fit can hand each L-BFGS iteration (objective, gradient infinity norm,
 step time, objective evaluations) to a trace callback; `spancrf train
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 
@@ -82,7 +84,9 @@ class TrainConfig:
 
     l2 is the regularization coefficient used by fit(); lambda_grid is what
     cross_validate() searches. ftol is the relative objective-change stop,
-    gtol the gradient infinity-norm stop.
+    gtol the gradient infinity-norm stop. workers accepts only 1: every
+    objective evaluation runs in the calling process; the field stays so
+    that callers that pass workers=1 keep working.
     """
 
     l2: float = 0.1
@@ -100,8 +104,10 @@ class TrainConfig:
             raise ValueError("regularization must be non-negative")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        if self.max_iter < 1 or self.workers < 1:
-            raise ValueError("max_iter and workers must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1, got {self.workers!r}")
         if self.ftol <= 0 or self.gtol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -126,12 +132,16 @@ class Model:
 
     def __post_init__(self) -> None:
         K = len(self.labels)
+        if not self.index.frozen:
+            raise ValueError("the template index must be frozen")
         if self.weights.shape != (len(self.index) + K + 1, K):
             raise ValueError(f"weights of shape {self.weights.shape} for {len(self.index)} templates and {K} labels")
         if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam!r}")
+        if not isinstance(self.dep_features, bool):
+            raise TypeError(f"dep_features must be true or false, got {self.dep_features!r}")
         if label_scheme(self.mode) == IOB_SCHEME:
             types = [label[2:] for label in self.labels if label.startswith("B-")]
         else:
@@ -192,7 +202,7 @@ class Model:
                 index=index,
                 weights=np.asarray(doc["weights"], dtype=np.float64),
                 lam=float(doc["lambda"]),
-                dep_features=bool(doc["dep_features"]),
+                dep_features=doc["dep_features"],
                 converged=doc["converged"],
                 optimizer_message=doc["optimizer_message"],
             )
@@ -237,58 +247,12 @@ def project_gold(sentence: Sentence, lattice: SpanLattice) -> tuple[Segmentation
     return _segment_gold(sentence, lattice, split=True)
 
 
-class _EmissionRows:
-    """Sparse template rows of one block, under construction.
-
-    Every span of the block gets one row, in span order: the counts of its
-    templates. Sentences are collected with add(); featurize() then builds
-    the rows with features.block_rows, _GROUP sentences at a time.
-    template_id maps a template string to its id or None; training passes
-    FeatureIndex.intern, decoding the frozen index's lookup.
-    """
-
-    def __init__(self, labels: tuple[str, ...], scheme: str, dep: bool, template_id) -> None:
-        self.labels = labels
-        self.scheme = scheme
-        self.dep = dep
-        self.template_id = template_id
-        self.sentences: list[Sentence] = []
-        self.lattices: list[SpanLattice] = []
-        self.live: list[np.ndarray] = []
-        self.num_rows = 0
-        self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def add(self, sentence: Sentence, lattice: SpanLattice, mask: np.ndarray) -> None:
-        """mask is the lattice's allowed_mask; a label may sit on a span if some previous label allows it."""
-        self.sentences.append(sentence)
-        self.lattices.append(lattice)
-        self.live.append(mask.any(axis=1))
-        self.num_rows += len(lattice)
-
-    def featurize(self) -> None:
-        segments = self.scheme != IOB_SCHEME
-        indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
-        for g in range(0, len(self.lattices), _GROUP):
-            spans = [lat.sorted_spans() for lat in self.lattices[g : g + _GROUP]]
-            ptr, ids, counts = block_rows(self.sentences[g : g + _GROUP], spans, segments, self.dep, self.template_id)
-            indptr.append(ptr[1:] + indptr[-1][-1])
-            indices.append(ids)
-            data.append(counts)
-        self.csr = (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr))
-
-    def finish(self, num_templates: int) -> _Block:
-        emit = sparse.csr_matrix(self.csr, shape=(self.num_rows, num_templates))
-        K = len(self.labels)
-        scored = ScoredBlock(tuple(self.lattices), self.labels, np.zeros((self.num_rows, K)), np.zeros((K + 1, K)))
-        return _Block(scored, ~np.concatenate(self.live), ~pair_mask(self.labels, self.scheme), emit)
-
-
 @dataclass
 class _Block:
     scored: ScoredBlock  # the block's lattices and its emission and transition factors
     label_forbidden: np.ndarray  # (S, K) bool, True where the labeling rule forbids the label on the span
     pair_forbidden: np.ndarray  # (K+1, K) bool, True where label y may not follow p
-    emit: sparse.csr_matrix  # (S, T) template counts per span
+    emit: sparse.csr_matrix  # (S, T') template counts per span; T' <= T, see the module doc
 
 
 @dataclass
@@ -304,12 +268,36 @@ class _Compiled:
         return self.gold.size
 
 
+def _block(sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index: FeatureIndex, dep: bool) -> _Block:
+    """The block of sentences: lattices, labeling-rule masks and template rows.
+
+    Every span gets one row, in span order: the counts of its templates,
+    interned into index _GROUP sentences at a time (a frozen index leaves
+    unseen templates out). X has as many columns as index has afterwards.
+    """
+    scheme = label_scheme(mode)
+    lattices = tuple(build_lattice(sentence, mode) for sentence in sentences)
+    # a label may sit on a span if some previous label allows it
+    live = np.concatenate([allowed_mask(lat, labels, scheme).any(axis=1) for lat in lattices])
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
+    for g in range(0, len(sentences), _GROUP):
+        spans = [lat.sorted_spans() for lat in lattices[g : g + _GROUP]]
+        ptr, ids, counts = block_rows(sentences[g : g + _GROUP], spans, scheme != IOB_SCHEME, dep, index.intern)
+        indptr.append(ptr[1:] + indptr[-1][-1])
+        indices.append(ids)
+        data.append(counts)
+    S, K = len(live), len(labels)
+    emit = sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(S, len(index)))
+    scored = ScoredBlock(lattices, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
+    return _Block(scored, ~live, ~pair_mask(labels, scheme), emit)
+
+
 def _add_counts(out: np.ndarray, emit: sparse.csr_matrix, label: np.ndarray, pair: np.ndarray) -> None:
     """Add counts laid out like W: emit.T @ label for the (S, K) span-label
-    weights, stacked over the (K+1, K) transition counts pair."""
-    T = emit.shape[1]
-    out[:T] += emit.T @ label
-    out[T:] += pair
+    weights of the block's templates, and the (K+1, K) transition counts
+    pair to the last K+1 rows."""
+    out[: emit.shape[1]] += emit.T @ label
+    out[-len(pair) :] += pair
 
 
 def _compile(
@@ -324,15 +312,15 @@ def _compile(
     K = len(labels)
     label_id = {label: y for y, label in enumerate(labels)}
     splits_total = 0
-    raw_blocks = []
+    blocks, golds = [], []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
-        rows = _EmissionRows(labels, scheme, dep, index.intern)
+        block = _block(chunk, mode, labels, index, dep)
         gold = []  # (span row, previous label, label) of every gold factor in the block
-        for offset, sentence in enumerate(chunk):
-            lat = build_lattice(sentence, mode)
-            row_of = {span: rows.num_rows + s for s, span in enumerate(lat.sorted_spans())}
-            rows.add(sentence, lat, allowed_mask(lat, labels, scheme))
+        first_row = 0
+        for offset, (sentence, lat) in enumerate(zip(chunk, block.scored.lattices)):
+            row_of = {span: first_row + s for s, span in enumerate(lat.sorted_spans())}
+            first_row += len(lat)
             if scheme == IOB_SCHEME:
                 seg = _iob_gold(sentence)
             elif project:
@@ -344,29 +332,25 @@ def _compile(
             for span, label in seg:
                 gold.append((row_of[span], prev, label_id[label]))
                 prev = label_id[label]
-        rows.featurize()  # before the next block, so templates are interned in corpus order
-        raw_blocks.append((rows, gold))
-    blocks = []
+        blocks.append(block)
+        golds.append(np.array(gold).T)
     gold_counts = np.zeros((len(index) + K + 1, K))
-    for rows, gold in raw_blocks:
-        blocks.append(rows.finish(len(index)))
-        row, prev, label = np.array(gold).T
+    for block, (row, prev, label) in zip(blocks, golds):
         # a span is at most one gold segment, so the (span, label) cells are distinct
-        indicator = np.zeros((blocks[-1].emit.shape[0], K))
+        indicator = np.zeros((block.emit.shape[0], K))
         indicator[row, label] = 1.0
         pairs = np.zeros((K + 1, K))
         np.add.at(pairs, (prev, label), 1.0)
-        _add_counts(gold_counts, blocks[-1].emit, indicator, pairs)
+        _add_counts(gold_counts, block.emit, indicator, pairs)
     return _Compiled(blocks, labels, gold_counts, splits_total)
 
 
 def _fill_scores(block: _Block, W: np.ndarray) -> None:
-    """Emission X @ W[:T] and transition W[T:], -inf where the labeling rule forbids."""
-    T = block.emit.shape[1]
-    emission = block.emit @ W[:T]
+    """Emission X @ W[:T'] and transition W[T:], -inf where the labeling rule forbids."""
+    emission = block.emit @ W[: block.emit.shape[1]]
     emission[block.label_forbidden] = -np.inf
     block.scored.emission = emission
-    block.scored.transition = np.where(block.pair_forbidden, -np.inf, W[T:])
+    block.scored.transition = np.where(block.pair_forbidden, -np.inf, W[-len(block.pair_forbidden) :])
 
 
 def _eval_block(block: _Block, W: np.ndarray, grad: np.ndarray) -> float:
@@ -379,34 +363,15 @@ def _eval_block(block: _Block, W: np.ndarray, grad: np.ndarray) -> float:
     return np.cumsum(logz)[-1]
 
 
-_FORK_STATE: _Compiled | None = None
-
-
-def _worker_eval(args) -> tuple[float, np.ndarray]:
-    bidx, W = args
-    grad = np.zeros(W.shape)
-    return _eval_block(_FORK_STATE.blocks[bidx], W, grad), grad
-
-
 class Objective:
-    """Callable (value, gradient) of the regularized objective at w.
+    """Callable (value, gradient) of the regularized objective at w; blocks are reduced in block order."""
 
-    With workers > 1, blocks are farmed out to a fork pool; partial results
-    are reduced in block order either way, so the value and gradient do not
-    depend on the worker count.
-    """
-
-    def __init__(self, compiled: _Compiled, l2: float, workers: int = 1):
+    def __init__(self, compiled: _Compiled, l2: float):
         self.compiled = compiled
         self.l2 = float(l2)
         self.evals = 0
         self.last_value: float | None = None
         self.last_grad: np.ndarray | None = None
-        self._pool = None
-        if workers > 1:
-            global _FORK_STATE
-            _FORK_STATE = compiled
-            self._pool = multiprocessing.get_context("fork").Pool(workers)
 
     def __call__(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and gradient at w, either W or W.ravel(); the gradient has w's shape."""
@@ -417,13 +382,8 @@ class Objective:
         W = w.reshape(gold.shape)
         value = 0.0
         grad = np.zeros(gold.shape)
-        if self._pool is not None:
-            for v, g in self._pool.map(_worker_eval, [(b, W) for b in range(len(self.compiled.blocks))]):
-                value += v
-                grad += g
-        else:
-            for block in self.compiled.blocks:
-                value += _eval_block(block, W, grad)
+        for block in self.compiled.blocks:
+            value += _eval_block(block, W, grad)
         # elementwise sums, not np.vdot: with OpenBLAS free to start threads,
         # each vdot took about 8 ms on a 2-core Xeon and slowed the calls after it
         value -= float((gold * W).sum())
@@ -436,13 +396,6 @@ class Objective:
         self.last_value = value
         self.last_grad = grad
         return value, grad.reshape(w.shape)
-
-    def close(self) -> None:
-        global _FORK_STATE
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = _FORK_STATE = None
 
 
 def objective_and_gradient(model: Model, corpus: list[Sentence]) -> tuple[float, np.ndarray]:
@@ -484,7 +437,7 @@ def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, on_iteration=No
     model records scipy's success flag and message either way.
     """
     index, compiled = _prepare(corpus, mode, config.dep_features)
-    objective = Objective(compiled, config.l2, config.workers)
+    objective = Objective(compiled, config.l2)
     iteration = 0
     step_start, step_evals = time.perf_counter(), 0
 
@@ -506,17 +459,14 @@ def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, on_iteration=No
         if on_iteration is not None:
             on_iteration(iteration, objective.last_value)
 
-    try:
-        result = scipy.optimize.minimize(
-            objective,
-            np.zeros(compiled.num_features),
-            jac=True,
-            method="L-BFGS-B",
-            callback=callback,
-            options={"maxiter": config.max_iter, "maxcor": 10, "ftol": config.ftol, "gtol": config.gtol},
-        )
-    finally:
-        objective.close()
+    result = scipy.optimize.minimize(
+        objective,
+        np.zeros(compiled.num_features),
+        jac=True,
+        method="L-BFGS-B",
+        callback=callback,
+        options={"maxiter": config.max_iter, "maxcor": 10, "ftol": config.ftol, "gtol": config.gtol},
+    )
     if result.success:
         logger.debug("optimizer converged after %d iterations: %s", result.nit, result.message)
     else:
@@ -554,12 +504,8 @@ def decode_corpus(model: Model, corpus: list[Sentence]) -> list[tuple[EntitySpan
     scheme = label_scheme(model.mode)
     out = []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
-        rows = _EmissionRows(model.labels, scheme, model.dep_features, model.index.lookup)
-        for sentence in corpus[block_start : block_start + _BLOCK_SIZE]:
-            lat = build_lattice(sentence, model.mode)
-            rows.add(sentence, lat, allowed_mask(lat, model.labels, scheme))
-        rows.featurize()
-        block = rows.finish(len(model.index))
+        chunk = corpus[block_start : block_start + _BLOCK_SIZE]
+        block = _block(chunk, model.mode, model.labels, model.index, model.dep_features)
         _fill_scores(block, model.weights)
         out.extend(_segmentation_entities(seg, scheme) for seg, _ in viterbi(block.scored))
     return out

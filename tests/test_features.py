@@ -19,9 +19,9 @@ from oracles import orient_edges, reference_rows
 from spancrf import DependencyTree, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
 from spancrf.features import BOS, EOS, FeatureIndex, word_shape
-from spancrf.inference import IOB_SCHEME, allowed_mask, label_scheme, mode_labels
+from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels
 from spancrf.lattice import MODE_KINDS, Mode, build_lattice
-from spancrf.training import _compile, _EmissionRows
+from spancrf.training import _block, _compile
 
 
 @pytest.mark.parametrize(
@@ -264,16 +264,15 @@ def _check_against_reference(train, test, kind, dep, block_size):
         chunk = train[b * block_size : (b + 1) * block_size]
         lattices = [build_lattice(s, mode) for s in chunk]
         _assert_rows_equal(block, reference_rows(chunk, lattices, segments, dep, ref_index.intern))
+        # as wide as the index after the block's templates, not the final index
+        assert block.emit.shape[1] == len(ref_index)
     assert index.strings() == ref_index.strings()
 
     index.freeze()
-    rows = _EmissionRows(labels, label_scheme(mode), dep, index.lookup)
+    block = _block(test, mode, labels, index, dep)
     lattices = [build_lattice(s, mode) for s in test]
-    for sentence, lattice in zip(test, lattices):
-        rows.add(sentence, lattice, allowed_mask(lattice, labels, label_scheme(mode)))
-    rows.featurize()
-    _assert_rows_equal(rows.finish(len(index)), reference_rows(test, lattices, segments, dep, ref_index.lookup))
-    assert len(index) == len(ref_index)
+    _assert_rows_equal(block, reference_rows(test, lattices, segments, dep, ref_index.lookup))
+    assert block.emit.shape[1] == len(index) == len(ref_index)
 
 
 @settings(max_examples=80, deadline=None)

@@ -35,6 +35,9 @@ def test_mode_validation():
         Mode("hsmm")
     with pytest.raises(ValueError, match="max_len"):
         Mode("semi", 0)
+    for max_len in (2.5, True, "3"):
+        with pytest.raises(TypeError, match="max_len"):
+            Mode("semi", max_len)
     assert MODE_KINDS == ("linear", "semi", "dgm-s", "dgm")
 
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from spancrf import (
@@ -32,6 +34,7 @@ from spancrf import (
     synthesize,
 )
 from spancrf import training
+from spancrf.features import FeatureIndex
 from spancrf.inference import IOB_SCHEME, allowed_mask, label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
@@ -72,6 +75,8 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(workers=0)
     with pytest.raises(ValueError):
+        TrainConfig(workers=2)
+    with pytest.raises(ValueError):
         TrainConfig(ftol=0.0)
 
 
@@ -81,6 +86,8 @@ def test_model_validation():
         Model(model.mode, model.labels, model.index, model.weights[:-1], 0.0)
     with pytest.raises(ValueError):
         Model(model.mode, model.labels, model.index, model.weights, -1.0)
+    with pytest.raises(ValueError, match="frozen"):
+        Model(model.mode, model.labels, FeatureIndex(), model.weights[len(model.index) :], 0.0)
     assert model.max_len == 2
 
 
@@ -195,20 +202,6 @@ def test_fit_overfits_a_tiny_separable_corpus():
         assert [tuple(p) for p in preds] == [s.gold for s in corpus]
 
 
-def test_worker_count_does_not_change_training():
-    corpus = synthesize(70, mean_len=5.0, num_types=2, vocab=40, seed=15)
-    a = fit(corpus, quick(max_iter=3, workers=1), Mode("linear"))
-    b = fit(corpus, quick(max_iter=3, workers=2), Mode("linear"))
-    assert np.array_equal(a.weights, b.weights)
-    assert a.index.strings() == b.index.strings()
-
-
-def test_fork_pool_releases_the_compiled_corpus():
-    corpus = synthesize(70, mean_len=5.0, num_types=2, vocab=40, seed=15)
-    fit(corpus, quick(max_iter=2, workers=2), Mode("linear"))
-    assert training._FORK_STATE is None
-
-
 def test_objective_is_additive_over_sentences():
     corpus = synthesize(70, mean_len=5.0, num_types=2, vocab=40, seed=16)
     model = fit(corpus, quick(l2=0.0, max_iter=2), Mode("linear"))
@@ -315,6 +308,10 @@ _GOOD_MODEL = {
         (json.dumps({**_GOOD_MODEL, "mode": "linear"}), "labels"),
         (json.dumps({**_GOOD_MODEL, "converged": 1}), "converged"),
         (json.dumps({**_GOOD_MODEL, "optimizer_message": ["stop"]}), "optimizer_message"),
+        (json.dumps({**_GOOD_MODEL, "L": 2.5}), "max_len"),
+        (json.dumps({**_GOOD_MODEL, "L": True}), "max_len"),
+        (json.dumps({**_GOOD_MODEL, "lambda": float("nan")}), "lambda"),
+        (json.dumps({**_GOOD_MODEL, "dep_features": "no"}), "dep_features"),
     ],
     ids=[
         "top-level-list",
@@ -326,6 +323,10 @@ _GOOD_MODEL = {
         "linear-segment-labels",
         "converged-not-bool",
         "message-not-string",
+        "fractional-max-len",
+        "boolean-max-len",
+        "nan-lambda",
+        "dep-features-not-bool",
     ],
 )
 def test_load_rejects_malformed_models(tmp_path, text, match):
@@ -410,21 +411,28 @@ def test_objective_matches_enumeration_at_large_weights(kind):
 def test_never_live_weights_stay_zero(kind):
     # a (template, label) cell or transition that no lattice of the corpus
     # allows has zero gradient, so L-BFGS from w = 0 never moves it
-    corpus = synthesize(30, mean_len=8.0, num_types=2, vocab=40, seed=26)
     mode = Mode(kind, 4)
-    model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
-    compiled = training._compile(corpus, mode, model.labels, model.index, True, project=True)
-    T = len(model.index)
-    live_cells = np.zeros((T, len(model.labels)))
-    live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
     scheme = label_scheme(mode)
-    for block in compiled.blocks:
-        allowed = np.concatenate([allowed_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
-        live_cells += block.emit.T @ allowed.any(axis=1)
-        live_pairs |= allowed.any(axis=0)
-    never = np.vstack([live_cells == 0, ~live_pairs])
-    assert never.any() and np.abs(model.weights[~never]).max() > 0
-    assert (model.weights[never] == 0.0).all()
+    for sentences, mean_len in ((30, 8.0), (70, 5.0)):  # one block, then two
+        corpus = synthesize(sentences, mean_len=mean_len, num_types=2, vocab=40, seed=26)
+        model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
+        # compiled as fit compiles it: a fresh index, so an early block is narrower than W[:T]
+        index = FeatureIndex()
+        compiled = training._compile(corpus, mode, model.labels, index, True, project=True)
+        assert index.strings() == model.index.strings()
+        T = len(model.index)
+        widths = [block.emit.shape[1] for block in compiled.blocks]
+        assert widths == sorted(widths) and widths[-1] == T
+        assert len(widths) == 1 or widths[0] < T
+        live_cells = np.zeros((T, len(model.labels)))
+        live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
+        for block in compiled.blocks:
+            allowed = np.concatenate([allowed_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
+            live_cells[: block.emit.shape[1]] += block.emit.T @ allowed.any(axis=1)
+            live_pairs |= allowed.any(axis=0)
+        never = np.vstack([live_cells == 0, ~live_pairs])
+        assert never.any() and np.abs(model.weights[~never]).max() > 0
+        assert (model.weights[never] == 0.0).all()
 
 
 def test_decode_does_not_depend_on_block_layout():
@@ -434,6 +442,32 @@ def test_decode_does_not_depend_on_block_layout():
     assert len(whole) == 150 and sum(map(len, whole)) > 0
     assert whole == [decode(model, s) for s in corpus]
     assert whole == decode_corpus(model, corpus[:37]) + decode_corpus(model, corpus[37:])
+
+
+_HELD = synthesize(100, mean_len=6.0, num_types=3, vocab=60, entity_rate=0.3, seed=27)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """Per mode, a model fit once and its decode of the whole of _HELD (two blocks)."""
+    out = {}
+    for kind in MODE_KINDS:
+        model = fit(_HELD[:30], quick(l2=0.01, max_iter=10), Mode(kind, 4))
+        out[kind] = model, decode_corpus(model, _HELD)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(MODE_KINDS), st.permutations(range(len(_HELD))), st.lists(st.integers(0, len(_HELD)), max_size=4))
+def test_decode_does_not_depend_on_sentence_order_or_cuts(fitted, kind, order, cuts):
+    model, whole = fitted[kind]
+    shuffled = [_HELD[i] for i in order]
+    bounds = [0, *sorted(cuts), len(shuffled)]
+    pieces = [span for lo, hi in zip(bounds, bounds[1:]) for span in decode_corpus(model, shuffled[lo:hi])]
+    unpermuted = [None] * len(_HELD)
+    for i, spans in zip(order, pieces):
+        unpermuted[i] = spans
+    assert unpermuted == whole
 
 
 def test_decode_single_sentence_matches_corpus_decode(womack):

@@ -295,22 +295,22 @@ def _merge_repeats(ids: np.ndarray, row: np.ndarray, cells: np.ndarray, num_ids:
 
 def block_rows(
     sentences: list[Sentence],
-    spans: list[tuple[tuple[int, int], ...]],
+    sentence: np.ndarray,
+    uv: np.ndarray,
     segments: bool,
     dep: bool,
     template_id,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays (indptr, indices, data) of the template rows of a block.
 
-    Row r is the r-th span of spans[0], then of spans[1], ... (spans[b]
-    belongs to sentences[b]). segments selects segment templates; otherwise
-    a span (i, i) gets the position templates of token i. template_id maps
-    a template string to its id or None (FeatureIndex.intern, or the frozen
-    index's lookup); a None template is left out of its row.
+    Row r is span uv[r] = (u, v), 1-based, of sentences[sentence[r]].
+    segments selects segment templates; otherwise a span (i, i) gets the
+    position templates of token i. template_id maps a template string to its
+    id or None (FeatureIndex.intern, or the frozen index's lookup); a None
+    template is left out of its row.
     """
     tokens = _Tokens(sentences)
-    uv = np.array([span for row in spans for span in row], dtype=np.intp).reshape(-1, 2)
-    first = tokens.first[np.repeat(np.arange(len(sentences)), [len(row) for row in spans])]
+    first = tokens.first[sentence]
     start, end = first + uv[:, 0] - 1, first + uv[:, 1] - 1
     local = _LocalIds()
     if segments:

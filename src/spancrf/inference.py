@@ -7,8 +7,8 @@ transition of shape (K+1, K), whose row K is the begin sentinel. -inf marks
 what the labeling rule forbids: a label on a span in emission (O on a span
 longer than one token), a label pair in transition (IOB). That the begin
 sentinel precedes exactly the spans starting a sentence is structural:
-alpha's column K is finite only at first rows. The scores property composes
-the dense (S, K+1, K) table on demand, for callers and tests.
+alpha's column K is finite only at first rows. Nothing composes the dense
+(S, K+1, K) table; marginals adds the two factors inside its one sum.
 
 The DP runs on a whole ScoredBlock at once (a ScoredLattice is a block of
 one) in one flat layout: sentence b owns rows off_b .. off_b + n_b, one per
@@ -44,7 +44,6 @@ Labeling rules (per scheme):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -86,20 +85,19 @@ def pair_mask(labels: tuple[str, ...], scheme: str) -> np.ndarray:
     return np.array([[not y.startswith("I-") or p in (f"B-{y[2:]}", y) for y in labels] for p in labels + ("",)])
 
 
-def allowed_mask(lattice: SpanLattice, labels: tuple[str, ...], scheme: str) -> np.ndarray:
-    """(S, K+1, K) bool mask of factors permitted by the labeling rule.
+def allowed_mask(uv: np.ndarray, labels: tuple[str, ...], scheme: str) -> np.ndarray:
+    """(S, K) bool: may span s, row s = (u, v) of uv, carry label y.
 
-    The begin-sentinel row (previous label K) is on only for spans starting
-    at position 1, and those spans accept no other previous label.
+    A span starting at position 1 follows only the begin sentinel, so it
+    takes the labels that may follow begin; any other span takes the labels
+    that may follow some label. In the segment scheme O sits only on
+    single-token spans.
     """
     pair = pair_mask(labels, scheme)
-    u, v = np.array(lattice.sorted_spans(), dtype=np.int64).reshape(-1, 2).T
-    K = len(labels)
-    mask = np.repeat(pair[None], len(u), axis=0)
-    mask[u == 1, :K] = False
-    mask[u != 1, K] = False
+    u, v = uv.T
+    mask = np.where((u == 1)[:, None], pair[-1], pair[:-1].any(axis=0))
     if scheme == SEGMENT_SCHEME:
-        mask[v > u, :, 0] = False
+        mask[v > u, 0] = False
     return mask
 
 
@@ -138,6 +136,21 @@ class _Layout:
         reached[self.first_row] = reached[self.end_row] = True
         self.gaps = np.flatnonzero(~reached)
 
+    def rows(self, sentence, u, v) -> np.ndarray:
+        """Rows of spans (u, v) of sentences b of the block, 1-d (scalars broadcast);
+        KeyError if a span is not in its lattice. For 1 <= u <= v <= n the key
+        start_row * num_rows + end_row is unique, and span order sorts it."""
+        sentence, u, v = np.atleast_1d(*np.broadcast_arrays(sentence, u, v))
+        first = self.first_row[sentence]
+        key = (first + u - 1) * self.num_rows + first + v
+        keys = self.start_row * self.num_rows + self.end_row
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        miss = (u < 1) | (v < u) | (first + v > self.last_row[sentence]) | (keys[at] != key)
+        if miss.any():
+            k = np.flatnonzero(miss)[0]
+            raise KeyError(f"span ({u[k]}, {v[k]}) not in the lattice of sentence {sentence[k]} of the block")
+        return at
+
     def check_gaps(self) -> None:
         """Raise if a position of some sentence is the end of no span."""
         if len(self.gaps):
@@ -151,9 +164,8 @@ class ScoredBlock:
     """Span lattices of several sentences plus their factors (see module doc).
 
     Row s of emission is span s of the block: the sentences' spans in
-    sentence order, each sentence's in sorted_spans() order. All sentences
-    share one transition table. The factor arrays are made read-only; to
-    change the factors, assign new arrays.
+    sentence order, each sentence's in sorted_spans() order; layout.rows
+    maps a span back to its row. All sentences share one transition table.
     """
 
     lattices: tuple[SpanLattice, ...]
@@ -172,25 +184,6 @@ class ScoredBlock:
             if np.isnan(table).any() or np.isposinf(table).any():
                 raise ValueError(f"{name} scores must be finite or -inf")
 
-    def __setattr__(self, name: str, value) -> None:
-        if name in ("emission", "transition"):
-            value.setflags(write=False)
-            self.__dict__.pop("scores", None)
-        super().__setattr__(name, value)
-
-    @cached_property
-    def scores(self) -> np.ndarray:
-        """Read-only (S, K+1, K) factor table, composed from the factors on
-        first use: emission[s, y] + transition[p, y], -inf where the begin
-        rule forbids."""
-        K = len(self.labels)
-        table = self.emission[:, None, :] + self.transition[None]
-        first = self.layout.uv[:, 0] == 1
-        table[first, :K] = -np.inf
-        table[~first, K] = -np.inf
-        table.setflags(write=False)
-        return table
-
 
 class ScoredLattice(ScoredBlock):
     """One sentence's span lattice plus its factors: a block of one."""
@@ -200,15 +193,9 @@ class ScoredLattice(ScoredBlock):
         self.lattice = lattice
         self.n = lattice.n
         self.spans = lattice.sorted_spans()
-        self._span_row = {span: s for s, span in enumerate(self.spans)}
 
     def span_index(self, span: tuple[int, int]) -> int:
-        if span not in self._span_row:
-            raise KeyError(f"span {span} not in lattice")
-        return self._span_row[span]
-
-    def score(self, span: tuple[int, int], y_prev: int, y: int) -> float:
-        return float(self.scores[self.span_index(span), y_prev, y])
+        return int(self.layout.rows(0, *span)[0])
 
 
 @dataclass(frozen=True)
@@ -294,6 +281,8 @@ def _log_partitions(scored: ScoredBlock, alpha: np.ndarray) -> np.ndarray:
 
 
 def log_partition(scored: ScoredLattice) -> float:
+    if len(scored.lattices) != 1:
+        raise ValueError(f"log_partition takes one sentence, got a block of {len(scored.lattices)}; use posteriors")
     return float(_log_partitions(scored, forward(scored)[0])[0])
 
 
@@ -318,15 +307,16 @@ def posteriors(scored: ScoredBlock, fwd: tuple, bwd: tuple) -> tuple[np.ndarray,
 
 
 def marginals(scored: ScoredBlock) -> np.ndarray:
-    """Posterior probability of every factor, same shape and order as scores.
+    """Posterior probability of every factor, shape (S, K+1, K).
 
-    m[s, p, y] = P(span s has label y and is preceded by label p). Factors
-    the labeling rule forbids get 0. For every position, the marginals of
-    factors covering it sum to 1.
+    m[s, p, y] = P(span s has label y and is preceded by label p), p = K
+    the begin sentinel. Factors the labeling rule forbids get 0: alpha is
+    -inf where the begin rule forbids p. For every position, the marginals
+    of factors covering it sum to 1.
     """
     lay, K = scored.layout, len(scored.labels)
     alpha, beta = forward(scored)[0], backward(scored)[0]
-    m = alpha[lay.start_row, :, None] + scored.scores
+    m = alpha[lay.start_row, :, None] + (scored.emission[:, None, :] + scored.transition)
     m += beta[lay.end_row, None, :K]
     m -= _log_partitions(scored, alpha)[lay.sentence, None, None]
     return np.exp(m, out=m)

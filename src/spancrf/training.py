@@ -22,13 +22,16 @@ span-proportional forward and backward pass over the whole block
 m.sum(axis=0), both sums taken straight from the passes without the
 (S, K+1, K) marginals m. Blocks are reduced in block order.
 
-_block builds a block in one step: its lattices, its masks, and its rows by
-features.block_rows, _GROUP sentences at a time. Training interns the
-templates into a growing index, so each block's X has as many columns as
-the index had after that block and an early block is narrower than W[:T];
-templates interned later have larger ids, so X @ W[:X.shape[1]] is exact.
-Decoding builds its blocks the same way against the model's frozen index,
-where interning is a lookup, and runs one Viterbi pass per block.
+_block builds a block in one step: its lattices, its ScoredBlock, whose
+layout is the one span-to-row map (_compile finds gold rows with
+layout.rows), then from the layout's span arrays the (S, K) mask in one
+allowed_mask call and the rows by features.block_rows, _GROUP sentences
+at a time. Training interns the templates into a growing index, so each
+block's X has as many columns as the index had after that block and an
+early block is narrower than W[:T]; templates interned later have larger
+ids, so X @ W[:X.shape[1]] is exact. Decoding builds its blocks the same
+way against the model's frozen index, where interning is a lookup, and
+runs one Viterbi pass per block.
 
 fit can hand each L-BFGS iteration (objective, gradient infinity norm,
 step time, objective evaluations) to a trace callback; `spancrf train
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -100,16 +104,17 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.l2 < 0 or any(lam < 0 for lam in self.lambda_grid):
-            raise ValueError("regularization must be non-negative")
+        # written so that NaN fails every comparison
+        if not all(0 <= lam < math.inf for lam in (self.l2, *self.lambda_grid)):
+            raise ValueError("regularization must be finite and non-negative")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.workers != 1:
             raise ValueError(f"workers must be 1, got {self.workers!r}")
-        if self.ftol <= 0 or self.gtol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.ftol, self.gtol)):
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass
@@ -277,19 +282,20 @@ def _block(sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index
     """
     scheme = label_scheme(mode)
     lattices = tuple(build_lattice(sentence, mode) for sentence in sentences)
-    # a label may sit on a span if some previous label allows it
-    live = np.concatenate([allowed_mask(lat, labels, scheme).any(axis=1) for lat in lattices])
+    S, K = sum(map(len, lattices)), len(labels)
+    scored = ScoredBlock(lattices, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
+    lay = scored.layout
     indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
     for g in range(0, len(sentences), _GROUP):
-        spans = [lat.sorted_spans() for lat in lattices[g : g + _GROUP]]
-        ptr, ids, counts = block_rows(sentences[g : g + _GROUP], spans, scheme != IOB_SCHEME, dep, index.intern)
+        lo, hi = np.searchsorted(lay.sentence, [g, g + _GROUP])
+        ptr, ids, counts = block_rows(
+            sentences[g : g + _GROUP], lay.sentence[lo:hi] - g, lay.uv[lo:hi], scheme != IOB_SCHEME, dep, index.intern
+        )
         indptr.append(ptr[1:] + indptr[-1][-1])
         indices.append(ids)
         data.append(counts)
-    S, K = len(live), len(labels)
     emit = sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(S, len(index)))
-    scored = ScoredBlock(lattices, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
-    return _Block(scored, ~live, ~pair_mask(labels, scheme), emit)
+    return _Block(scored, ~allowed_mask(lay.uv, labels, scheme), ~pair_mask(labels, scheme), emit)
 
 
 def _add_counts(out: np.ndarray, emit: sparse.csr_matrix, label: np.ndarray, pair: np.ndarray) -> None:
@@ -316,11 +322,8 @@ def _compile(
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         block = _block(chunk, mode, labels, index, dep)
-        gold = []  # (span row, previous label, label) of every gold factor in the block
-        first_row = 0
+        gold = []  # (sentence, u, v, previous label, label) of every gold factor in the block
         for offset, (sentence, lat) in enumerate(zip(chunk, block.scored.lattices)):
-            row_of = {span: first_row + s for s, span in enumerate(lat.sorted_spans())}
-            first_row += len(lat)
             if scheme == IOB_SCHEME:
                 seg = _iob_gold(sentence)
             elif project:
@@ -329,11 +332,12 @@ def _compile(
             else:
                 seg, _ = _segment_gold(sentence, lat, split=False, name=str(block_start + offset + 1))
             prev = K
-            for span, label in seg:
-                gold.append((row_of[span], prev, label_id[label]))
+            for (u, v), label in seg:
+                gold.append((offset, u, v, prev, label_id[label]))
                 prev = label_id[label]
+        sentence, u, v, prev, label = np.array(gold).T
         blocks.append(block)
-        golds.append(np.array(gold).T)
+        golds.append((block.scored.layout.rows(sentence, u, v), prev, label))
     gold_counts = np.zeros((len(index) + K + 1, K))
     for block, (row, prev, label) in zip(blocks, golds):
         # a span is at most one gold segment, so the (span, label) cells are distinct

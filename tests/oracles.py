@@ -4,10 +4,10 @@ Everything here is written the slow, obvious way: exhaustive enumeration of
 segmentations, a direct increasing-chain search for valid spans, a textbook
 first-order chain forward pass, small corpus builders over random trees
 and random factors, the feature templates built as strings one span at a
-time, and a string-lookup factor scorer for trained models. Only the
-scorer and the factor builder touch package internals, and only for what
-they score (lattice, labeling masks); they share nothing with the compiled
-span rows.
+time, a string-lookup factor scorer for trained models, and the dense
+(S, K+1, K) labeling mask written out from the rules. Only the scorer and
+the factor builder touch package internals, and only for what they score
+(lattice, label-pair mask); they share nothing with the compiled span rows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, allowed_mask, build_lattice
+from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
 from spancrf.inference import IOB_SCHEME, label_scheme, pair_mask
@@ -26,8 +26,8 @@ from spancrf.inference import IOB_SCHEME, label_scheme, pair_mask
 def enumerate_labelings(scored):
     """Every complete segmentation as a list of (span_index, label_index).
 
-    Only factors with finite scores are followed; the begin state is index
-    K, matching the score table's y_prev axis.
+    Only factors with finite scores emission[s, y] + transition[p, y] are
+    followed; the begin state is previous label K, the transition's last row.
     """
     spans = scored.spans
     K = len(scored.labels)
@@ -43,7 +43,7 @@ def enumerate_labelings(scored):
         for s in by_start.get(pos, ()):
             v = spans[s][1]
             for y in range(K):
-                if scored.scores[s, prev, y] > -np.inf:
+                if scored.emission[s, y] + scored.transition[prev, y] > -np.inf:
                     acc.append((s, y))
                     rec(v + 1, y, acc)
                     acc.pop()
@@ -56,7 +56,7 @@ def path_score(scored, labeling) -> float:
     total = 0.0
     prev = len(scored.labels)
     for s, y in labeling:
-        total += scored.scores[s, prev, y]
+        total += scored.emission[s, y] + scored.transition[prev, y]
         prev = y
     return total
 
@@ -67,7 +67,7 @@ def draw_factors(lattices, labels, scheme, values):
     labeling rule allows the label (the pair) and -inf where it forbids it."""
     emissions = []
     for lattice in lattices:
-        live = allowed_mask(lattice, labels, scheme).any(axis=1)
+        live = dense_mask(lattice, labels, scheme).any(axis=1)
         emissions.append(np.where(live, values(live.shape), -np.inf))
     pair = pair_mask(labels, scheme)
     return emissions, np.where(pair, values(pair.shape), -np.inf)
@@ -82,14 +82,36 @@ def brute_marginals(scored) -> np.ndarray:
     labelings = enumerate_labelings(scored)
     totals = np.array([path_score(scored, lab) for lab in labelings])
     logz = np.logaddexp.reduce(totals)
-    m = np.zeros_like(scored.scores)
+    K = len(scored.labels)
+    m = np.zeros((len(scored.spans), K + 1, K))
     for lab, t in zip(labelings, totals):
         weight = math.exp(t - logz)
-        prev = len(scored.labels)
+        prev = K
         for s, y in lab:
             m[s, prev, y] += weight
             prev = y
     return m
+
+
+def dense_mask(lattice, labels, scheme) -> np.ndarray:
+    """(S, K+1, K) bool, cell for cell from the labeling rules: may span s of
+    the lattice carry label y after previous label p (p = K is the begin
+    sentinel). Begin precedes exactly the spans that start at position 1;
+    in the IOB scheme I-X follows only B-X or I-X, otherwise O sits only on
+    single-token spans."""
+    K = len(labels)
+    spans = lattice.sorted_spans()
+    mask = np.zeros((len(spans), K + 1, K), dtype=bool)
+    for s, (u, v) in enumerate(spans):
+        for p in range(K + 1):
+            if (p == K) != (u == 1):
+                continue
+            for y, label in enumerate(labels):
+                if scheme == IOB_SCHEME:
+                    mask[s, p, y] = not label.startswith("I-") or (p < K and labels[p] in (f"B-{label[2:]}", f"I-{label[2:]}"))
+                else:
+                    mask[s, p, y] = label != "O" or u == v
+    return mask
 
 
 def brute_best_score(scored) -> float:
@@ -308,7 +330,7 @@ def reference_scores(model, sentence) -> ScoredLattice:
     labeling rule forbids. Unseen templates weigh 0."""
     scheme = label_scheme(model.mode)
     lattice = build_lattice(sentence, model.mode)
-    mask = allowed_mask(lattice, model.labels, scheme)
+    live = dense_mask(lattice, model.labels, scheme).any(axis=1)
     K = len(model.labels)
     T = len(model.index)
 
@@ -318,7 +340,6 @@ def reference_scores(model, sentence) -> ScoredLattice:
 
     tw = np.array([[model.weights[T + p, y] for y in range(K)] for p in range(K + 1)])
     e_sy = np.full((len(lattice), K), -np.inf)
-    live = mask.any(axis=1)
     for s, span in enumerate(lattice.sorted_spans()):
         if scheme == IOB_SCHEME:
             templates = position_templates(sentence, span[0], model.dep_features)

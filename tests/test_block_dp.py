@@ -31,7 +31,7 @@ from spancrf.inference import (
 )
 from spancrf.lattice import MODE_KINDS, Mode, SpanLattice, build_lattice
 
-from oracles import brute_log_partition, brute_marginals, brute_viterbi, draw_factors, path_score, random_sentence
+from oracles import brute_log_partition, brute_marginals, brute_viterbi, dense_mask, draw_factors, path_score, random_sentence
 
 
 @st.composite
@@ -70,6 +70,10 @@ def per_sentence(rows, singles):
     return np.split(rows, np.cumsum([len(s.spans) for s in singles])[:-1])
 
 
+def scheme_of(labels):
+    return IOB_SCHEME if any(y.startswith("B-") for y in labels) else SEGMENT_SCHEME
+
+
 @settings(max_examples=100, deadline=None)
 @given(scored_sentences())
 def test_block_partition_and_marginals_match_enumeration(singles):
@@ -92,17 +96,18 @@ def test_block_partition_and_marginals_match_enumeration(singles):
 def test_factors_and_gradient_reductions(singles):
     block = as_block(singles)
     labels, K = block.labels, len(block.labels)
-    scheme = IOB_SCHEME if any(y.startswith("B-") for y in labels) else SEGMENT_SCHEME
-    masks = [allowed_mask(s.lattice, labels, scheme) for s in singles]
+    scheme = scheme_of(labels)
+    dense = np.concatenate([dense_mask(s.lattice, labels, scheme) for s in singles])
     # span mask, pair mask and begin rule reproduce the dense mask cell for cell
-    for mask, scored in zip(masks, singles):
-        begin = np.array([u == 1 for u, _ in scored.spans])[:, None] == (np.arange(K + 1) == K)[None, :]
-        factored = mask.any(axis=1)[:, None, :] & pair_mask(labels, scheme)[None] & begin[:, :, None]
-        assert np.array_equal(factored, mask)
-    assert np.array_equal(np.isfinite(block.scores), np.concatenate(masks))
+    u = block.layout.uv[:, 0]
+    begin = (u == 1)[:, None] == (np.arange(K + 1) == K)[None, :]
+    factored = allowed_mask(block.layout.uv, labels, scheme)[:, None, :] & pair_mask(labels, scheme)[None] & begin[:, :, None]
+    assert np.array_equal(factored, dense)
+    # the factors carry no begin rule, yet what it forbids gets no mass
+    m = marginals(block)
+    assert (m[~dense] == 0).all()
     # the gradient's two reductions are the sums of the dense marginals
     _, label, pair = posteriors(block, forward(block), backward(block))
-    m = marginals(block)
     np.testing.assert_allclose(label, m.sum(axis=1), rtol=0, atol=1e-12)
     np.testing.assert_allclose(pair, m.sum(axis=0), rtol=0, atol=1e-12)
     # exactly one labeled span covers each position
@@ -110,6 +115,28 @@ def test_factors_and_gradient_reductions(singles):
         for j in range(1, scored.n + 1):
             covering = [s for s, (u, v) in enumerate(scored.spans) if u <= j <= v]
             assert label_b[covering].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_sentences(), st.data())
+def test_layout_rows_are_the_span_map(singles, data):
+    block = as_block(singles)
+    lay = block.layout
+    # every span of every sentence maps to its row, in block order
+    sentence = np.repeat(np.arange(len(singles)), [len(s.spans) for s in singles])
+    u, v = np.array([span for s in singles for span in s.spans]).T
+    assert np.array_equal(lay.rows(sentence, u, v), np.arange(len(u)))
+    # a span missing from its lattice: a gap in it, past the sentence's n, or not 1 <= u <= v
+    b = data.draw(st.integers(0, len(singles) - 1), label="sentence")
+    lattice = singles[b].lattice
+    missing = [(i, j) for i in range(lattice.n + 2) for j in range(-1, lattice.n + 2) if (i, j) not in lattice.allowed]
+    for span in missing:
+        with pytest.raises(KeyError, match=f"sentence {b} "):
+            lay.rows(b, *span)
+    # the (S, K) span mask is the dense mask's projection, in either scheme
+    scheme = scheme_of(block.labels)
+    dense = np.concatenate([dense_mask(s.lattice, block.labels, scheme) for s in singles])
+    assert np.array_equal(allowed_mask(lay.uv, block.labels, scheme), dense.any(axis=1))
 
 
 @settings(max_examples=100, deadline=None)

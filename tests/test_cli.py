@@ -181,6 +181,14 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "nope.conll" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+def test_bad_lambda_exits_2(tmp_path, corpus_path, capsys, lam):
+    model = tmp_path / "model.json"
+    assert main(["train", str(corpus_path), str(model), "--lambda", lam]) == 2
+    assert "regularization" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_malformed_corpus_exits_2_with_line(tmp_path, capsys):
     bad = tmp_path / "bad.conll"
     bad.write_text("1\tonly\tthree\n")

@@ -12,6 +12,7 @@ from spancrf.inference import (
     IOB_SCHEME,
     SEGMENT_SCHEME,
     InvariantViolation,
+    ScoredBlock,
     ScoredLattice,
     Segmentation,
     allowed_mask,
@@ -23,6 +24,7 @@ from spancrf.inference import (
     marginals,
     mode_labels,
     pair_mask,
+    posteriors,
     segment_labels,
     viterbi,
 )
@@ -33,6 +35,7 @@ from oracles import (
     brute_log_partition,
     brute_marginals,
     chain_forward_logz,
+    dense_mask,
     draw_factors,
     enumerate_labelings,
     path_score,
@@ -76,39 +79,38 @@ def test_label_schemes():
 def test_segment_mask_rules(womack):
     labels = ("O", "PER", "MISC")
     lattice = build_lattice(womack, Mode("dgm", 8))
-    mask = allowed_mask(lattice, labels, SEGMENT_SCHEME)
-    K = len(labels)
+    mask = allowed_mask(np.array(lattice.sorted_spans()), labels, SEGMENT_SCHEME)
+    assert mask.shape == (len(lattice), len(labels))
     for s, (u, v) in enumerate(lattice.sorted_spans()):
-        # begin sentinel row exactly when the span starts the sentence
-        assert mask[s, K].any() == (u == 1)
-        assert mask[s, :K].any() == (u != 1)
-        # O rides only on single words
-        assert mask[s, :, 0].any() == (u == v)
-        if u != v and u > 1:
-            assert mask[s, :K, 1:].all()
+        # O rides only on single words, entity types on every span
+        assert mask[s, 0] == (u == v)
+        assert mask[s, 1:].all()
 
 
 def test_iob_mask_blocks_dangling_inside():
     labels = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
-    mask = allowed_mask(singleton_lattice(3), labels, IOB_SCHEME)
+    mask = allowed_mask(np.array(singleton_lattice(3).sorted_spans()), labels, IOB_SCHEME)
+    pair = pair_mask(labels, IOB_SCHEME)
     K = len(labels)
     first, mid = 0, 1
-    assert not mask[first, K, labels.index("I-PER")]
-    assert mask[first, K, labels.index("B-PER")]
-    assert mask[mid, labels.index("B-PER"), labels.index("I-PER")]
-    assert mask[mid, labels.index("I-PER"), labels.index("I-PER")]
-    assert not mask[mid, labels.index("O"), labels.index("I-PER")]
-    assert not mask[mid, labels.index("B-LOC"), labels.index("I-PER")]
+    # the first token follows only the begin sentinel, so it takes no inside tag
+    assert not pair[K, labels.index("I-PER")] and not mask[first, labels.index("I-PER")]
+    assert pair[K, labels.index("B-PER")] and mask[first, labels.index("B-PER")]
+    assert mask[mid].all()
+    assert pair[labels.index("B-PER"), labels.index("I-PER")]
+    assert pair[labels.index("I-PER"), labels.index("I-PER")]
+    assert not pair[labels.index("O"), labels.index("I-PER")]
+    assert not pair[labels.index("B-LOC"), labels.index("I-PER")]
     # everything may follow anything when no inside tag is involved
-    assert mask[mid, :K, labels.index("B-LOC")].all()
+    assert pair[:, labels.index("B-LOC")].all()
 
 
 def test_allowed_mask_validation():
-    lat = singleton_lattice(2)
+    uv = np.array(singleton_lattice(2).sorted_spans())
     with pytest.raises(ValueError, match="scheme"):
-        allowed_mask(lat, ("O", "A"), "bio")
+        allowed_mask(uv, ("O", "A"), "bio")
     with pytest.raises(ValueError, match="label id 0"):
-        allowed_mask(lat, ("A", "O"), SEGMENT_SCHEME)
+        allowed_mask(uv, ("A", "O"), SEGMENT_SCHEME)
 
 
 def test_scored_lattice_validation():
@@ -128,21 +130,12 @@ def test_scored_lattice_validation():
         with pytest.raises(ValueError, match="transition scores must be finite"):
             ScoredLattice(lat, labels, np.zeros((2, 2)), bad)
 
-    emission, transition = np.zeros((2, 2)), np.zeros((3, 2))
-    emission[1, 1] = 2.5
-    transition[0, 1] = 0.25
-    scored = ScoredLattice(lat, labels, emission, transition)
+    scored = ScoredLattice(lat, labels, np.zeros((2, 2)), np.zeros((3, 2)))
     assert scored.n == 2
     assert scored.span_index((2, 2)) == 1
-    assert scored.score((2, 2), 0, 1) == 2.75
-    # the begin sentinel precedes exactly the spans that start the sentence
-    assert scored.score((2, 2), 2, 1) == -np.inf
-    assert scored.score((1, 1), 0, 1) == -np.inf
-    assert scored.score((1, 1), 2, 0) == 0.0
-    with pytest.raises(ValueError):
-        scored.scores[0, 2, 0] = 1.0
-    with pytest.raises(KeyError):
-        scored.span_index((1, 2))
+    for missing in ((1, 2), (2, 3), (2, 1), (0, 1)):
+        with pytest.raises(KeyError):
+            scored.span_index(missing)
 
 
 def test_segmentation_validation():
@@ -169,6 +162,16 @@ def test_log_partition_two_labelings():
 def test_log_partition_two_squared_paths():
     scored = scored_from(singleton_lattice(2), ("O", "A"), IOB_SCHEME)
     assert log_partition(scored) == pytest.approx(math.log(4), abs=1e-12)
+
+
+def test_log_partition_rejects_a_block():
+    # a block of a 1-token and a 2-token sentence: log 2 and log 4
+    labels = ("O", "A")
+    block = ScoredBlock((singleton_lattice(1), singleton_lattice(2)), labels, np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="posteriors"):
+        log_partition(block)
+    logz, _, _ = posteriors(block, forward(block), backward(block))
+    np.testing.assert_allclose(logz, [math.log(2), math.log(4)], rtol=0, atol=1e-12)
 
 
 def test_uniform_marginals_are_half():
@@ -235,7 +238,8 @@ def test_marginals_normalize_at_every_position():
             covering = [s for s, (u, v) in enumerate(scored.spans) if u <= p <= v]
             assert sum(m[s].sum() for s in covering) == pytest.approx(1.0, abs=1e-9)
         # forbidden factors carry no mass
-        assert (m[np.isneginf(scored.scores)] == 0).all()
+        scheme = IOB_SCHEME if any(y.startswith("B-") for y in scored.labels) else SEGMENT_SCHEME
+        assert (m[~dense_mask(scored.lattice, scored.labels, scheme)] == 0).all()
 
 
 def test_linear_mode_is_a_textbook_chain_crf():
@@ -245,7 +249,7 @@ def test_linear_mode_is_a_textbook_chain_crf():
         labels = ("O", "B-A", "I-A", "B-B", "I-B")
         K = len(labels)
         lat = singleton_lattice(n)
-        mask = allowed_mask(lat, labels, IOB_SCHEME)
+        mask = dense_mask(lat, labels, IOB_SCHEME)
         emit = rng.normal(size=(n, K))
         trans = rng.normal(size=(K + 1, K))
         emission = np.where(mask.any(axis=1), emit, -np.inf)
@@ -288,8 +292,7 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
     # boost one full path far above the rest: the bound becomes tight
     lat = singleton_lattice(4)
     labels = ("O", "A")
-    mask = allowed_mask(lat, labels, SEGMENT_SCHEME)
-    emission = np.where(mask.any(axis=1), 0.0, -np.inf)
+    emission = np.where(allowed_mask(np.array(lat.sorted_spans()), labels, SEGMENT_SCHEME), 0.0, -np.inf)
     emission[:, 1] = 60.0
     scored = ScoredLattice(lat, labels, emission, np.zeros((3, 2)))
     seg, best = viterbi(scored)

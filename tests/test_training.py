@@ -35,12 +35,13 @@ from spancrf import (
 )
 from spancrf import training
 from spancrf.features import FeatureIndex
-from spancrf.inference import IOB_SCHEME, allowed_mask, label_scheme, viterbi
+from spancrf.inference import IOB_SCHEME, label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
 from oracles import (
     brute_log_partition,
     brute_marginals,
+    dense_mask,
     path_score,
     random_sentence,
     reference_rows,
@@ -78,6 +79,13 @@ def test_train_config_validation():
         TrainConfig(workers=2)
     with pytest.raises(ValueError):
         TrainConfig(ftol=0.0)
+    # NaN fails every comparison, so each is checked as a value of its own
+    for bad in (math.nan, math.inf):
+        for field in ("l2", "ftol", "gtol"):
+            with pytest.raises(ValueError):
+                TrainConfig(**{field: bad})
+        with pytest.raises(ValueError):
+            TrainConfig(lambda_grid=(0.1, bad))
 
 
 def test_model_validation():
@@ -427,7 +435,7 @@ def test_never_live_weights_stay_zero(kind):
         live_cells = np.zeros((T, len(model.labels)))
         live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
         for block in compiled.blocks:
-            allowed = np.concatenate([allowed_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
+            allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
             live_cells[: block.emit.shape[1]] += block.emit.T @ allowed.any(axis=1)
             live_pairs |= allowed.any(axis=0)
         never = np.vstack([live_cells == 0, ~live_pairs])

@@ -40,7 +40,7 @@ from .evaluation import EvalReport, SignificanceResult, TypeScore, bootstrap_tes
 from .features import FeatureIndex, word_shape
 from .inference import (
     InvariantViolation,
-    ScoredLattice,
+    ScoredBlock,
     Segmentation,
     allowed_mask,
     backward,
@@ -62,7 +62,6 @@ from .lattice import (
     average_edges_per_token,
     build_lattice,
     edge_count,
-    valid_spans,
 )
 from .synth import synthesize
 from .training import (
@@ -72,7 +71,6 @@ from .training import (
     TrainingError,
     bench_per_iteration,
     cross_validate,
-    decode,
     decode_corpus,
     fit,
     objective_and_gradient,

@@ -56,19 +56,12 @@ def _config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _csv_out(args: argparse.Namespace):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8", newline="")
-    return None
-
-
 def _write_rows(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
-    handle = _csv_out(args)
-    writer = csv.writer(handle if handle else sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if handle:
-        handle.close()
+    out = open(args.output, "w", encoding="utf-8", newline="") if args.output else contextlib.nullcontext(sys.stdout)
+    with out as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

@@ -10,11 +10,11 @@ sentinel precedes exactly the spans starting a sentence is structural:
 alpha's column K is finite only at first rows. Nothing composes the dense
 (S, K+1, K) table; marginals adds the two factors inside its one sum.
 
-The DP runs on a whole ScoredBlock at once (a ScoredLattice is a block of
-one) in one flat layout: sentence b owns rows off_b .. off_b + n_b, one per
-boundary, and a span (u, v) of it reads row off_b + u - 1 and writes row
-off_b + v. The previous label meets a span only through transition, so the
-sum over it depends on the row a span reads, not on the span (the semi-CRF
+The DP runs on a whole ScoredBlock at once, one sentence or many, in one
+flat layout: sentence b owns rows off_b .. off_b + n_b, one per boundary,
+and a span (u, v) of it reads row off_b + u - 1 and writes row off_b + v.
+The previous label meets a span only through transition, so the sum over
+it depends on the row a span reads, not on the span (the semi-CRF
 recursion of Sarawagi & Cohen, 2004). Each pass pushes the transition
 through each row once, and a span costs O(K):
 
@@ -185,19 +185,6 @@ class ScoredBlock:
                 raise ValueError(f"{name} scores must be finite or -inf")
 
 
-class ScoredLattice(ScoredBlock):
-    """One sentence's span lattice plus its factors: a block of one."""
-
-    def __init__(self, lattice: SpanLattice, labels: tuple[str, ...], emission: np.ndarray, transition: np.ndarray) -> None:
-        super().__init__((lattice,), labels, emission, transition)
-        self.lattice = lattice
-        self.n = lattice.n
-        self.spans = lattice.sorted_spans()
-
-    def span_index(self, span: tuple[int, int]) -> int:
-        return int(self.layout.rows(0, *span)[0])
-
-
 @dataclass(frozen=True)
 class Segmentation:
     """Contiguous (span, label) sequence partitioning positions 1..n."""
@@ -233,8 +220,8 @@ def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     """alpha and the row messages G of the block.
 
     alpha[r, p]: log-sum of partial segmentations up to row r ending in
-    label p. For a ScoredLattice row j is position j. Column K is the begin
-    sentinel, finite only at first rows; log Z is the logsumexp of
+    label p; row off_b + j of sentence b is its position j. Column K is the
+    begin sentinel, finite only at first rows; log Z is the logsumexp of
     alpha[last row, :K]. G[r, y] = logsumexp_p(alpha[r, p] + transition[p, y])
     is the score of entering label y from row r.
     """
@@ -280,10 +267,9 @@ def _log_partitions(scored: ScoredBlock, alpha: np.ndarray) -> np.ndarray:
     return logz
 
 
-def log_partition(scored: ScoredLattice) -> float:
-    if len(scored.lattices) != 1:
-        raise ValueError(f"log_partition takes one sentence, got a block of {len(scored.lattices)}; use posteriors")
-    return float(_log_partitions(scored, forward(scored)[0])[0])
+def log_partition(scored: ScoredBlock) -> np.ndarray:
+    """Log Z of every sentence of the block, shape (B,)."""
+    return _log_partitions(scored, forward(scored)[0])
 
 
 def posteriors(scored: ScoredBlock, fwd: tuple, bwd: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,14 +308,14 @@ def marginals(scored: ScoredBlock) -> np.ndarray:
     return np.exp(m, out=m)
 
 
-def viterbi(scored: ScoredBlock) -> tuple[Segmentation, float] | list[tuple[Segmentation, float]]:
+def viterbi(scored: ScoredBlock) -> list[tuple[Segmentation, float]]:
     """Maximum-scoring segmentation and its log-score, per sentence.
 
-    Returns one (Segmentation, score) pair for a ScoredLattice and a list
-    of them, in sentence order, for a ScoredBlock. Ties prefer the shorter
-    last segment, then the smaller previous-label id within a cell, then
-    the smaller label id at the end boundary; with all scores equal this
-    yields the all-singleton all-O segmentation.
+    Returns one (Segmentation, score) pair per sentence of the block, in
+    sentence order. Ties prefer the shorter last segment, then the smaller
+    previous-label id within a cell, then the smaller label id at the end
+    boundary; with all scores equal this yields the all-singleton all-O
+    segmentation.
     """
     lay, K, trans = scored.layout, len(scored.labels), scored.transition
     lay.check_gaps()
@@ -376,5 +362,4 @@ def viterbi(scored: ScoredBlock) -> tuple[Segmentation, float] | list[tuple[Segm
     span, label = span[order], label[order]
     segments = list(zip(map(tuple, lay.uv[span].tolist()), [scored.labels[k] for k in label.tolist()]))
     cuts = np.cumsum(np.bincount(lay.sentence[span], minlength=len(top))).tolist()
-    out = [(Segmentation(tuple(segments[lo:hi])), t) for lo, hi, t in zip([0] + cuts, cuts, top.tolist())]
-    return out[0] if isinstance(scored, ScoredLattice) else out
+    return [(Segmentation(tuple(segments[lo:hi])), t) for lo, hi, t in zip([0] + cuts, cuts, top.tolist())]

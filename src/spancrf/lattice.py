@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .corpus import DependencyTree, Sentence
+from .corpus import Sentence
 
 LINEAR = "linear"
 SEMI = "semi"
@@ -108,16 +108,6 @@ def _lattice(n: int, arcs: frozenset[tuple[int, int]], kind: str, max_len: int) 
     else:
         allowed = chain_spans(n, arcs, max_len)
     return SpanLattice(n, allowed)
-
-
-def valid_spans(tree: DependencyTree, max_len: int) -> SpanLattice:
-    """DGM lattice of a tree: chain-covered spans up to length max_len."""
-    return _lattice(tree.n, tree.arcs, DGM, max_len)
-
-
-def single_arc_spans(tree: DependencyTree, max_len: int) -> SpanLattice:
-    """DGM-S lattice of a tree: single-arc spans up to length max_len."""
-    return _lattice(tree.n, tree.arcs, DGM_S, max_len)
 
 
 def build_lattice(sentence: Sentence, mode: Mode) -> SpanLattice:

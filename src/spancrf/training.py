@@ -107,6 +107,10 @@ class TrainConfig:
         # written so that NaN fails every comparison
         if not all(0 <= lam < math.inf for lam in (self.l2, *self.lambda_grid)):
             raise ValueError("regularization must be finite and non-negative")
+        for name in ("folds", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if self.max_iter < 1:
@@ -197,6 +201,8 @@ class Model:
                 raise TypeError("converged must be true, false or null")
             if not isinstance(doc["optimizer_message"], (str, type(None))):
                 raise TypeError("optimizer_message must be a string or null")
+            if not isinstance(doc["lambda"], (int, float)) or isinstance(doc["lambda"], bool):
+                raise TypeError(f"lambda must be a number, got {doc['lambda']!r}")
             index = FeatureIndex()
             for t in templates:
                 index.intern(t)
@@ -491,11 +497,6 @@ def _segmentation_entities(seg: Segmentation, scheme: str) -> tuple[EntitySpan, 
     if scheme == IOB_SCHEME:
         return iob_to_spans(seg.labels())[0]
     return tuple(EntitySpan(u, v, label) for (u, v), label in seg if label != "O")
-
-
-def decode(model: Model, sentence: Sentence) -> tuple[EntitySpan, ...]:
-    """Viterbi entity spans for one sentence."""
-    return decode_corpus(model, [sentence])[0]
 
 
 def decode_corpus(model: Model, corpus: list[Sentence]) -> list[tuple[EntitySpan, ...]]:

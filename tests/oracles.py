@@ -17,19 +17,21 @@ from collections import Counter
 
 import numpy as np
 
-from spancrf import DependencyTree, EntitySpan, ScoredLattice, Sentence, Token, build_lattice
+from spancrf import DependencyTree, EntitySpan, Sentence, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
-from spancrf.inference import IOB_SCHEME, label_scheme, pair_mask
+from spancrf.inference import IOB_SCHEME, ScoredBlock, label_scheme, pair_mask
 
 
 def enumerate_labelings(scored):
-    """Every complete segmentation as a list of (span_index, label_index).
+    """Every complete segmentation of a one-sentence block as a list of
+    (span row, label id) pairs.
 
     Only factors with finite scores emission[s, y] + transition[p, y] are
     followed; the begin state is previous label K, the transition's last row.
     """
-    spans = scored.spans
+    lattice = scored.lattices[0]
+    spans = lattice.sorted_spans()
     K = len(scored.labels)
     by_start: dict[int, list[int]] = {}
     for idx, (u, _v) in enumerate(spans):
@@ -37,7 +39,7 @@ def enumerate_labelings(scored):
     out: list[list[tuple[int, int]]] = []
 
     def rec(pos: int, prev: int, acc: list[tuple[int, int]]) -> None:
-        if pos > scored.n:
+        if pos > lattice.n:
             out.append(list(acc))
             return
         for s in by_start.get(pos, ()):
@@ -83,7 +85,7 @@ def brute_marginals(scored) -> np.ndarray:
     totals = np.array([path_score(scored, lab) for lab in labelings])
     logz = np.logaddexp.reduce(totals)
     K = len(scored.labels)
-    m = np.zeros((len(scored.spans), K + 1, K))
+    m = np.zeros((len(scored.emission), K + 1, K))
     for lab, t in zip(labelings, totals):
         weight = math.exp(t - logz)
         prev = K
@@ -127,9 +129,10 @@ def brute_viterbi(scored):
     """
     labelings = enumerate_labelings(scored)
     top = max(path_score(scored, lab) for lab in labelings)
+    spans = scored.lattices[0].sorted_spans()
 
     def key(lab):
-        lengths = [scored.spans[s][1] - scored.spans[s][0] for s, _ in lab]
+        lengths = [spans[s][1] - spans[s][0] for s, _ in lab]
         out = [lengths[-1], lab[-1][1]]
         for k in range(len(lab) - 2, -1, -1):
             out += [lab[k][1], lengths[k]]
@@ -323,11 +326,11 @@ def reference_rows(sentences, lattices, segments: bool, dep: bool, template_id):
     return np.array(indptr, np.int64), np.array(indices, np.int32), np.array(data, np.float64)
 
 
-def reference_scores(model, sentence) -> ScoredLattice:
-    """Factors of one sentence by looking up every template string in the
-    model's index: emission(span, y) is W[template, y] summed template by
-    template, transition(p, y) the weight W[T + p, y], each -inf where the
-    labeling rule forbids. Unseen templates weigh 0."""
+def reference_scores(model, sentence) -> ScoredBlock:
+    """One sentence as a block of one, its factors found by looking up every
+    template string in the model's index: emission(span, y) is W[template, y]
+    summed template by template, transition(p, y) the weight W[T + p, y],
+    each -inf where the labeling rule forbids. Unseen templates weigh 0."""
     scheme = label_scheme(model.mode)
     lattice = build_lattice(sentence, model.mode)
     live = dense_mask(lattice, model.labels, scheme).any(axis=1)
@@ -354,7 +357,7 @@ def reference_scores(model, sentence) -> ScoredLattice:
                 for template, c in counts.items():
                     total += weight(template, y) * c
                 e_sy[s, y] = total
-    return ScoredLattice(lattice, model.labels, e_sy, np.where(pair_mask(model.labels, scheme), tw, -np.inf))
+    return ScoredBlock((lattice,), model.labels, e_sy, np.where(pair_mask(model.labels, scheme), tw, -np.inf))
 
 
 def segmentation_entities(seg, scheme: str) -> tuple[EntitySpan, ...]:

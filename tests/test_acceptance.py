@@ -26,7 +26,7 @@ from spancrf.combinatorics import (
 from spancrf.corpus import LabelSet
 from spancrf.evaluation import score
 from spancrf.features import FeatureIndex
-from spancrf.inference import label_scheme, log_partition, marginals, mode_labels, viterbi
+from spancrf.inference import ScoredBlock, label_scheme, log_partition, marginals, mode_labels, viterbi
 from spancrf.lattice import (
     MODE_KINDS,
     Mode,
@@ -83,8 +83,6 @@ def test_criterion_03_average_bound():
 
 
 def _random_instance(rng, i):
-    from spancrf.inference import ScoredLattice
-
     kind = MODE_KINDS[i % len(MODE_KINDS)]
     mode = Mode(kind, max_len=int(rng.integers(1, 9)))
     types = ("A",) if kind == "linear" else ("A", "B")[: int(rng.integers(1, 3))]
@@ -93,7 +91,7 @@ def _random_instance(rng, i):
     assert len(labels) <= 3 or kind == "linear"
     lattice = build_lattice(sent, mode)
     (emission,), transition = draw_factors([lattice], labels, label_scheme(mode), lambda shape: rng.normal(scale=2.0, size=shape))
-    return ScoredLattice(lattice, labels, emission, transition)
+    return ScoredBlock((lattice,), labels, emission, transition)
 
 
 def test_criterion_04_dp_matches_enumeration():
@@ -101,12 +99,12 @@ def test_criterion_04_dp_matches_enumeration():
     worst = 0.0
     for i in range(200):
         scored = _random_instance(rng, i)
-        logz = log_partition(scored)
+        [logz] = log_partition(scored)
         brute = brute_log_partition(scored)
         worst = max(worst, abs(logz - brute))
         assert abs(logz - brute) <= 1e-8
         np.testing.assert_allclose(marginals(scored), brute_marginals(scored), atol=1e-8)
-        _, best = viterbi(scored)
+        [(_, best)] = viterbi(scored)
         assert abs(best - brute_best_score(scored)) <= 1e-8
     print(f"criterion 4: PASS - 200 instances, all modes; worst logZ gap {worst:.2e}")
 

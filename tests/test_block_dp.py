@@ -18,11 +18,11 @@ from spancrf.inference import (
     SEGMENT_SCHEME,
     InvariantViolation,
     ScoredBlock,
-    ScoredLattice,
     allowed_mask,
     backward,
     forward,
     label_scheme,
+    log_partition,
     marginals,
     mode_labels,
     pair_mask,
@@ -36,8 +36,8 @@ from oracles import brute_log_partition, brute_marginals, brute_viterbi, dense_m
 
 @st.composite
 def scored_sentences(draw):
-    """1-6 scored sentences of lengths 1-5 under one mode and label set,
-    sharing one transition table.
+    """1-6 sentences of lengths 1-5, each a scored block of one, under one
+    mode and label set, sharing one transition table.
 
     Emission and transition scores are random where the labeling rule
     allows them and -inf where it forbids; small integers when ties are
@@ -54,12 +54,12 @@ def scored_sentences(draw):
 
     lattices = [build_lattice(random_sentence(rng, n=n), mode) for n in lengths]
     emissions, transition = draw_factors(lattices, labels, label_scheme(mode), values)
-    return [ScoredLattice(lat, labels, emission, transition) for lat, emission in zip(lattices, emissions)]
+    return [ScoredBlock((lat,), labels, emission, transition) for lat, emission in zip(lattices, emissions)]
 
 
 def as_block(singles):
     return ScoredBlock(
-        tuple(s.lattice for s in singles),
+        tuple(s.lattices[0] for s in singles),
         singles[0].labels,
         np.concatenate([s.emission for s in singles]),
         singles[0].transition,
@@ -67,7 +67,7 @@ def as_block(singles):
 
 
 def per_sentence(rows, singles):
-    return np.split(rows, np.cumsum([len(s.spans) for s in singles])[:-1])
+    return np.split(rows, np.cumsum([len(s.emission) for s in singles])[:-1])
 
 
 def scheme_of(labels):
@@ -81,6 +81,7 @@ def test_block_partition_and_marginals_match_enumeration(singles):
     logz, label, _ = posteriors(block, forward(block), backward(block))
     m = marginals(block)
     assert logz.shape == (len(singles),)
+    assert np.array_equal(log_partition(block), logz)
     for scored, z, m_b, label_b in zip(singles, logz, per_sentence(m, singles), per_sentence(label, singles)):
         assert z == pytest.approx(brute_log_partition(scored), abs=1e-9)
         np.testing.assert_allclose(m_b, brute_marginals(scored), rtol=0, atol=1e-9)
@@ -97,7 +98,7 @@ def test_factors_and_gradient_reductions(singles):
     block = as_block(singles)
     labels, K = block.labels, len(block.labels)
     scheme = scheme_of(labels)
-    dense = np.concatenate([dense_mask(s.lattice, labels, scheme) for s in singles])
+    dense = np.concatenate([dense_mask(s.lattices[0], labels, scheme) for s in singles])
     # span mask, pair mask and begin rule reproduce the dense mask cell for cell
     u = block.layout.uv[:, 0]
     begin = (u == 1)[:, None] == (np.arange(K + 1) == K)[None, :]
@@ -112,8 +113,9 @@ def test_factors_and_gradient_reductions(singles):
     np.testing.assert_allclose(pair, m.sum(axis=0), rtol=0, atol=1e-12)
     # exactly one labeled span covers each position
     for scored, label_b in zip(singles, per_sentence(label, singles)):
-        for j in range(1, scored.n + 1):
-            covering = [s for s, (u, v) in enumerate(scored.spans) if u <= j <= v]
+        lattice = scored.lattices[0]
+        for j in range(1, lattice.n + 1):
+            covering = [s for s, (u, v) in enumerate(lattice.sorted_spans()) if u <= j <= v]
             assert label_b[covering].sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -123,19 +125,19 @@ def test_layout_rows_are_the_span_map(singles, data):
     block = as_block(singles)
     lay = block.layout
     # every span of every sentence maps to its row, in block order
-    sentence = np.repeat(np.arange(len(singles)), [len(s.spans) for s in singles])
-    u, v = np.array([span for s in singles for span in s.spans]).T
+    sentence = np.repeat(np.arange(len(singles)), [len(s.emission) for s in singles])
+    u, v = np.array([span for s in singles for span in s.lattices[0].sorted_spans()]).T
     assert np.array_equal(lay.rows(sentence, u, v), np.arange(len(u)))
     # a span missing from its lattice: a gap in it, past the sentence's n, or not 1 <= u <= v
     b = data.draw(st.integers(0, len(singles) - 1), label="sentence")
-    lattice = singles[b].lattice
+    lattice = singles[b].lattices[0]
     missing = [(i, j) for i in range(lattice.n + 2) for j in range(-1, lattice.n + 2) if (i, j) not in lattice.allowed]
     for span in missing:
         with pytest.raises(KeyError, match=f"sentence {b} "):
             lay.rows(b, *span)
     # the (S, K) span mask is the dense mask's projection, in either scheme
     scheme = scheme_of(block.labels)
-    dense = np.concatenate([dense_mask(s.lattice, block.labels, scheme) for s in singles])
+    dense = np.concatenate([dense_mask(s.lattices[0], block.labels, scheme) for s in singles])
     assert np.array_equal(allowed_mask(lay.uv, block.labels, scheme), dense.any(axis=1))
 
 
@@ -146,9 +148,10 @@ def test_block_viterbi_matches_enumeration_with_tie_rule(singles):
     assert len(decoded) == len(singles)
     for scored, (seg, best) in zip(singles, decoded):
         want = brute_viterbi(scored)
-        assert list(seg) == [(scored.spans[s], scored.labels[y]) for s, y in want]
+        spans = scored.lattices[0].sorted_spans()
+        assert list(seg) == [(spans[s], scored.labels[y]) for s, y in want]
         assert best == pytest.approx(path_score(scored, want), abs=1e-9)
-        assert viterbi(scored) == (seg, best)
+        assert viterbi(scored) == [(seg, best)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -158,7 +161,7 @@ def test_gapped_lattice_inside_a_block_raises(singles, n, data):
     where = data.draw(st.integers(0, len(singles)), label="where")
     labels = singles[0].labels
     spans = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + 1) + 1) if v != gap)
-    gapped = ScoredLattice(SpanLattice(n, spans), labels, np.zeros((len(spans), len(labels))), singles[0].transition)
+    gapped = ScoredBlock((SpanLattice(n, spans),), labels, np.zeros((len(spans), len(labels))), singles[0].transition)
     block = as_block(singles[:where] + [gapped] + singles[where:])
     for dp in (forward, marginals, viterbi):
         with pytest.raises(InvariantViolation, match=f"position {gap} .sentence {where} "):

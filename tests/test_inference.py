@@ -13,7 +13,6 @@ from spancrf.inference import (
     SEGMENT_SCHEME,
     InvariantViolation,
     ScoredBlock,
-    ScoredLattice,
     Segmentation,
     allowed_mask,
     backward,
@@ -24,7 +23,6 @@ from spancrf.inference import (
     marginals,
     mode_labels,
     pair_mask,
-    posteriors,
     segment_labels,
     viterbi,
 )
@@ -48,7 +46,7 @@ def scored_from(lattice, labels, scheme, rng=None, fill=0.0):
         (emission,), transition = draw_factors([lattice], labels, scheme, lambda shape: np.full(shape, fill))
     else:
         (emission,), transition = draw_factors([lattice], labels, scheme, lambda shape: rng.normal(scale=1.5, size=shape))
-    return ScoredLattice(lattice, labels, emission, transition)
+    return ScoredBlock((lattice,), labels, emission, transition)
 
 
 def singleton_lattice(n):
@@ -117,25 +115,24 @@ def test_scored_lattice_validation():
     lat = singleton_lattice(2)
     labels = ("O", "A")
     with pytest.raises(ValueError, match="emission shape"):
-        ScoredLattice(lat, labels, np.zeros((2, 3)), np.zeros((3, 2)))
+        ScoredBlock((lat,), labels, np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="transition shape"):
-        ScoredLattice(lat, labels, np.zeros((2, 2)), np.zeros((2, 2)))
+        ScoredBlock((lat,), labels, np.zeros((2, 2)), np.zeros((2, 2)))
     for bad_value in (np.nan, np.inf):
         bad = np.zeros((2, 2))
         bad[0, 0] = bad_value
         with pytest.raises(ValueError, match="emission scores must be finite"):
-            ScoredLattice(lat, labels, bad, np.zeros((3, 2)))
+            ScoredBlock((lat,), labels, bad, np.zeros((3, 2)))
         bad = np.zeros((3, 2))
         bad[0, 0] = bad_value
         with pytest.raises(ValueError, match="transition scores must be finite"):
-            ScoredLattice(lat, labels, np.zeros((2, 2)), bad)
+            ScoredBlock((lat,), labels, np.zeros((2, 2)), bad)
 
-    scored = ScoredLattice(lat, labels, np.zeros((2, 2)), np.zeros((3, 2)))
-    assert scored.n == 2
-    assert scored.span_index((2, 2)) == 1
+    scored = ScoredBlock((lat,), labels, np.zeros((2, 2)), np.zeros((3, 2)))
+    assert scored.layout.rows(0, 2, 2).tolist() == [1]
     for missing in ((1, 2), (2, 3), (2, 1), (0, 1)):
         with pytest.raises(KeyError):
-            scored.span_index(missing)
+            scored.layout.rows(0, *missing)
 
 
 def test_segmentation_validation():
@@ -156,22 +153,17 @@ def test_segmentation_validation():
 
 def test_log_partition_two_labelings():
     scored = scored_from(singleton_lattice(1), ("O", "PER"), SEGMENT_SCHEME)
-    assert log_partition(scored) == pytest.approx(math.log(2), abs=1e-12)
+    logz = log_partition(scored)
+    assert logz.shape == (1,)
+    assert logz[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_log_partition_two_squared_paths():
     scored = scored_from(singleton_lattice(2), ("O", "A"), IOB_SCHEME)
-    assert log_partition(scored) == pytest.approx(math.log(4), abs=1e-12)
-
-
-def test_log_partition_rejects_a_block():
-    # a block of a 1-token and a 2-token sentence: log 2 and log 4
-    labels = ("O", "A")
-    block = ScoredBlock((singleton_lattice(1), singleton_lattice(2)), labels, np.zeros((3, 2)), np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="posteriors"):
-        log_partition(block)
-    logz, _, _ = posteriors(block, forward(block), backward(block))
-    np.testing.assert_allclose(logz, [math.log(2), math.log(4)], rtol=0, atol=1e-12)
+    assert log_partition(scored)[0] == pytest.approx(math.log(4), abs=1e-12)
+    # a block of a 1-token and a 2-token sentence: log 2 and log 4, one per sentence
+    block = ScoredBlock((singleton_lattice(1), singleton_lattice(2)), ("O", "A"), np.zeros((3, 2)), np.zeros((3, 2)))
+    np.testing.assert_allclose(log_partition(block), [math.log(2), math.log(4)], rtol=0, atol=1e-12)
 
 
 def test_uniform_marginals_are_half():
@@ -185,7 +177,7 @@ def test_uniform_marginals_are_half():
 def test_viterbi_prefers_scored_label():
     lat = singleton_lattice(1)
     labels = ("O", "PER")
-    seg, best = viterbi(ScoredLattice(lat, labels, np.array([[0.0, 1.0]]), np.zeros((3, 2))))
+    [(seg, best)] = viterbi(ScoredBlock((lat,), labels, np.array([[0.0, 1.0]]), np.zeros((3, 2))))
     assert seg.segments == (((1, 1), "PER"),)
     assert best == 1.0
 
@@ -193,7 +185,7 @@ def test_viterbi_prefers_scored_label():
 def test_viterbi_tie_rule_all_singletons(womack):
     labels = ("O", "PER", "MISC")
     scored = scored_from(build_lattice(womack, Mode("dgm", 8)), labels, SEGMENT_SCHEME)
-    seg, best = viterbi(scored)
+    [(seg, best)] = viterbi(scored)
     assert best == 0.0
     assert seg.segments == tuple((((i, i), "O")) for i in range(1, 10))
 
@@ -208,7 +200,7 @@ def test_viterbi_tie_prefers_shorter_last_segment():
     emission[idx[(1, 1)], 1] = 0.5
     emission[idx[(2, 2)], 1] = 0.5
     emission[idx[(1, 2)], 1] = 1.0
-    seg, best = viterbi(ScoredLattice(lat, labels, emission, np.zeros((3, 2))))
+    [(seg, best)] = viterbi(ScoredBlock((lat,), labels, emission, np.zeros((3, 2))))
     assert best == pytest.approx(1.0)
     assert seg.segments == (((1, 1), "A"), ((2, 2), "A"))
 
@@ -219,13 +211,13 @@ def test_dp_matches_enumeration_oracles():
         scored = random_scored(rng)
         labelings = enumerate_labelings(scored)
         assert labelings, "every lattice admits the all-singleton path"
-        assert log_partition(scored) == pytest.approx(brute_log_partition(scored), abs=1e-10)
+        assert log_partition(scored)[0] == pytest.approx(brute_log_partition(scored), abs=1e-10)
         np.testing.assert_allclose(marginals(scored), brute_marginals(scored), atol=1e-10)
-        seg, best = viterbi(scored)
+        [(seg, best)] = viterbi(scored)
         assert best == pytest.approx(brute_best_score(scored), abs=1e-10)
         # the returned segmentation really has the returned score
-        idx = {span: i for i, span in enumerate(scored.spans)}
-        lab = [(idx[span], scored.labels.index(y)) for span, y in seg]
+        u, v = np.array([span for span, _ in seg]).T
+        lab = list(zip(scored.layout.rows(0, u, v).tolist(), map(scored.labels.index, seg.labels())))
         assert path_score(scored, lab) == pytest.approx(best, abs=1e-10)
 
 
@@ -234,12 +226,13 @@ def test_marginals_normalize_at_every_position():
     for _ in range(25):
         scored = random_scored(rng)
         m = marginals(scored)
-        for p in range(1, scored.n + 1):
-            covering = [s for s, (u, v) in enumerate(scored.spans) if u <= p <= v]
+        lattice = scored.lattices[0]
+        for p in range(1, lattice.n + 1):
+            covering = [s for s, (u, v) in enumerate(lattice.sorted_spans()) if u <= p <= v]
             assert sum(m[s].sum() for s in covering) == pytest.approx(1.0, abs=1e-9)
         # forbidden factors carry no mass
         scheme = IOB_SCHEME if any(y.startswith("B-") for y in scored.labels) else SEGMENT_SCHEME
-        assert (m[~dense_mask(scored.lattice, scored.labels, scheme)] == 0).all()
+        assert (m[~dense_mask(lattice, scored.labels, scheme)] == 0).all()
 
 
 def test_linear_mode_is_a_textbook_chain_crf():
@@ -253,7 +246,7 @@ def test_linear_mode_is_a_textbook_chain_crf():
         emit = rng.normal(size=(n, K))
         trans = rng.normal(size=(K + 1, K))
         emission = np.where(mask.any(axis=1), emit, -np.inf)
-        logz = log_partition(ScoredLattice(lat, labels, emission, np.where(pair_mask(labels, IOB_SCHEME), trans, -np.inf)))
+        [logz] = log_partition(ScoredBlock((lat,), labels, emission, np.where(pair_mask(labels, IOB_SCHEME), trans, -np.inf)))
 
         chain_trans = np.where(mask[1] if n > 1 else True, trans, -np.inf)[:K]
         begin = np.where(mask[0][K], trans[K] + 0.0, -np.inf)
@@ -268,43 +261,44 @@ def test_shrinking_the_lattice_never_raises_logz():
         lattice = build_lattice(sent, Mode("semi", 4))
         labels = ("O", "A")
         scored = scored_from(lattice, labels, SEGMENT_SCHEME, rng=rng)
-        multi = [span for span in scored.spans if span[1] > span[0]]
+        spans = lattice.sorted_spans()
+        multi = [span for span in spans if span[1] > span[0]]
         if not multi:
             continue
         drop = multi[int(rng.integers(len(multi)))]
-        keep = [s for s, span in enumerate(scored.spans) if span != drop]
-        smaller = ScoredLattice(
-            SpanLattice(lattice.n, frozenset(span for span in scored.spans if span != drop)),
+        keep = [s for s, span in enumerate(spans) if span != drop]
+        smaller = ScoredBlock(
+            (SpanLattice(lattice.n, frozenset(span for span in spans if span != drop)),),
             labels,
             scored.emission[keep],
             scored.transition,
         )
-        assert log_partition(smaller) <= log_partition(scored) + 1e-12
+        assert log_partition(smaller)[0] <= log_partition(scored)[0] + 1e-12
 
 
 def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
     rng = np.random.default_rng(24)
     for _ in range(15):
         scored = random_scored(rng)
-        _, best = viterbi(scored)
-        logz = log_partition(scored)
+        [(_, best)] = viterbi(scored)
+        [logz] = log_partition(scored)
         assert logz >= best - 1e-12
     # boost one full path far above the rest: the bound becomes tight
     lat = singleton_lattice(4)
     labels = ("O", "A")
     emission = np.where(allowed_mask(np.array(lat.sorted_spans()), labels, SEGMENT_SCHEME), 0.0, -np.inf)
     emission[:, 1] = 60.0
-    scored = ScoredLattice(lat, labels, emission, np.zeros((3, 2)))
-    seg, best = viterbi(scored)
+    scored = ScoredBlock((lat,), labels, emission, np.zeros((3, 2)))
+    [(seg, best)] = viterbi(scored)
     assert best == pytest.approx(240.0)
     assert seg.labels() == ("A", "A", "A", "A")
-    assert log_partition(scored) == pytest.approx(best, abs=1e-9)
+    assert log_partition(scored)[0] == pytest.approx(best, abs=1e-9)
 
 
 def test_gapped_lattice_raises_invariant_violation():
     lat = SpanLattice(3, frozenset({(1, 1), (3, 3)}))
     labels = ("O", "A")
-    scored = ScoredLattice(lat, labels, np.zeros((2, 2)), np.zeros((3, 2)))
+    scored = ScoredBlock((lat,), labels, np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(InvariantViolation, match="position 2"):
         forward(scored)
     with pytest.raises(InvariantViolation):
@@ -321,14 +315,14 @@ def test_extreme_scores_stay_finite():
         for fill in (-1e4, 1e4):
             # every labeling scores fill per segment; transitions add 0
             (emission,), _ = draw_factors([lat], labels, SEGMENT_SCHEME, lambda shape: np.full(shape, fill))
-            scored = ScoredLattice(lat, labels, emission, np.zeros((4, 3)))
-            logz = log_partition(scored)
+            scored = ScoredBlock((lat,), labels, emission, np.zeros((4, 3)))
+            [logz] = log_partition(scored)
             assert math.isfinite(logz)
             assert logz == pytest.approx(6 * fill + math.log(3 ** 6), rel=1e-12)
         (emission,), transition = draw_factors([lat], labels, SEGMENT_SCHEME, lambda shape: rng.uniform(-1e4, 1e4, size=shape))
-        scored = ScoredLattice(lat, labels, emission, transition)
+        scored = ScoredBlock((lat,), labels, emission, transition)
         m = marginals(scored)
-        assert np.isfinite(log_partition(scored))
+        assert np.isfinite(log_partition(scored)).all()
         # exponent arithmetic at 1e4 scale leaves ~1e-12 relative slack
         assert ((m >= 0) & (m <= 1 + 1e-9)).all()
 
@@ -337,11 +331,11 @@ def test_forward_backward_agree_on_logz():
     rng = np.random.default_rng(26)
     for _ in range(20):
         scored = random_scored(rng)
-        K = len(scored.labels)
+        K, n = len(scored.labels), scored.lattices[0].n
         alpha, G = forward(scored)
         beta, H = backward(scored)
-        assert np.logaddexp.reduce(alpha[scored.n, :K]) == pytest.approx(beta[0, K], abs=1e-10)
+        assert np.logaddexp.reduce(alpha[n, :K]) == pytest.approx(beta[0, K], abs=1e-10)
         # the row messages fold the transition into alpha and beta
         np.testing.assert_allclose(G, np.logaddexp.reduce(alpha[:, :, None] + scored.transition, axis=1), atol=1e-12)
-        inner = slice(1, scored.n)
+        inner = slice(1, n)
         np.testing.assert_allclose(beta[inner, :K], np.logaddexp.reduce(scored.transition[:K] + H[inner, None, :], axis=2), atol=1e-12)

@@ -22,8 +22,6 @@ from spancrf.lattice import (
     build_lattice,
     chain_spans,
     edge_count,
-    single_arc_spans,
-    valid_spans,
 )
 
 from oracles import chain_spans_reference
@@ -117,11 +115,6 @@ def test_mode_containment_and_cap_monotonicity():
         assert singles <= arc
         assert chain_spans(n, tree.edges, cap) <= chain_spans(n, tree.edges, cap + 1)
         assert max((v - u + 1 for u, v in dgm), default=1) <= cap
-
-
-def test_tree_helpers_agree_with_build(womack):
-    assert valid_spans(womack.tree, 8).allowed == build_lattice(womack, Mode(DGM, 8)).allowed
-    assert single_arc_spans(womack.tree, 8).allowed == build_lattice(womack, Mode(DGM_S, 8)).allowed
 
 
 def test_edge_count_is_spans_times_label_pairs(womack):

@@ -24,7 +24,6 @@ from spancrf import (
     bench_per_iteration,
     build_lattice,
     cross_validate,
-    decode,
     decode_corpus,
     fit,
     objective_and_gradient,
@@ -79,6 +78,10 @@ def test_train_config_validation():
         TrainConfig(workers=2)
     with pytest.raises(ValueError):
         TrainConfig(ftol=0.0)
+    # counts must be integers; bool is an int subclass but not a count
+    for field, bad in (("folds", 2.5), ("folds", True), ("max_iter", 1.5), ("max_iter", True), ("max_iter", 10.0)):
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(**{field: bad})
     # NaN fails every comparison, so each is checked as a value of its own
     for bad in (math.nan, math.inf):
         for field in ("l2", "ftol", "gtol"):
@@ -319,6 +322,8 @@ _GOOD_MODEL = {
         (json.dumps({**_GOOD_MODEL, "L": 2.5}), "max_len"),
         (json.dumps({**_GOOD_MODEL, "L": True}), "max_len"),
         (json.dumps({**_GOOD_MODEL, "lambda": float("nan")}), "lambda"),
+        (json.dumps({**_GOOD_MODEL, "lambda": "0.1"}), "lambda"),
+        (json.dumps({**_GOOD_MODEL, "lambda": True}), "lambda"),
         (json.dumps({**_GOOD_MODEL, "dep_features": "no"}), "dep_features"),
     ],
     ids=[
@@ -334,6 +339,8 @@ _GOOD_MODEL = {
         "fractional-max-len",
         "boolean-max-len",
         "nan-lambda",
+        "string-lambda",
+        "boolean-lambda",
         "dep-features-not-bool",
     ],
 )
@@ -370,7 +377,7 @@ def test_decode_matches_string_lookup_reference(kind):
     scheme = label_scheme(mode)
     for _ in range(3):
         model.weights = rng.normal(scale=1.0, size=model.weights.shape)
-        want = [segmentation_entities(viterbi(reference_scores(model, s))[0], scheme) for s in train + held]
+        want = [segmentation_entities(viterbi(reference_scores(model, s))[0][0], scheme) for s in train + held]
         assert decode_corpus(model, train + held) == want
 
 
@@ -395,13 +402,14 @@ def test_objective_matches_enumeration_at_large_weights(kind):
                 tags = spans_to_iob(sentence.gold, sentence.n)
                 gold = [((i, i), tags[i - 1]) for i in range(1, sentence.n + 1)]
             else:
-                gold = list(project_gold(sentence, scored.lattice)[0])
-            gold = [(scored.span_index(span), model.labels.index(label)) for span, label in gold]
+                gold = list(project_gold(sentence, scored.lattices[0])[0])
+            gold = [(int(scored.layout.rows(0, *span)[0]), model.labels.index(label)) for span, label in gold]
             want_value += brute_log_partition(scored) - path_score(scored, gold)
-            indptr, indices, data = reference_rows([sentence], [scored.lattice], scheme != IOB_SCHEME, True, model.index.lookup)
-            X = sparse.csr_matrix((data, indices, indptr), shape=(len(scored.spans), T))
+            indptr, indices, data = reference_rows([sentence], scored.lattices, scheme != IOB_SCHEME, True, model.index.lookup)
+            S = len(scored.emission)
+            X = sparse.csr_matrix((data, indices, indptr), shape=(S, T))
             m = brute_marginals(scored)
-            counts = np.zeros((len(scored.spans), K))
+            counts = np.zeros((S, K))
             pairs = np.zeros((K + 1, K))
             prev = K
             for s, y in gold:
@@ -448,7 +456,7 @@ def test_decode_does_not_depend_on_block_layout():
     model = fit(corpus[:40], quick(l2=0.01, max_iter=20), Mode("dgm", 8))
     whole = decode_corpus(model, corpus)
     assert len(whole) == 150 and sum(map(len, whole)) > 0
-    assert whole == [decode(model, s) for s in corpus]
+    assert whole == [decode_corpus(model, [s])[0] for s in corpus]
     assert whole == decode_corpus(model, corpus[:37]) + decode_corpus(model, corpus[37:])
 
 
@@ -481,7 +489,7 @@ def test_decode_does_not_depend_on_sentence_order_or_cuts(fitted, kind, order, c
 def test_decode_single_sentence_matches_corpus_decode(womack):
     corpus = synthesize(6, mean_len=6.0, num_types=2, vocab=0, entity_rate=0.4, seed=18)
     model = fit(corpus, quick(l2=0.0, max_iter=30), Mode("semi", 8))
-    assert [decode(model, s) for s in corpus] == decode_corpus(model, corpus)
+    assert [decode_corpus(model, [s])[0] for s in corpus] == decode_corpus(model, corpus)
 
 
 def test_cross_validate_picks_working_regularizer():

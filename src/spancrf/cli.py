@@ -14,8 +14,8 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
-import time
 
 from . import __version__
 from .combinatorics import average_valid_spans, verify_identities
@@ -74,16 +74,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             print(f"lambda {lam:g}: mean F1 {means[lam]:.2f}")
         print(f"selected lambda {best:g}")
         config = dataclasses.replace(config, l2=best)
-    last = [time.perf_counter()]
-
-    def report(k: int, value: float) -> None:
-        now = time.perf_counter()
-        print(f"iter {k}: objective {value:.6f} ({now - last[0]:.3f}s)")
-        last[0] = now
-
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as trace:
-        record = (lambda entry: trace.write(json.dumps(entry) + "\n")) if trace else None
-        model = fit(sentences, config, mode, on_iteration=report, trace=record)
+
+        def report(record: dict) -> None:
+            print(f"iter {record['iteration']}: objective {record['objective']:.6f} ({record['step_s']:.3f}s)")
+            if trace:
+                trace.write(json.dumps(record) + "\n")
+
+        model = fit(sentences, config, mode, trace=report)
     model.save(args.output)
     print(f"model written to {args.output}")
     return 0
@@ -286,7 +284,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader chose to stop; silence stdout so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConllParseError, SerializationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

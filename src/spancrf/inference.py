@@ -35,10 +35,12 @@ ties go to the smaller previous label within a row, then to the shorter of
 the spans that write one row, and at the end boundary to the shorter last
 segment, then the smaller label.
 
-Labeling rules (per scheme):
+Labeling rules (per scheme), the span rule in allowed_mask (on emission),
+the pair rule in pair_mask (on transition, begin row K included):
   segment  entity labels on any allowed span, O only on length-1 spans,
            transitions unrestricted
-  iob      length-1 spans with IOB tags, I-X only after B-X or I-X
+  iob      length-1 spans with IOB tags, I-X only after B-X or I-X, so
+           never first in a sentence
 """
 
 from __future__ import annotations
@@ -85,19 +87,12 @@ def pair_mask(labels: tuple[str, ...], scheme: str) -> np.ndarray:
     return np.array([[not y.startswith("I-") or p in (f"B-{y[2:]}", y) for y in labels] for p in labels + ("",)])
 
 
-def allowed_mask(uv: np.ndarray, labels: tuple[str, ...], scheme: str) -> np.ndarray:
-    """(S, K) bool: may span s, row s = (u, v) of uv, carry label y.
-
-    A span starting at position 1 follows only the begin sentinel, so it
-    takes the labels that may follow begin; any other span takes the labels
-    that may follow some label. In the segment scheme O sits only on
-    single-token spans.
-    """
-    pair = pair_mask(labels, scheme)
-    u, v = uv.T
-    mask = np.where((u == 1)[:, None], pair[-1], pair[:-1].any(axis=0))
-    if scheme == SEGMENT_SCHEME:
-        mask[v > u, 0] = False
+def allowed_mask(uv: np.ndarray, num_labels: int) -> np.ndarray:
+    """(S, K) bool: may span s, row s = (u, v) of uv, carry label y. Every
+    label may, except O (label 0) on a span longer than one token; which
+    label may start a sentence or follow another is pair_mask's rule alone."""
+    mask = np.ones((len(uv), num_labels), dtype=bool)
+    mask[uv[:, 1] > uv[:, 0], 0] = False
     return mask
 
 

@@ -4,13 +4,12 @@ LINEAR uses single-word segments only. SEMI allows every span up to the
 length cap L. The dependency-guided lattices prune SEMI's span set using
 the sentence's tree: DGM keeps spans covered by an increasing chain of
 undirected arcs, DGM-S only spans covered by one arc. Single words are
-always valid.
+always valid. A lattice is built on every call and never memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .corpus import Sentence
@@ -46,11 +45,7 @@ class SpanLattice:
     allowed: frozenset[tuple[int, int]]
 
     def sorted_spans(self) -> tuple[tuple[int, int], ...]:
-        """The allowed spans in sorted order, sorted once per lattice."""
-        return self._sorted_spans
-
-    @cached_property
-    def _sorted_spans(self) -> tuple[tuple[int, int], ...]:
+        """The allowed spans in sorted order."""
         return tuple(sorted(self.allowed))
 
     def __len__(self) -> int:
@@ -61,24 +56,25 @@ def chain_spans(n: int, arcs: frozenset[tuple[int, int]], max_len: int) -> froze
     """Spans covered by an increasing chain of undirected arcs, plus singletons.
 
     (u,v) qualifies iff there are u = u1 < u2 < ... < uk+1 = v with every
-    consecutive pair an arc. Computed by chain extension: reach(u, v) holds
-    if (u,v) is an arc or some reached w in (u,v) has an arc to v. Runs in
-    O(sum of degrees) per start index.
+    consecutive pair an arc. One pass over end positions: bit u of the
+    Python int reach[v] is set iff (u, v) qualifies, so reach[v] is bit v
+    OR'd with reach[w] for every arc (w, v) with w < v, cut to the starts
+    within max_len (a chain's prefix spans are shorter, so no cut loses one).
     """
-    neighbors: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
+    into: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for a, b in arcs:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-
-    spans = {(i, i) for i in range(1, n + 1)}
-    for u in range(1, n + 1):
-        reached = [False] * (n + 2)
-        reached[u] = True
-        last = min(n, u + max_len - 1)
-        for v in range(u + 1, last + 1):
-            if any(u <= w < v and reached[w] for w in neighbors[v]):
-                reached[v] = True
-                spans.add((u, v))
+        into[max(a, b)].append(min(a, b))
+    reach = [0] * (n + 1)
+    spans = []
+    for v in range(1, n + 1):
+        bits = 1 << v
+        for w in into[v]:
+            bits |= reach[w]
+        reach[v] = bits = bits & -1 << max(v - max_len + 1, 1)
+        while bits:
+            low = bits & -bits
+            spans.append((low.bit_length() - 1, v))
+            bits ^= low
     return frozenset(spans)
 
 
@@ -89,30 +85,18 @@ def arc_spans(n: int, arcs: frozenset[tuple[int, int]], max_len: int) -> frozens
     return frozenset(spans)
 
 
-# Lattices depend only on (tree, mode, L) and are memoized so repeated passes
-# reuse them. The bound keeps a long-lived process from holding every tree it
-# ever saw, while a 500-sentence corpus stays memoized across CV folds.
-_LATTICE_MEMO_SIZE = 1024
-
-
-@lru_cache(maxsize=_LATTICE_MEMO_SIZE)
-def _lattice(n: int, arcs: frozenset[tuple[int, int]], kind: str, max_len: int) -> SpanLattice:
-    if kind == LINEAR:
-        allowed = frozenset((i, i) for i in range(1, n + 1))
-    elif kind == SEMI:
-        allowed = frozenset(
-            (u, v) for u in range(1, n + 1) for v in range(u, min(n, u + max_len - 1) + 1)
-        )
-    elif kind == DGM_S:
-        allowed = arc_spans(n, arcs, max_len)
-    else:
-        allowed = chain_spans(n, arcs, max_len)
-    return SpanLattice(n, allowed)
-
-
 def build_lattice(sentence: Sentence, mode: Mode) -> SpanLattice:
     """Allowed segments of the sentence under the mode."""
-    return _lattice(sentence.n, sentence.tree.arcs, mode.kind, mode.max_len)
+    n, max_len = sentence.n, mode.max_len
+    if mode.kind == LINEAR:
+        allowed = frozenset((i, i) for i in range(1, n + 1))
+    elif mode.kind == SEMI:
+        allowed = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + max_len - 1) + 1))
+    elif mode.kind == DGM_S:
+        allowed = arc_spans(n, sentence.tree.arcs, max_len)
+    else:
+        allowed = chain_spans(n, sentence.tree.arcs, max_len)
+    return SpanLattice(n, allowed)
 
 
 def edge_count(lattice: SpanLattice, num_labels: int) -> int:

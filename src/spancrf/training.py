@@ -217,7 +217,7 @@ class Model:
                 converged=doc["converged"],
                 optimizer_message=doc["optimizer_message"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SerializationError(f"malformed model file: {exc}") from exc
 
 
@@ -301,7 +301,7 @@ def _block(sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index
         indices.append(ids)
         data.append(counts)
     emit = sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(S, len(index)))
-    return _Block(scored, ~allowed_mask(lay.uv, labels, scheme), ~pair_mask(labels, scheme), emit)
+    return _Block(scored, ~allowed_mask(lay.uv, K), ~pair_mask(labels, scheme), emit)
 
 
 def _add_counts(out: np.ndarray, emit: sparse.csr_matrix, label: np.ndarray, pair: np.ndarray) -> None:
@@ -433,11 +433,10 @@ def _prepare(corpus: list[Sentence], mode: Mode, dep: bool) -> tuple[FeatureInde
     return index, compiled
 
 
-def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, on_iteration=None, trace=None) -> Model:
+def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, trace=None) -> Model:
     """Train by L-BFGS (history 10) from w = 0.
 
     Unrepresentable gold entities are first split into typed singletons.
-    on_iteration(k, value), if given, is called after each accepted step.
     trace(record), if given, receives one dict per accepted step:
     iteration, objective, grad_inf_norm (at the accepted point), step_s
     (wall time since the previous step, or since the optimizer started)
@@ -454,27 +453,24 @@ def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, on_iteration=No
     def callback(_xk) -> None:
         nonlocal iteration, step_start, step_evals
         iteration += 1
-        if trace is not None:
-            now = time.perf_counter()
-            trace(
-                {
-                    "iteration": iteration,
-                    "objective": float(objective.last_value),
-                    "grad_inf_norm": float(np.abs(objective.last_grad).max()),
-                    "step_s": now - step_start,
-                    "fevals": objective.evals - step_evals,
-                }
-            )
-            step_start, step_evals = now, objective.evals
-        if on_iteration is not None:
-            on_iteration(iteration, objective.last_value)
+        now = time.perf_counter()
+        trace(
+            {
+                "iteration": iteration,
+                "objective": float(objective.last_value),
+                "grad_inf_norm": float(np.abs(objective.last_grad).max()),
+                "step_s": now - step_start,
+                "fevals": objective.evals - step_evals,
+            }
+        )
+        step_start, step_evals = now, objective.evals
 
     result = scipy.optimize.minimize(
         objective,
         np.zeros(compiled.num_features),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
+        callback=None if trace is None else callback,
         options={"maxiter": config.max_iter, "maxcor": 10, "ftol": config.ftol, "gtol": config.gtol},
     )
     if result.success:

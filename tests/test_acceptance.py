@@ -160,7 +160,7 @@ def test_criterion_07_overfit_all_modes():
     iterations = {}
     for kind in MODE_KINDS:
         seen = []
-        model = fit(corpus, config, Mode(kind, 8), on_iteration=lambda k, v: seen.append(k))
+        model = fit(corpus, config, Mode(kind, 8), trace=lambda record: seen.append(record["iteration"]))
         assert seen and seen[-1] <= 200, kind
         preds = decode_corpus(model, corpus)
         f1 = score([s.gold for s in corpus], preds).f1

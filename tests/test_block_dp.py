@@ -102,7 +102,7 @@ def test_factors_and_gradient_reductions(singles):
     # span mask, pair mask and begin rule reproduce the dense mask cell for cell
     u = block.layout.uv[:, 0]
     begin = (u == 1)[:, None] == (np.arange(K + 1) == K)[None, :]
-    factored = allowed_mask(block.layout.uv, labels, scheme)[:, None, :] & pair_mask(labels, scheme)[None] & begin[:, :, None]
+    factored = allowed_mask(block.layout.uv, K)[:, None, :] & pair_mask(labels, scheme)[None] & begin[:, :, None]
     assert np.array_equal(factored, dense)
     # the factors carry no begin rule, yet what it forbids gets no mass
     m = marginals(block)
@@ -135,10 +135,10 @@ def test_layout_rows_are_the_span_map(singles, data):
     for span in missing:
         with pytest.raises(KeyError, match=f"sentence {b} "):
             lay.rows(b, *span)
-    # the (S, K) span mask is the dense mask's projection, in either scheme
+    # the (S, K) span mask covers the dense mask's projection, in either scheme
     scheme = scheme_of(block.labels)
     dense = np.concatenate([dense_mask(s.lattices[0], block.labels, scheme) for s in singles])
-    assert np.array_equal(allowed_mask(lay.uv, block.labels, scheme), dense.any(axis=1))
+    assert (allowed_mask(lay.uv, len(block.labels)) >= dense.any(axis=1)).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,9 +6,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spancrf
 from spancrf import read_conll, read_predictions, synthesize, write_conll
 from spancrf.cli import main
 
@@ -194,6 +199,23 @@ def test_malformed_corpus_exits_2_with_line(tmp_path, capsys):
     bad.write_text("1\tonly\tthree\n")
     assert main(["stats", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_stats_into_a_closed_pipe_exits_0_quietly(tmp_path):
+    # about 250 KB of CSV: more than the pipe and stdout buffers hold, so the
+    # writer is still writing when the reader goes away
+    big = tmp_path / "big.conll"
+    big.write_text("1\tw\tNN\t0\troot\tO\n\n" * 15000)
+    src = str(Path(spancrf.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "spancrf.cli", "stats", str(big)]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"sentence_id,n,spans,edges,edges_per_token\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    # no error, and no coverage log either: stats stopped at the closed pipe
+    assert err == b""
 
 
 def test_model_version_mismatch_exits_2(tmp_path, corpus_path, capsys):

@@ -77,7 +77,7 @@ def test_label_schemes():
 def test_segment_mask_rules(womack):
     labels = ("O", "PER", "MISC")
     lattice = build_lattice(womack, Mode("dgm", 8))
-    mask = allowed_mask(np.array(lattice.sorted_spans()), labels, SEGMENT_SCHEME)
+    mask = allowed_mask(np.array(lattice.sorted_spans()), len(labels))
     assert mask.shape == (len(lattice), len(labels))
     for s, (u, v) in enumerate(lattice.sorted_spans()):
         # O rides only on single words, entity types on every span
@@ -87,14 +87,14 @@ def test_segment_mask_rules(womack):
 
 def test_iob_mask_blocks_dangling_inside():
     labels = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
-    mask = allowed_mask(np.array(singleton_lattice(3).sorted_spans()), labels, IOB_SCHEME)
-    pair = pair_mask(labels, IOB_SCHEME)
     K = len(labels)
-    first, mid = 0, 1
-    # the first token follows only the begin sentinel, so it takes no inside tag
-    assert not pair[K, labels.index("I-PER")] and not mask[first, labels.index("I-PER")]
-    assert pair[K, labels.index("B-PER")] and mask[first, labels.index("B-PER")]
-    assert mask[mid].all()
+    mask = allowed_mask(np.array(singleton_lattice(3).sorted_spans()), K)
+    pair = pair_mask(labels, IOB_SCHEME)
+    # single tokens take every tag; the first token follows only the begin
+    # sentinel, and the begin row of the pair rule keeps inside tags off it
+    assert mask.all()
+    assert not pair[K, labels.index("I-PER")]
+    assert pair[K, labels.index("B-PER")]
     assert pair[labels.index("B-PER"), labels.index("I-PER")]
     assert pair[labels.index("I-PER"), labels.index("I-PER")]
     assert not pair[labels.index("O"), labels.index("I-PER")]
@@ -104,11 +104,10 @@ def test_iob_mask_blocks_dangling_inside():
 
 
 def test_allowed_mask_validation():
-    uv = np.array(singleton_lattice(2).sorted_spans())
     with pytest.raises(ValueError, match="scheme"):
-        allowed_mask(uv, ("O", "A"), "bio")
+        pair_mask(("O", "A"), "bio")
     with pytest.raises(ValueError, match="label id 0"):
-        allowed_mask(uv, ("A", "O"), SEGMENT_SCHEME)
+        pair_mask(("A", "O"), SEGMENT_SCHEME)
 
 
 def test_scored_lattice_validation():
@@ -286,7 +285,7 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
     # boost one full path far above the rest: the bound becomes tight
     lat = singleton_lattice(4)
     labels = ("O", "A")
-    emission = np.where(allowed_mask(np.array(lat.sorted_spans()), labels, SEGMENT_SCHEME), 0.0, -np.inf)
+    emission = np.where(allowed_mask(np.array(lat.sorted_spans()), len(labels)), 0.0, -np.inf)
     emission[:, 1] = 60.0
     scored = ScoredBlock((lat,), labels, emission, np.zeros((3, 2)))
     [(seg, best)] = viterbi(scored)

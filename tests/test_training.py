@@ -324,6 +324,8 @@ _GOOD_MODEL = {
         (json.dumps({**_GOOD_MODEL, "lambda": float("nan")}), "lambda"),
         (json.dumps({**_GOOD_MODEL, "lambda": "0.1"}), "lambda"),
         (json.dumps({**_GOOD_MODEL, "lambda": True}), "lambda"),
+        (json.dumps({**_GOOD_MODEL, "lambda": 10**400}), "malformed"),
+        (json.dumps({**_GOOD_MODEL, "weights": [[10**400, 0.0]] + _GOOD_MODEL["weights"][1:]}), "malformed"),
         (json.dumps({**_GOOD_MODEL, "dep_features": "no"}), "dep_features"),
     ],
     ids=[
@@ -341,6 +343,8 @@ _GOOD_MODEL = {
         "nan-lambda",
         "string-lambda",
         "boolean-lambda",
+        "huge-int-lambda",
+        "huge-int-weight",
         "dep-features-not-bool",
     ],
 )
@@ -522,12 +526,12 @@ def test_cross_validate_validation():
         cross_validate(corpus, quick(lambda_grid=()), Mode("linear"))
 
 
-def test_on_iteration_reports_decreasing_objective():
+def test_trace_reports_decreasing_objective():
     corpus = synthesize(10, mean_len=6.0, num_types=2, vocab=30, seed=22)
     seen = []
-    fit(corpus, quick(l2=0.1, max_iter=25), Mode("linear"), on_iteration=lambda k, v: seen.append((k, v)))
-    assert [k for k, _ in seen] == list(range(1, len(seen) + 1))
-    values = [v for _, v in seen]
+    fit(corpus, quick(l2=0.1, max_iter=25), Mode("linear"), trace=seen.append)
+    assert [r["iteration"] for r in seen] == list(range(1, len(seen) + 1))
+    values = [r["objective"] for r in seen]
     assert all(math.isfinite(v) for v in values)
     assert values[-1] < values[0]
 

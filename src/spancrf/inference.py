@@ -23,6 +23,13 @@ through each row once, and a span costs O(K):
             combines the spans that write one row with reduceat
   backward  H[r, y] = logsumexp over the spans starting at r of emission +
             beta[end, y]; then beta[r, p] = logsumexp_y(transition[p, y] + H[r, y])
+  row step  both row messages, logsumexp_p(x[r, p] + T[p, y]), are the
+            max-shifted sum a_r + c_y + log sum_p exp(x[r, p] - a_r)
+            exp(T[p, y] - c_y), with a_r the row max, c_y the column max and
+            exp(T - c) taken once per pass; a row whose sums underflow (an
+            all -inf row, or labels kept apart by -inf or very low
+            transitions) is redone with np.logaddexp.reduce, so every row's
+            result depends on that row alone
   gradient  posteriors gives m.sum(axis=1) = exp(G[start] + emission +
             beta[end] - log Z) and m.sum(axis=0) = sum_r exp(alpha[r, :, None]
             + transition + H[r] - log Z) without building the marginals m
@@ -211,6 +218,41 @@ class Segmentation:
         return len(self.segments)
 
 
+# A shifted sum below this may have lost digits to underflow; its row is redone.
+_TINY = 1e-280
+# Shifts are floored here, so an all -inf row or column never meets -inf - -inf;
+# a row or column floored this way sums to 0 and is redone.
+_FLOOR = -1e300
+
+
+class _RowStep:
+    """x -> logsumexp_p(x[r, p] + T[p, y]) for a fixed (K, K) table T (see module doc).
+
+    The sum over p is np.einsum, not a matrix product: BLAS picks its kernel
+    by the number of rows, and the result of a row must not depend on how
+    many rows share its step.
+    """
+
+    def __init__(self, T: np.ndarray) -> None:
+        self.T = T
+        self.c = np.maximum(T.max(axis=0), _FLOOR)
+        self.E = np.exp(T - self.c)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        a = np.maximum(x.max(axis=1), _FLOOR)[:, None]
+        s = np.einsum("rp,py->ry", np.exp(x - a), self.E)
+        low = None
+        if s.min() <= _TINY:
+            low = (s <= _TINY).any(axis=1)
+            s[low] = 1.0
+        out = np.log(s)
+        out += a
+        out += self.c
+        if low is not None:
+            out[low] = np.logaddexp.reduce(x[low, :, None] + self.T, axis=1)
+        return out
+
+
 def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     """alpha and the row messages G of the block.
 
@@ -226,9 +268,11 @@ def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     alpha[lay.first_row, K] = 0.0
     G = np.full((lay.num_rows, K), -np.inf)
     G[lay.first_row] = trans[K]
+    push = _RowStep(trans[:K])
     for idx, src, dst, starts, _ in lay.forward_steps:
-        alpha[dst, :K] = np.logaddexp.reduceat(G[src] + scored.emission[idx], starts, axis=0)
-        G[dst] = np.logaddexp.reduce(alpha[dst, :K, None] + trans[:K], axis=1)
+        rows = np.logaddexp.reduceat(G[src] + scored.emission[idx], starts, axis=0)
+        alpha[dst, :K] = rows
+        G[dst] = push(rows)
     return alpha, G
 
 
@@ -244,10 +288,11 @@ def backward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     beta = np.full((lay.num_rows, K + 1), -np.inf)
     beta[lay.last_row, :K] = 0.0
     H = np.full((lay.num_rows, K), -np.inf)
-    into = trans[:K].T  # into[y, p]: reducing over axis 1 is faster than over the last axis
+    pull = _RowStep(trans[:K].T)  # sums over the next label y: T[y, p] = transition[p, y]
     for idx, src, dst, starts, _ in lay.backward_steps:
-        H[dst] = np.logaddexp.reduceat(scored.emission[idx] + beta[src, :K], starts, axis=0)
-        beta[dst, :K] = np.logaddexp.reduce(H[dst, :, None] + into, axis=1)
+        rows = np.logaddexp.reduceat(scored.emission[idx] + beta[src, :K], starts, axis=0)
+        H[dst] = rows
+        beta[dst, :K] = pull(rows)
     # at first rows only the begin sentinel precedes (the last step wrote them)
     first = lay.first_row
     beta[first, K] = np.logaddexp.reduce(trans[K] + H[first], axis=1)

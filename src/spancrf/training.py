@@ -9,7 +9,7 @@ the weight of template t for each label, row T+p the weight of the
 transition from previous label p (p = K is the begin sentinel). The
 optimizer sees W.ravel().
 
-The corpus is compiled once into fixed 64-sentence blocks. Each block
+The corpus is compiled once into blocks of up to 512 sentences. Each block
 stores a sparse count matrix X with one row per span (its template counts),
 the labeling rule as an (S, K) span-label mask and a (K+1, K) label-pair
 mask, and one ScoredBlock whose flat DP layout is built here once; the gold
@@ -70,7 +70,11 @@ from .lattice import Mode, SpanLattice, build_lattice
 logger = logging.getLogger(__name__)
 
 MODEL_VERSION = 2
-_BLOCK_SIZE = 64
+# Sentences per block, for training and decoding alike. Each block runs one
+# DP step per sentence position, so larger blocks make fewer numpy calls; the
+# bound keeps the (rows, K+1, K) temporary of posteriors and the blocks of a
+# long predict input small.
+_BLOCK_SIZE = 512
 # Rows are featurized in groups of this many sentences. Whole 64-sentence
 # blocks at once gave about 5 % more peak RSS than groups of 16 on a
 # 60-sentence semi-Markov fit: larger temporaries leave more freed heap

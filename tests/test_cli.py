@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 
 import spancrf
-from spancrf import read_conll, read_predictions, synthesize, write_conll
+import spancrf.cli
+import spancrf.lattice
+from spancrf import LabelSet, read_conll, read_predictions, representability_stats, synthesize, write_conll
 from spancrf.cli import main
+from spancrf.lattice import Mode, average_edges_per_token, build_lattice, edge_count
 
 
 @pytest.fixture
@@ -152,6 +155,44 @@ def test_stats_csv_and_coverage_log(corpus_path, capsys, caplog):
     for r in body:
         assert int(r[3]) == int(r[2]) * 9  # spans * |T|^2, three labels
     assert "representable under dgm-s" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def large_corpus(tmp_path_factory):
+    corpus = synthesize(3000, seed=5)
+    path = tmp_path_factory.mktemp("large") / "corpus.conll"
+    write_conll(corpus, None, path)
+    return corpus, path
+
+
+@pytest.mark.parametrize("kind", ["dgm", "linear"])
+def test_stats_builds_each_lattice_once(kind, large_corpus, capsys, caplog, monkeypatch):
+    corpus, path = large_corpus
+    builds = []
+
+    def counting(sentence, mode):
+        builds.append(sentence)
+        return build_lattice(sentence, mode)
+
+    monkeypatch.setattr(spancrf.lattice, "build_lattice", counting)
+    monkeypatch.setattr(spancrf.cli, "build_lattice", counting)
+    with caplog.at_level("INFO"):
+        assert main(["stats", str(path), "--mode", kind]) == 0
+    assert len(builds) == len(corpus)
+    monkeypatch.undo()
+    # the same bytes as the per-sentence rows plus the library's corpus statistics
+    mode, num_labels = Mode(kind, 8), len(LabelSet.from_corpus(corpus))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["sentence_id", "n", "spans", "edges", "edges_per_token"])
+    for i, sentence in enumerate(corpus, start=1):
+        lattice = build_lattice(sentence, mode)
+        edges = edge_count(lattice, num_labels)
+        writer.writerow([i, sentence.n, len(lattice), edges, f"{edges / sentence.n:.4f}"])
+    writer.writerow(["mean", "", "", "", f"{average_edges_per_token(corpus, mode, num_labels):.4f}"])
+    assert capsys.readouterr().out == want.getvalue()
+    total, representable, pct = representability_stats(corpus, mode)
+    assert caplog.messages == [f"gold entities representable under {kind}: {representable}/{total} ({pct:.1f}%)"]
 
 
 def test_verify_prints_checks(capsys):

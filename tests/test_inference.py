@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancrf.corpus import LabelSet
 from spancrf.inference import (
@@ -14,6 +17,7 @@ from spancrf.inference import (
     InvariantViolation,
     ScoredBlock,
     Segmentation,
+    _RowStep,
     allowed_mask,
     backward,
     forward,
@@ -23,6 +27,7 @@ from spancrf.inference import (
     marginals,
     mode_labels,
     pair_mask,
+    posteriors,
     segment_labels,
     viterbi,
 )
@@ -324,6 +329,79 @@ def test_extreme_scores_stay_finite():
         assert np.isfinite(log_partition(scored)).all()
         # exponent arithmetic at 1e4 scale leaves ~1e-12 relative slack
         assert ((m >= 0) & (m <= 1 + 1e-9)).all()
+
+
+@st.composite
+def row_step_cases(draw):
+    """x (rows, K) and T (K, K) as a row step sees them: the transition's
+    first K rows (forward) or their transpose (backward), -inf where the IOB
+    or segment pair rule forbids and at random cells, so whole columns may be
+    -inf; x has -inf cells and all -inf rows. Scores are uniform in
+    [-scale, scale] for a scale up to 1e4."""
+    scheme = draw(st.sampled_from((SEGMENT_SCHEME, IOB_SCHEME)))
+    types = LabelSet(["A", "B", "C"][: draw(st.integers(1, 3))])
+    labels = iob_labels(types) if scheme == IOB_SCHEME else segment_labels(types)
+    K = len(labels)
+    scale = draw(st.sampled_from((1.0, 50.0, 1e4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = np.where(pair_mask(labels, scheme), rng.uniform(-scale, scale, (K + 1, K)), -np.inf)[:K]
+    T[rng.random((K, K)) < draw(st.sampled_from((0.0, 0.2, 0.6)))] = -np.inf
+    if draw(st.booleans()):
+        T = T.T
+    rows = draw(st.integers(1, 12))
+    x = rng.uniform(-scale, scale, (rows, K))
+    x[rng.random((rows, K)) < draw(st.sampled_from((0.0, 0.3, 0.8)))] = -np.inf
+    x[rng.random(rows) < 0.2] = -np.inf
+    return x, T, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_step_cases())
+def test_row_step_matches_logaddexp(case):
+    x, T, scale = case
+    want = np.logaddexp.reduce(x[:, :, None] + T, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _RowStep(T)(x)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    # both forms add scores of size up to scale, so rounding is relative to scale
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_underflowing_row_sums_match_enumeration():
+    # O and X are kept apart by -1e4 transitions; X costs 2000 at odd tokens
+    # and pays 5000 at even ones, so at every row the row max and the column
+    # max of the transition sit on different labels and the shifted sums
+    # underflow to 0, yet the X paths carry all the mass
+    lattice = SpanLattice(4, frozenset({(1, 1), (2, 2), (3, 3), (4, 4), (1, 2), (3, 4)}))
+    labels = ("O", "X")
+    score = {(1, 1): [0, -2000], (2, 2): [0, 5000], (3, 3): [0, -2000], (4, 4): [0, 5000]}
+    score.update({(1, 2): [-np.inf, 2999.5], (3, 4): [-np.inf, 2999.5]})
+    emission = np.array([score[span] for span in lattice.sorted_spans()], dtype=float)
+    transition = np.array([[0.0, -1e4], [-1e4, 0.0], [0.0, 0.0]])
+    scored = ScoredBlock((lattice,), labels, emission, transition)
+    K = len(labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, G = forward(scored)
+        beta, H = backward(scored)
+        logz, label, pair = posteriors(scored, (alpha, G), (beta, H))
+        [z] = log_partition(scored)
+        m = marginals(scored)
+    rows = alpha[1:4, :K]
+    shifted = np.exp(rows - rows.max(axis=1, keepdims=True)) @ np.exp(transition[:K] - transition[:K].max(axis=0))
+    assert (shifted == 0).any()
+    want_z, want_m = brute_log_partition(scored), brute_marginals(scored)
+    assert want_z == pytest.approx(6000 + 2 * math.log1p(math.exp(-0.5)), rel=1e-12)
+    for got in (z, logz[0], beta[0, K]):
+        assert got == pytest.approx(want_z, rel=1e-12)
+    np.testing.assert_allclose(m, want_m, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(label, want_m.sum(axis=1), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(pair, want_m.sum(axis=0), rtol=0, atol=1e-9)
+    # spans in sorted order: (1, 1), (1, 2), (2, 2), (3, 3), (3, 4), (4, 4)
+    one_segment = math.exp(-0.5) / (1 + math.exp(-0.5))
+    np.testing.assert_allclose(label[:, 1], [1 - one_segment, one_segment, 1 - one_segment] * 2, rtol=1e-12)
 
 
 def test_forward_backward_agree_on_logz():

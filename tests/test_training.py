@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -435,10 +436,12 @@ def test_never_live_weights_stay_zero(kind):
     scheme = label_scheme(mode)
     for sentences, mean_len in ((30, 8.0), (70, 5.0)):  # one block, then two
         corpus = synthesize(sentences, mean_len=mean_len, num_types=2, vocab=40, seed=26)
-        model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
-        # compiled as fit compiles it: a fresh index, so an early block is narrower than W[:T]
-        index = FeatureIndex()
-        compiled = training._compile(corpus, mode, model.labels, index, True, project=True)
+        with mock.patch.object(training, "_BLOCK_SIZE", 64):
+            model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
+            # compiled as fit compiles it: a fresh index, so an early block is narrower than W[:T]
+            index = FeatureIndex()
+            compiled = training._compile(corpus, mode, model.labels, index, True, project=True)
+        assert len(compiled.blocks) == (sentences + 63) // 64
         assert index.strings() == model.index.strings()
         T = len(model.index)
         widths = [block.emit.shape[1] for block in compiled.blocks]
@@ -458,10 +461,33 @@ def test_never_live_weights_stay_zero(kind):
 def test_decode_does_not_depend_on_block_layout():
     corpus = synthesize(150, mean_len=8.0, num_types=3, vocab=60, entity_rate=0.3, seed=25)
     model = fit(corpus[:40], quick(l2=0.01, max_iter=20), Mode("dgm", 8))
-    whole = decode_corpus(model, corpus)
+    whole = decode_corpus(model, corpus)  # one block
     assert len(whole) == 150 and sum(map(len, whole)) > 0
     assert whole == [decode_corpus(model, [s])[0] for s in corpus]
-    assert whole == decode_corpus(model, corpus[:37]) + decode_corpus(model, corpus[37:])
+    with mock.patch.object(training, "_BLOCK_SIZE", 64):  # blocks of 64, 64 and 22
+        assert whole == decode_corpus(model, corpus)
+        assert whole == decode_corpus(model, corpus[:37]) + decode_corpus(model, corpus[37:])
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_objective_does_not_depend_on_block_layout(kind):
+    # blocks of 7 (fifteen, the early ones narrower than W[:T]), of 64 (two) and the default (one)
+    corpus = synthesize(100, mean_len=5.0, num_types=2, vocab=40, entity_rate=0.4, seed=28)
+    mode = Mode(kind, 4)
+    strings, results = [], []
+    for size in (7, 64, training._BLOCK_SIZE):
+        with mock.patch.object(training, "_BLOCK_SIZE", size):
+            index, compiled = training._prepare(corpus, mode, True)
+        assert len(compiled.blocks) == -(-len(corpus) // size)
+        strings.append(index.strings())
+        w = np.random.default_rng(29).normal(size=compiled.num_features)
+        results.append(training.Objective(compiled, 0.01)(w))
+    assert strings[0] == strings[1] == strings[2]
+    assert len(results[0][1]) == len(results[-1][1])
+    value, grad = results[-1]
+    for v, g in results[:-1]:
+        assert v == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(g, grad, rtol=0, atol=1e-9)
 
 
 _HELD = synthesize(100, mean_len=6.0, num_types=3, vocab=60, entity_rate=0.3, seed=27)
@@ -473,7 +499,8 @@ def fitted():
     out = {}
     for kind in MODE_KINDS:
         model = fit(_HELD[:30], quick(l2=0.01, max_iter=10), Mode(kind, 4))
-        out[kind] = model, decode_corpus(model, _HELD)
+        with mock.patch.object(training, "_BLOCK_SIZE", 64):
+            out[kind] = model, decode_corpus(model, _HELD)
     return out
 
 

@@ -47,7 +47,6 @@ from .inference import (
     forward,
     iob_labels,
     log_partition,
-    marginals,
     mode_labels,
     viterbi,
 )

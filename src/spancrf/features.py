@@ -24,14 +24,16 @@ dependency templates can repeat) is one entry with its count, at its
 first occurrence.
 
 block_rows builds these rows for a whole block of sentences at once.
-Every distinct word, POS tag, shape and dependency tuple of the block
-gets its template strings once, as block-local ids (a shape is computed
-once per distinct word), and the rows are assembled from those tables by
-array gathers; only the seg string is formatted per span. The local ids
-that occur are then mapped to template ids with one intern or lookup per
-distinct string, in the order of first occurrence in the rows, so the
-template index and the rows are those of interning every row's templates
-one by one.
+Every distinct word, POS tag, shape and (word or POS, head's) pair of the
+block gets its template strings once (a shape is computed once per
+distinct word), and the rows are assembled from those id tables by array
+gathers; only the seg string is formatted per span. When decoding, the
+index is frozen and each string is looked up in it directly; an unseen
+template gets id -1 and leaves its row. When training, each string first
+gets a block-local id, and the local ids that occur are then interned
+once per distinct string, in the order of first occurrence in the rows,
+so the template index and the rows are those of interning every row's
+templates one by one.
 """
 
 from __future__ import annotations
@@ -101,18 +103,20 @@ def word_shape(surface: str) -> str:
     return "".join(out)
 
 
-class _LocalIds:
-    """Block-local template ids, keyed by template string and allocated on sight."""
+class _TemplateIds:
+    """Template ids keyed by template string. Against a frozen index they are
+    its ids, -1 for a template it has not seen; otherwise they are block-local
+    ids allocated on sight, which block_rows maps to the index afterwards."""
 
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-
-    def one(self, template: str) -> int:
-        return self.ids.setdefault(template, len(self.ids))
+    def __init__(self, index: FeatureIndex) -> None:
+        self.frozen = index.frozen
+        self.ids: dict[str, int] = index._ids if self.frozen else {}
 
     def table(self, prefix: str, values: list[str]) -> np.ndarray:
-        """Local ids of prefix + value for each value."""
+        """Ids of prefix + value for each value."""
         ids = self.ids
+        if self.frozen:
+            return np.array([ids.get(prefix + v, -1) for v in values], dtype=np.int32)
         return np.array([ids.setdefault(prefix + v, len(ids)) for v in values], dtype=np.int32)
 
 
@@ -148,47 +152,49 @@ class _Tokens:
         out[self.first if step < 0 else self.last] = sentinel
         return out
 
-    def affixes(self, local: _LocalIds) -> tuple[np.ndarray, np.ndarray]:
-        """(N, 3) local ids of pre1..pre3 and suf1..suf3 of each token's word, -1 past its length."""
+    def affixes(self, templates: _TemplateIds) -> tuple[np.ndarray, np.ndarray]:
+        """(N, 3) ids of pre1..pre3 and suf1..suf3 of each token's word, -1 past its length."""
         words = self.fields[0][1]  # the distinct words
         pre = np.full((len(words), 3), -1, dtype=np.int32)
         suf = np.full((len(words), 3), -1, dtype=np.int32)
         for k in range(1, 4):
             fits = [i for i, w in enumerate(words) if len(w) >= k]
-            pre[fits, k - 1] = local.table(f"pre{k}:", [words[i][:k] for i in fits])
-            suf[fits, k - 1] = local.table(f"suf{k}:", [words[i][-k:] for i in fits])
+            pre[fits, k - 1] = templates.table(f"pre{k}:", [words[i][:k] for i in fits])
+            suf[fits, k - 1] = templates.table(f"suf{k}:", [words[i][-k:] for i in fits])
         return pre[self.word], suf[self.word]
 
-    def dependencies(self, local: _LocalIds) -> np.ndarray:
-        """(N, 4) local ids of dw, dwl, dp, dpl of every token."""
-        by_tuple: dict[tuple[str, ...], tuple[int, int, int, int]] = {}
-        out = []
-        for sentence in self.sentences:
-            tokens = sentence.tokens
-            for token, head, rel in zip(tokens, sentence.tree.heads, sentence.tree.labels):
-                head_word, head_pos = (ROOT, ROOT) if head == 0 else (tokens[head - 1].surface, tokens[head - 1].pos)
-                key = (token.surface, head_word, token.pos, head_pos, rel)
-                ids = by_tuple.get(key)
-                if ids is None:
-                    ids = by_tuple[key] = (
-                        local.one(f"dw:{token.surface}+{head_word}"),
-                        local.one(f"dwl:{token.surface}+{head_word}+{rel}"),
-                        local.one(f"dp:{token.pos}+{head_pos}"),
-                        local.one(f"dpl:{token.pos}+{head_pos}+{rel}"),
-                    )
-                out.append(ids)
-        return np.array(out, dtype=np.int32)
+    def dependencies(self, templates: _TemplateIds) -> np.ndarray:
+        """(N, 4) ids of dw, dwl, dp, dpl of every token. Each distinct (word
+        or POS, head's word or POS) pair, and each pair with its relation, is
+        formatted once."""
+        heads = np.array([h for s in self.sentences for h in s.tree.heads], dtype=np.intp)
+        head_at = np.repeat(self.first, self.last - self.first + 1) + heads - 1
+        rels, rel = _codes([r for s in self.sentences for r in s.tree.labels])
+        num_rels = len(rels)
+        columns = []
+        for name, values, codes in self.fields[:2]:
+            # pair code k: value k // width, head's value k % width (len(values) is <ROOT>)
+            width, heads_of = len(values) + 1, values + [ROOT]
+            head = np.where(heads == 0, len(values), codes[head_at])
+            pair, pair_of = np.unique(codes * width + head, return_inverse=True)
+            pairs = [f"{values[k // width]}+{heads_of[k % width]}" for k in pair.tolist()]
+            # labeled code k: pair k // num_rels, relation k % num_rels
+            labeled, labeled_of = np.unique(pair_of * num_rels + rel, return_inverse=True)
+            labeled_pairs = [f"{pairs[k // num_rels]}+{rels[k % num_rels]}" for k in labeled.tolist()]
+            columns.append(templates.table(f"d{name}:", pairs)[pair_of])
+            columns.append(templates.table(f"d{name}l:", labeled_pairs)[labeled_of])
+        return np.column_stack(columns)
 
 
-def _offset_ids(local: _LocalIds, name: str, values: list[str], codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Local ids of name:offset:value for value codes at 1-based offsets. Strings
+def _offset_ids(templates: _TemplateIds, name: str, values: list[str], codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Ids of name:offset:value for value codes at 1-based offsets. Strings
     are made per value only up to the largest offset it is seen at."""
     reach = np.zeros(len(values), dtype=np.intp)
     np.maximum.at(reach, codes, offset)
     table = np.full((len(values), int(reach.max(initial=0))), -1, dtype=np.int32)
     for o in range(1, table.shape[1] + 1):
         have = np.flatnonzero(reach >= o)
-        table[have, o - 1] = local.table(f"{name}:{o}:", [values[i] for i in have])
+        table[have, o - 1] = templates.table(f"{name}:{o}:", [values[i] for i in have])
     return table[codes, offset - 1]
 
 
@@ -203,42 +209,42 @@ def _pack(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return indptr, ids, indptr[:-1] + width
 
 
-def _position_rows(tokens: _Tokens, local: _LocalIds, i: np.ndarray, dep: bool) -> tuple[np.ndarray, np.ndarray]:
-    """indptr and local ids of the position templates of tokens i."""
+def _position_rows(tokens: _Tokens, templates: _TemplateIds, i: np.ndarray, dep: bool) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and ids of the position templates of tokens i."""
     (_, words, word), (_, tags, tag), (_, shapes, shape) = tokens.fields
     prev = [tokens.neighbour(codes, -1, len(values)) for _, values, codes in tokens.fields]
-    pre, suf = tokens.affixes(local)
+    pre, suf = tokens.affixes(templates)
     columns = [
-        local.table("w:", words)[word],
-        local.table("p:", tags)[tag],
-        local.table("pw:", words + [BOS])[prev[0]],
-        local.table("pp:", tags + [BOS])[prev[1]],
-        local.table("sh:", shapes)[shape],
-        local.table("psh:", shapes + [BOS])[prev[2]],
+        templates.table("w:", words)[word],
+        templates.table("p:", tags)[tag],
+        templates.table("pw:", words + [BOS])[prev[0]],
+        templates.table("pp:", tags + [BOS])[prev[1]],
+        templates.table("sh:", shapes)[shape],
+        templates.table("psh:", shapes + [BOS])[prev[2]],
         pre,
         suf,
     ]
     if dep:
-        columns.append(tokens.dependencies(local))
+        columns.append(tokens.dependencies(templates))
     indptr, ids, _ = _pack(np.column_stack(columns)[i], np.zeros(len(i), dtype=np.intp))
     return indptr, ids
 
 
 def _segment_rows(
-    tokens: _Tokens, local: _LocalIds, start: np.ndarray, end: np.ndarray, dep: bool
+    tokens: _Tokens, templates: _TemplateIds, start: np.ndarray, end: np.ndarray, dep: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, local ids and counts of the segment templates of the spans
+    """indptr, ids and counts of the segment templates of the spans
     start..end (0-based token indices of the block, inclusive)."""
     length = end - start + 1
     words = tokens.words
-    seg = [local.one("seg:" + " ".join(words[a : b + 1])) for a, b in zip(start.tolist(), end.tolist())]
-    pre, suf = tokens.affixes(local)
+    seg = templates.table("seg:", [" ".join(words[a : b + 1]) for a, b in zip(start.tolist(), end.tolist())])
+    pre, suf = tokens.affixes(templates)
     before = [
-        local.table(f"b{name}:", values + [BOS])[tokens.neighbour(codes, -1, len(values))[start]]
+        templates.table(f"b{name}:", values + [BOS])[tokens.neighbour(codes, -1, len(values))[start]]
         for name, values, codes in tokens.fields
     ]
     after = [
-        local.table(f"a{name}:", values + [EOS])[tokens.neighbour(codes, 1, len(values))[end]]
+        templates.table(f"a{name}:", values + [EOS])[tokens.neighbour(codes, 1, len(values))[end]]
         for name, values, codes in tokens.fields
     ]
     (_, word_list, word), (_, tag_list, tag), _ = tokens.fields
@@ -246,12 +252,12 @@ def _segment_rows(
         before
         + after
         + [
-            local.table("sw:", word_list)[word[start]],
-            local.table("ew:", word_list)[word[end]],
-            local.table("sp:", tag_list)[tag[start]],
-            local.table("ep:", tag_list)[tag[end]],
-            local.table("len:", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
-            np.array(seg, dtype=np.int32),
+            templates.table("sw:", word_list)[word[start]],
+            templates.table("ew:", word_list)[word[end]],
+            templates.table("sp:", tag_list)[tag[start]],
+            templates.table("ep:", tag_list)[tag[end]],
+            templates.table("len:", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
+            seg,
             pre[start],
             suf[end],
         ]
@@ -263,14 +269,14 @@ def _segment_rows(
     token = start[row] + offset
     at = tail[row] + 3 * offset
     for k, (name, values, codes) in enumerate(tokens.fields):
-        ids[at + k] = _offset_ids(local, f"i{name}", values, codes[token], offset + 1)
+        ids[at + k] = _offset_ids(templates, f"i{name}", values, codes[token], offset + 1)
     counts = np.ones(len(ids), dtype=np.int32)
     if dep:
         cells = ((tail + 3 * length)[row] + 4 * offset)[:, None] + np.arange(4)
-        ids[cells] = tokens.dependencies(local)[token]
+        ids[cells] = tokens.dependencies(templates)[token]
         # one token's four templates differ, so only rows of several tokens can repeat one
         multi = length[row] > 1
-        counts, keep = _merge_repeats(ids, row[multi], cells[multi].ravel(), len(local.ids))
+        counts, keep = _merge_repeats(ids, row[multi], cells[multi].ravel(), len(templates.ids))
         ids, counts = ids[keep], counts[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
     return indptr, ids, counts
@@ -279,8 +285,9 @@ def _segment_rows(
 def _merge_repeats(ids: np.ndarray, row: np.ndarray, cells: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts of ids and a keep mask: within each row, the first of the cells
     holding one id keeps the count of them all, the others are dropped.
-    cells are positions into ids in increasing order, 4 per entry of row."""
-    key = np.repeat(row, 4).astype(np.int64) * num_ids + ids[cells]
+    cells are positions into ids in increasing order, 4 per entry of row; an
+    id is -1 (unknown) or below num_ids, so no two rows share a key."""
+    key = np.repeat(row, 4).astype(np.int64) * (num_ids + 1) + ids[cells] + 1
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     new = np.ones(len(key), dtype=bool)
@@ -299,39 +306,37 @@ def block_rows(
     uv: np.ndarray,
     segments: bool,
     dep: bool,
-    template_id,
+    index: FeatureIndex,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays (indptr, indices, data) of the template rows of a block.
 
     Row r is span uv[r] = (u, v), 1-based, of sentences[sentence[r]].
     segments selects segment templates; otherwise a span (i, i) gets the
-    position templates of token i. template_id maps a template string to its
-    id or None (FeatureIndex.intern, or the frozen index's lookup); a None
-    template is left out of its row.
+    position templates of token i. Templates get their ids from index: a
+    frozen index is read directly and leaves unseen templates out of their
+    rows; an unfrozen one interns them.
     """
     tokens = _Tokens(sentences)
     first = tokens.first[sentence]
     start, end = first + uv[:, 0] - 1, first + uv[:, 1] - 1
-    local = _LocalIds()
+    templates = _TemplateIds(index)
     if segments:
-        indptr, ids, counts = _segment_rows(tokens, local, start, end, dep)
+        indptr, ids, counts = _segment_rows(tokens, templates, start, end, dep)
     else:
-        indptr, ids = _position_rows(tokens, local, start, dep)
+        indptr, ids = _position_rows(tokens, templates, start, dep)
         counts = np.ones(len(ids), dtype=np.int32)
-
-    # local ids to template ids, one call per string, in order of first occurrence in the rows
-    strings = list(local.ids)
-    first_at = np.full(len(strings), len(ids), dtype=np.int32)
-    np.minimum.at(first_at, ids, np.arange(len(ids), dtype=np.int32))
-    occurring = np.flatnonzero(first_at < len(ids))
-    global_id = np.full(len(strings), -1, dtype=np.int32)
-    for lid in occurring[np.argsort(first_at[occurring])].tolist():
-        tid = template_id(strings[lid])
-        if tid is not None:
-            global_id[lid] = tid
-    indices = global_id[ids]
-    known = indices >= 0
+    if not index.frozen:
+        # local ids to template ids, one intern per string, in order of first occurrence in the rows
+        strings = list(templates.ids)
+        first_at = np.full(len(strings), len(ids), dtype=np.int32)
+        np.minimum.at(first_at, ids, np.arange(len(ids), dtype=np.int32))
+        occurring = np.flatnonzero(first_at < len(ids))
+        global_id = np.full(len(strings), -1, dtype=np.int32)
+        for lid in occurring[np.argsort(first_at[occurring])].tolist():
+            global_id[lid] = index.intern(strings[lid])
+        ids = global_id[ids]
+    known = ids >= 0
     if not known.all():
-        indices, counts = indices[known], counts[known]
+        ids, counts = ids[known], counts[known]
         indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
-    return indptr.astype(np.int64), indices, counts.astype(np.float64)
+    return indptr.astype(np.int64), ids, counts.astype(np.float64)

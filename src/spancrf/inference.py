@@ -8,7 +8,7 @@ what the labeling rule forbids: a label on a span in emission (O on a span
 longer than one token), a label pair in transition (IOB). That the begin
 sentinel precedes exactly the spans starting a sentence is structural:
 alpha's column K is finite only at first rows. Nothing composes the dense
-(S, K+1, K) table; marginals adds the two factors inside its one sum.
+(S, K+1, K) table.
 
 The DP runs on a whole ScoredBlock at once, one sentence or many, in one
 flat layout: sentence b owns rows off_b .. off_b + n_b, one per boundary,
@@ -34,10 +34,13 @@ through each row once, and a span costs O(K):
             beta[end] - log Z) and m.sum(axis=0) = sum_r exp(alpha[r, :, None]
             + transition + H[r] - log Z) without building the marginals m
   Viterbi   the forward step in max-product; each row keeps max_p and the
-            first (smallest) argmax p per label
+            first (smallest) argmax p per label, which the backtrace reads
+            as the previous label of a segment starting at that row
 
 Forward and Viterbi loop over end positions, backward over start
-positions, so the Python loop runs per position, not per span. Viterbi
+positions, so the Python loop runs per position, not per span. The layout
+cuts each direction's steps from one sort of the spans when a pass first
+needs them, so decoding never builds the backward steps. Viterbi
 ties go to the smaller previous label within a row, then to the shorter of
 the spans that write one row, and at the end boundary to the shorter last
 segment, then the smaller label.
@@ -53,6 +56,7 @@ the pair rule in pair_mask (on transition, begin row K included):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,14 +109,26 @@ def allowed_mask(uv: np.ndarray, num_labels: int) -> np.ndarray:
 
 def _steps(order: np.ndarray, position: np.ndarray, source: np.ndarray, target: np.ndarray) -> list[tuple]:
     """Cut spans, taken in the given order, into one step per position: (span
-    ids, rows they read, distinct rows they write, reduceat offsets, group of each span)."""
-    out = []
-    for idx in np.split(order, np.flatnonzero(np.diff(position[order])) + 1):
-        rows = target[idx]
-        new_row = np.concatenate(([True], rows[1:] != rows[:-1]))
-        starts = np.flatnonzero(new_row)
-        out.append((idx, source[idx], rows[starts], starts, np.cumsum(new_row) - 1))
-    return out
+    ids, rows they read, distinct rows they write, reduceat offsets, group of
+    each span). The cuts are computed over all spans at once, then sliced."""
+    rows = target[order]
+    new_step = np.ones(len(order), dtype=bool)
+    new_step[1:] = position[order[1:]] != position[order[:-1]]
+    new_row = new_step.copy()
+    new_row[1:] |= rows[1:] != rows[:-1]
+    step, group = np.cumsum(new_step) - 1, np.cumsum(new_row) - 1
+    step_at, row_at = np.flatnonzero(new_step), np.flatnonzero(new_row)
+    first_group = group[step_at]
+    # offsets and groups counted from the first span and group of their step
+    starts = row_at - step_at[step[row_at]]
+    group -= first_group[step]
+    span_cuts = np.append(step_at, len(order)).tolist()
+    group_cuts = np.append(first_group, len(row_at)).tolist()
+    source, dst = source[order], rows[row_at]
+    return [
+        (order[a:b], source[a:b], dst[g:h], starts[g:h], group[a:b])
+        for a, b, g, h in zip(span_cuts, span_cuts[1:], group_cuts, group_cuts[1:])
+    ]
 
 
 class _Layout:
@@ -129,14 +145,22 @@ class _Layout:
         u, v = self.uv.T
         self.start_row = self.first_row[self.sentence] + u - 1
         self.end_row = self.first_row[self.sentence] + v
-        # forward: by end position, then written row, then shorter span first
-        self.forward_steps = _steps(np.lexsort((-u, self.end_row, v)), v, self.start_row, self.end_row)
-        # backward, last start position first: by written row, then shorter span first
-        self.backward_steps = _steps(np.lexsort((v, self.start_row, u)), u, self.end_row, self.start_row)[::-1]
         self.row_sentence = np.repeat(np.arange(len(lattices)), ns + 1)
         reached = np.zeros(self.num_rows, dtype=bool)
         reached[self.first_row] = reached[self.end_row] = True
         self.gaps = np.flatnonzero(~reached)
+
+    @cached_property
+    def forward_steps(self) -> list[tuple]:
+        """By end position, then written row, then shorter span first."""
+        u, v = self.uv.T
+        return _steps(np.lexsort((-u, self.end_row, v)), v, self.start_row, self.end_row)
+
+    @cached_property
+    def backward_steps(self) -> list[tuple]:
+        """Last start position first; by written row, then shorter span first."""
+        u, v = self.uv.T
+        return _steps(np.lexsort((v, self.start_row, u)), u, self.end_row, self.start_row)[::-1]
 
     def rows(self, sentence, u, v) -> np.ndarray:
         """Rows of spans (u, v) of sentences b of the block, 1-d (scalars broadcast);
@@ -332,22 +356,6 @@ def posteriors(scored: ScoredBlock, fwd: tuple, bwd: tuple) -> tuple[np.ndarray,
     return logz, np.exp(label, out=label), np.exp(pair, out=pair).sum(axis=0)
 
 
-def marginals(scored: ScoredBlock) -> np.ndarray:
-    """Posterior probability of every factor, shape (S, K+1, K).
-
-    m[s, p, y] = P(span s has label y and is preceded by label p), p = K
-    the begin sentinel. Factors the labeling rule forbids get 0: alpha is
-    -inf where the begin rule forbids p. For every position, the marginals
-    of factors covering it sum to 1.
-    """
-    lay, K = scored.layout, len(scored.labels)
-    alpha, beta = forward(scored)[0], backward(scored)[0]
-    m = alpha[lay.start_row, :, None] + (scored.emission[:, None, :] + scored.transition)
-    m += beta[lay.end_row, None, :K]
-    m -= _log_partitions(scored, alpha)[lay.sentence, None, None]
-    return np.exp(m, out=m)
-
-
 def viterbi(scored: ScoredBlock) -> list[tuple[Segmentation, float]]:
     """Maximum-scoring segmentation and its log-score, per sentence.
 
@@ -359,27 +367,27 @@ def viterbi(scored: ScoredBlock) -> list[tuple[Segmentation, float]]:
     """
     lay, K, trans = scored.layout, len(scored.labels), scored.transition
     lay.check_gaps()
-    vit = np.full((lay.num_rows, K + 1), -np.inf)
-    vit[lay.first_row, K] = 0.0
+    vit = np.full((lay.num_rows, K), -np.inf)
     # per row and next label y: the best max_p(vit[r, p] + transition[p, y]) and its first p
     enter = np.full((lay.num_rows, K), -np.inf)
     enter[lay.first_row] = trans[K]
     enter_prev = np.zeros((lay.num_rows, K), dtype=np.int64)
     enter_prev[lay.first_row] = K
-    back_span, back_prev = np.zeros((2, lay.num_rows, K), dtype=np.int64)
+    back_span = np.zeros((lay.num_rows, K), dtype=np.int64)
+    at, labels, push = np.arange(len(lay.uv))[:, None], np.arange(K), trans[:K]
     for idx, src, dst, starts, group in lay.forward_steps:
-        val = enter[src] + scored.emission[idx]
+        val = enter[src]
+        val += scored.emission[idx]
         best = np.maximum.reduceat(val, starts, axis=0)
         # the first span of a group that reaches the group's best is the shortest
-        hit = np.where(val == best[group], np.arange(len(idx))[:, None], len(idx))
-        first = np.minimum.reduceat(hit, starts, axis=0)
-        vit[dst, :K] = best
+        first = np.minimum.reduceat(np.where(val == best[group], at[: len(idx)], len(idx)), starts, axis=0)
+        vit[dst] = best
         back_span[dst] = idx[first]
-        back_prev[dst] = np.take_along_axis(enter_prev[src], first, axis=0)
-        cand = vit[dst, :K, None] + trans[:K]
-        enter_prev[dst] = cand.argmax(axis=1)
-        enter[dst] = cand.max(axis=1)
-    last = vit[lay.last_row, :K]
+        cand = best[:, :, None] + push
+        prev = cand.argmax(axis=1)
+        enter_prev[dst] = prev
+        enter[dst] = cand[at[: len(dst)], prev, labels]
+    last = vit[lay.last_row]
     top = last.max(axis=1)
     if not np.isfinite(top).all():
         raise InvariantViolation("no complete segmentation")
@@ -389,10 +397,12 @@ def viterbi(scored: ScoredBlock) -> list[tuple[Segmentation, float]]:
     # in sentence order, so sorting them orders every segment
     sent, row, path_span, path_label = np.arange(len(top)), lay.last_row, [], []
     while len(sent):
-        s, p = back_span[row, y], back_prev[row, y]
+        s = back_span[row, y]
         path_span.append(s)
         path_label.append(y)
         row = lay.start_row[s]
+        # the previous label of the segment s is the best entry into its start row
+        p = enter_prev[row, y]
         done = row == lay.first_row[sent]
         if (p[done] != K).any():
             raise InvariantViolation("backtrace did not reach the begin sentinel")

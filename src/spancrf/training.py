@@ -30,8 +30,9 @@ at a time. Training interns the templates into a growing index, so each
 block's X has as many columns as the index had after that block and an
 early block is narrower than W[:T]; templates interned later have larger
 ids, so X @ W[:X.shape[1]] is exact. Decoding builds its blocks the same
-way against the model's frozen index, where interning is a lookup, and
-runs one Viterbi pass per block.
+way against the model's frozen index, whose ids block_rows reads directly
+(an unseen template is left out), and runs one Viterbi pass per block,
+which builds only the layout's forward steps.
 
 fit can hand each L-BFGS iteration (objective, gradient infinity norm,
 step time, objective evaluations) to a trace callback; `spancrf train
@@ -299,7 +300,7 @@ def _block(sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index
     for g in range(0, len(sentences), _GROUP):
         lo, hi = np.searchsorted(lay.sentence, [g, g + _GROUP])
         ptr, ids, counts = block_rows(
-            sentences[g : g + _GROUP], lay.sentence[lo:hi] - g, lay.uv[lo:hi], scheme != IOB_SCHEME, dep, index.intern
+            sentences[g : g + _GROUP], lay.sentence[lo:hi] - g, lay.uv[lo:hi], scheme != IOB_SCHEME, dep, index
         )
         indptr.append(ptr[1:] + indptr[-1][-1])
         indices.append(ids)

@@ -8,6 +8,9 @@ time, a string-lookup factor scorer for trained models, and the dense
 (S, K+1, K) labeling mask written out from the rules. Only the scorer and
 the factor builder touch package internals, and only for what they score
 (lattice, label-pair mask); they share nothing with the compiled span rows.
+Two more read a block's layout: the dense (S, K+1, K) factor marginals,
+from the package's alpha and beta, which the gradient's sums are checked
+against, and the layout's step schedules cut one position at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from spancrf import DependencyTree, EntitySpan, Sentence, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
-from spancrf.inference import IOB_SCHEME, ScoredBlock, label_scheme, pair_mask
+from spancrf.inference import IOB_SCHEME, ScoredBlock, backward, forward, label_scheme, log_partition, pair_mask
 
 
 def enumerate_labelings(scored):
@@ -93,6 +96,46 @@ def brute_marginals(scored) -> np.ndarray:
             m[s, prev, y] += weight
             prev = y
     return m
+
+
+def marginals(scored) -> np.ndarray:
+    """Posterior probability of every factor of a block, shape (S, K+1, K).
+
+    m[s, p, y] = P(span s has label y and is preceded by label p), p = K
+    the begin sentinel, from the package's forward and backward passes.
+    Factors the labeling rule forbids get 0: alpha is -inf where the begin
+    rule forbids p. For every position, the marginals of factors covering it
+    sum to 1.
+    """
+    lay, K = scored.layout, len(scored.labels)
+    alpha, beta = forward(scored)[0], backward(scored)[0]
+    m = alpha[lay.start_row, :, None] + (scored.emission[:, None, :] + scored.transition)
+    m += beta[lay.end_row, None, :K]
+    m -= log_partition(scored)[lay.sentence, None, None]
+    return np.exp(m, out=m)
+
+
+def reference_steps(layout):
+    """The layout's forward and backward step schedules, cut one position
+    at a time with np.split: per step (span ids, rows they read, distinct
+    rows they write, reduceat offsets, group of each span)."""
+
+    def cut(order, position, source, target):
+        out = []
+        for idx in np.split(order, np.flatnonzero(np.diff(position[order])) + 1):
+            rows = target[idx]
+            new_row = np.concatenate(([True], rows[1:] != rows[:-1]))
+            starts = np.flatnonzero(new_row)
+            out.append((idx, source[idx], rows[starts], starts, np.cumsum(new_row) - 1))
+        return out
+
+    u, v = layout.uv.T
+    start, end = layout.start_row, layout.end_row
+    # forward: by end position, then written row, then shorter span first;
+    # backward, last start position first: by written row, then shorter span first
+    forward_steps = cut(np.lexsort((-u, end, v)), v, start, end)
+    backward_steps = cut(np.lexsort((v, start, u)), u, end, start)[::-1]
+    return forward_steps, backward_steps
 
 
 def dense_mask(lattice, labels, scheme) -> np.ndarray:

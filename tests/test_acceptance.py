@@ -26,7 +26,7 @@ from spancrf.combinatorics import (
 from spancrf.corpus import LabelSet
 from spancrf.evaluation import score
 from spancrf.features import FeatureIndex
-from spancrf.inference import ScoredBlock, label_scheme, log_partition, marginals, mode_labels, viterbi
+from spancrf.inference import ScoredBlock, label_scheme, log_partition, mode_labels, viterbi
 from spancrf.lattice import (
     MODE_KINDS,
     Mode,
@@ -44,6 +44,7 @@ from oracles import (
     brute_marginals,
     chain_spans_reference,
     draw_factors,
+    marginals,
     random_sentence,
 )
 

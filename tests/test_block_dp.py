@@ -23,7 +23,6 @@ from spancrf.inference import (
     forward,
     label_scheme,
     log_partition,
-    marginals,
     mode_labels,
     pair_mask,
     posteriors,
@@ -31,7 +30,17 @@ from spancrf.inference import (
 )
 from spancrf.lattice import MODE_KINDS, Mode, SpanLattice, build_lattice
 
-from oracles import brute_log_partition, brute_marginals, brute_viterbi, dense_mask, draw_factors, path_score, random_sentence
+from oracles import (
+    brute_log_partition,
+    brute_marginals,
+    brute_viterbi,
+    dense_mask,
+    draw_factors,
+    marginals,
+    path_score,
+    random_sentence,
+    reference_steps,
+)
 
 
 @st.composite
@@ -166,3 +175,18 @@ def test_gapped_lattice_inside_a_block_raises(singles, n, data):
     for dp in (forward, marginals, viterbi):
         with pytest.raises(InvariantViolation, match=f"position {gap} .sentence {where} "):
             dp(block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_sentences())
+def test_step_schedules_match_per_position_cut(singles):
+    block = as_block(singles)
+    # decoding builds only the forward schedule
+    viterbi(block)
+    assert "forward_steps" in vars(block.layout) and "backward_steps" not in vars(block.layout)
+    for got, want in zip((block.layout.forward_steps, block.layout.backward_steps), reference_steps(block.layout)):
+        assert len(got) == len(want)
+        for got_step, want_step in zip(got, want):
+            assert len(got_step) == len(want_step) == 5
+            for a, b in zip(got_step, want_step):
+                assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import orient_edges, reference_rows
 from spancrf import DependencyTree, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
-from spancrf.features import BOS, EOS, FeatureIndex, word_shape
+from spancrf.features import BOS, EOS, ROOT, FeatureIndex, word_shape
 from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels
 from spancrf.lattice import MODE_KINDS, Mode, build_lattice
 from spancrf.training import _block, _compile
@@ -279,6 +279,30 @@ def _check_against_reference(train, test, kind, dep, block_size):
 @given(corpora(), corpora(words=_WORDS[::2] + _UNSEEN), st.sampled_from(MODE_KINDS), st.booleans())
 def test_rows_equal_string_reference(train, test, kind, dep):
     _check_against_reference(train, test, kind, dep, block_size=2)
+
+
+def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
+    # Tokens 2 and 3 of "k u u" share all four (unknown) dependency
+    # templates, so the span (1, 3) repeats each of them; its row and the
+    # row before it, (1, 2), hold the first token's known "dpl" template,
+    # the index's last id. A merge key in which an unknown id runs into the
+    # previous row's largest id would add the repeats to that count. Every
+    # template of the span (1, 2) of "z z" is unknown, so its row is empty.
+    known = Sentence(tuple(Token(w, "NN") for w in "kuu"), DependencyTree((0, 1, 1), ("root", "dep", "dep")))
+    unknown = Sentence(tuple(Token("z", "ZZ") for _ in range(2)), DependencyTree((0, 1), ("root", "dep")))
+    index = FeatureIndex()
+    for template in ("sw:k", "len:1", "bw:k", f"dpl:NN+{ROOT}+root"):
+        index.intern(template)
+    index.freeze()
+    mode = Mode("semi", 4)
+    sentences = [known, unknown]
+    block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), index, True)
+    lattices = [build_lattice(s, mode) for s in sentences]
+    _assert_rows_equal(block, reference_rows(sentences, lattices, True, True, index.lookup))
+    rows = block.emit.toarray()
+    spans = lattices[0].sorted_spans()
+    assert rows[spans.index((1, 2)), -1] == rows[spans.index((1, 3)), -1] == 1
+    assert not rows[len(spans) + lattices[1].sorted_spans().index((1, 2))].any()
 
 
 @pytest.mark.parametrize("kind", MODE_KINDS)

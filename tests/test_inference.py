@@ -24,7 +24,6 @@ from spancrf.inference import (
     iob_labels,
     label_scheme,
     log_partition,
-    marginals,
     mode_labels,
     pair_mask,
     posteriors,
@@ -41,6 +40,7 @@ from oracles import (
     dense_mask,
     draw_factors,
     enumerate_labelings,
+    marginals,
     path_score,
     random_sentence,
 )

@@ -32,7 +32,6 @@ from .corpus import (
     iob_to_spans,
     read_conll,
     read_predictions,
-    representability_stats,
     spans_to_iob,
     write_conll,
 )
@@ -60,7 +59,9 @@ from .lattice import (
     SpanLattice,
     average_edges_per_token,
     build_lattice,
+    coverage,
     edge_count,
+    representability_stats,
 )
 from .synth import synthesize
 from .training import (

@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .evaluation import DEFAULT_SAMPLES, bootstrap_test, score
 from .inference import InvariantViolation
-from .lattice import MODE_KINDS, Mode, build_lattice, edge_count
+from .lattice import MODE_KINDS, Mode, _edges_per_token, _representability, coverage
 from .synth import synthesize
 from .training import Model, TrainConfig, TrainingError, bench_per_iteration, cross_validate, decode_corpus, fit
 
@@ -139,25 +139,15 @@ def cmd_significance(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     sentences = read_conll(args.input)
-    if not sentences:
-        raise ValueError("empty corpus")
     mode = Mode(args.mode, args.max_len)
     num_labels = len(LabelSet.from_corpus(sentences))
-    rows = []
-    # one lattice per sentence; the mean sums the ratios in sentence order,
-    # as lattice.average_edges_per_token does, and the entity counts are
-    # corpus.representability_stats'
-    ratios, total, representable = 0.0, 0, 0
-    for i, sent in enumerate(sentences, start=1):
-        lat = build_lattice(sent, mode)
-        edges = edge_count(lat, num_labels)
-        ratios += edges / sent.n
-        total += len(sent.gold)
-        representable += sum((span.start, span.end) in lat.allowed for span in sent.gold)
-        rows.append([i, sent.n, len(lat), edges, f"{edges / sent.n:.4f}"])
-    rows.append(["mean", "", "", "", f"{ratios / len(sentences):.4f}"])
+    records = coverage(sentences, mode)
+    mean = _edges_per_token(records, num_labels)  # raises on an empty corpus
+    pairs = num_labels * num_labels
+    rows = [[i, n, spans, spans * pairs, f"{spans * pairs / n:.4f}"] for i, (n, spans, _, _) in enumerate(records, 1)]
+    rows.append(["mean", "", "", "", f"{mean:.4f}"])
     _write_rows(args, ["sentence_id", "n", "spans", "edges", "edges_per_token"], rows)
-    pct = 100.0 * representable / total if total else 100.0
+    total, representable, pct = _representability(records)
     logger.info("gold entities representable under %s: %d/%d (%.1f%%)", args.mode, representable, total, pct)
     return 0
 

@@ -1,7 +1,8 @@
 """Sentence data model and CoNLL-style file I/O.
 
-A corpus file is UTF-8 text with one token per line and blank lines between
-sentences. Each token line carries at least 6 tab-separated columns:
+A corpus file is UTF-8 text, with or without a byte-order mark, with one
+token per line and blank lines between sentences. Each token line carries
+at least 6 tab-separated columns:
 
     index  surface  pos  head  deprel  ner-tag
 
@@ -262,7 +263,7 @@ def read_conll(path) -> list[Sentence]:
         tags.clear()
         token_lines.clear()
 
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if line.startswith("#"):
@@ -347,7 +348,7 @@ def read_predictions(path) -> list[list[EntitySpan]]:
         predictions.append(list(spans))
         tags.clear()
 
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if line.startswith("#"):
@@ -366,26 +367,3 @@ def read_predictions(path) -> list[list[EntitySpan]]:
     flush()
     return predictions
 
-
-def representability_stats(sentences: Sequence[Sentence], mode) -> tuple[int, int, float]:
-    """Count gold entities whose (start, end) is an allowed span under the mode.
-
-    Returns (total, representable, percentage). An empty corpus (or one
-    with no entities) reports 100%. Intended for the dependency-guided
-    modes; other modes count against their own lattices (length 1 for
-    LINEAR, length <= L for SEMI).
-    """
-    from .lattice import build_lattice
-
-    total = 0
-    representable = 0
-    for sent in sentences:
-        if not sent.gold:
-            continue
-        allowed = build_lattice(sent, mode).allowed
-        for span in sent.gold:
-            total += 1
-            if (span.start, span.end) in allowed:
-                representable += 1
-    pct = 100.0 * representable / total if total else 100.0
-    return total, representable, pct

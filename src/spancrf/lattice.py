@@ -4,7 +4,8 @@ LINEAR uses single-word segments only. SEMI allows every span up to the
 length cap L. The dependency-guided lattices prune SEMI's span set using
 the sentence's tree: DGM keeps spans covered by an increasing chain of
 undirected arcs, DGM-S only spans covered by one arc. Single words are
-always valid. A lattice is built on every call and never memoized.
+always valid. A lattice is built on every call and never memoized; the
+corpus statistics reduce the per-sentence records of one ``coverage`` pass.
 """
 
 from __future__ import annotations
@@ -106,15 +107,43 @@ def edge_count(lattice: SpanLattice, num_labels: int) -> int:
     return len(lattice.allowed) * num_labels * num_labels
 
 
+def coverage(sentences: Sequence[Sentence], mode: Mode) -> list[tuple[int, int, int, int]]:
+    """Per sentence, from one lattice build: (n, spans, gold entities, entities whose span is allowed)."""
+    records = []
+    for sent in sentences:
+        allowed = build_lattice(sent, mode).allowed
+        inside = sum((span.start, span.end) in allowed for span in sent.gold)
+        records.append((sent.n, len(allowed), len(sent.gold), inside))
+    return records
+
+
+def _edges_per_token(records: Sequence[tuple[int, int, int, int]], num_labels: int) -> float:
+    if not records:
+        raise ValueError("empty corpus")
+    if num_labels < 1:
+        raise ValueError(f"num_labels must be >= 1, got {num_labels}")
+    total = 0.0
+    for n, spans, _, _ in records:
+        total += spans * num_labels * num_labels / n
+    return total / len(records)
+
+
+def _representability(records: Sequence[tuple[int, int, int, int]]) -> tuple[int, int, float]:
+    total = sum(entities for _, _, entities, _ in records)
+    representable = sum(inside for _, _, _, inside in records)
+    return total, representable, 100.0 * representable / total if total else 100.0
+
+
 def average_edges_per_token(sentences: Sequence[Sentence], mode: Mode, num_labels: int) -> float:
     """Mean over sentences of edge_count / sentence length.
 
     This is the per-token average of per-sentence ratios, not the pooled
     ratio: sum_i (E_i / n_i) / N.
     """
-    if not sentences:
-        raise ValueError("empty corpus")
-    total = 0.0
-    for sent in sentences:
-        total += edge_count(build_lattice(sent, mode), num_labels) / sent.n
-    return total / len(sentences)
+    return _edges_per_token(coverage(sentences, mode), num_labels)
+
+
+def representability_stats(sentences: Sequence[Sentence], mode: Mode) -> tuple[int, int, float]:
+    """(total, representable, percentage) of the gold entities under the mode's
+    lattices; a corpus with no entities reports 100%."""
+    return _representability(coverage(sentences, mode))

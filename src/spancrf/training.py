@@ -196,8 +196,9 @@ class Model:
         if doc.get("version") != MODEL_VERSION:
             raise SerializationError(f"unsupported model version {doc.get('version')!r}")
         try:
-            labels = tuple(doc["labels"])
-            templates = doc["templates"]
+            labels, templates, weights = doc["labels"], doc["templates"], doc["weights"]
+            if not all(isinstance(value, list) for value in (labels, templates, weights)):
+                raise TypeError("labels, templates and weights must be JSON arrays")
             if not all(isinstance(item, str) for item in (*labels, *templates)):
                 raise TypeError("labels and templates must be strings")
             if len(set(templates)) != len(templates):
@@ -214,9 +215,9 @@ class Model:
             index.freeze()
             return cls(
                 mode=Mode(doc["mode"], doc["L"]),
-                labels=labels,
+                labels=tuple(labels),
                 index=index,
-                weights=np.asarray(doc["weights"], dtype=np.float64),
+                weights=np.asarray(weights, dtype=np.float64),
                 lam=float(doc["lambda"]),
                 dep_features=doc["dep_features"],
                 converged=doc["converged"],

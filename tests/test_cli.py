@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import spancrf
-import spancrf.cli
 import spancrf.lattice
 from spancrf import LabelSet, read_conll, read_predictions, representability_stats, synthesize, write_conll
 from spancrf.cli import main
@@ -175,7 +174,6 @@ def test_stats_builds_each_lattice_once(kind, large_corpus, capsys, caplog, monk
         return build_lattice(sentence, mode)
 
     monkeypatch.setattr(spancrf.lattice, "build_lattice", counting)
-    monkeypatch.setattr(spancrf.cli, "build_lattice", counting)
     with caplog.at_level("INFO"):
         assert main(["stats", str(path), "--mode", kind]) == 0
     assert len(builds) == len(corpus)

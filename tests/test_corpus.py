@@ -176,6 +176,16 @@ def test_prediction_column_round_trip(tmp_path):
     assert read_conll(path) == corpus
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    corpus = synthesize(8, mean_len=6.0, num_types=2, vocab=20, leak_rate=0.3, seed=5)
+    preds = [s.gold[:1] for s in corpus]
+    plain, marked = tmp_path / "plain.conll", tmp_path / "bom.conll"
+    write_conll(corpus, preds, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_conll(marked) == read_conll(plain) == corpus
+    assert [tuple(p) for p in read_predictions(marked)] == [tuple(p) for p in preds]
+
+
 def test_write_conll_misaligned_predictions(tmp_path):
     corpus = synthesize(3, mean_len=5.0, seed=5)
     with pytest.raises(SerializationError):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import spancrf.lattice
+from spancrf import synthesize
 from spancrf.combinatorics import enumerate_trees, random_tree
 from spancrf.lattice import (
     DGM,
@@ -18,7 +20,9 @@ from spancrf.lattice import (
     average_edges_per_token,
     build_lattice,
     chain_spans,
+    coverage,
     edge_count,
+    representability_stats,
 )
 
 from oracles import chain_spans_reference
@@ -133,6 +137,39 @@ def test_average_edges_per_token_averages_ratios(womack, shlomo):
     assert got == pytest.approx((e1 + e2) / 2, rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
         average_edges_per_token([], Mode(DGM, 8), k)
+
+
+def test_corpus_statistics_build_each_lattice_once(monkeypatch):
+    corpus = synthesize(40, mean_len=10.0, leak_rate=0.3, seed=8)
+    builds = []
+
+    def counting(sentence, mode):
+        builds.append(sentence)
+        return build_lattice(sentence, mode)
+
+    monkeypatch.setattr(spancrf.lattice, "build_lattice", counting)
+    average_edges_per_token(corpus, Mode(DGM, 8), 5)
+    assert builds == corpus
+    builds.clear()
+    representability_stats(corpus, Mode(DGM, 8))
+    assert builds == corpus
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_coverage_matches_a_direct_recount(kind):
+    corpus = synthesize(80, mean_len=12.0, leak_rate=0.4, seed=9)
+    mode = Mode(kind, 4)
+    want = []
+    for sentence in corpus:
+        lattice = build_lattice(sentence, mode)
+        inside = [span for span in sentence.gold if (span.start, span.end) in lattice.allowed]
+        want.append((sentence.n, len(lattice), len(sentence.gold), len(inside)))
+    records = coverage(corpus, mode)
+    assert records == want
+    # leaked entities and the length cap leave some gold spans outside every lattice
+    total, representable = sum(r[2] for r in want), sum(r[3] for r in want)
+    assert 0 < representable < total
+    assert representability_stats(corpus, mode) == (total, representable, 100.0 * representable / total)
 
 
 def test_mode_ordering_on_a_sentence(womack):

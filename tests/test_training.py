@@ -328,6 +328,9 @@ _GOOD_MODEL = {
         (json.dumps({**_GOOD_MODEL, "lambda": 10**400}), "malformed"),
         (json.dumps({**_GOOD_MODEL, "weights": [[10**400, 0.0]] + _GOOD_MODEL["weights"][1:]}), "malformed"),
         (json.dumps({**_GOOD_MODEL, "dep_features": "no"}), "dep_features"),
+        (json.dumps({**_GOOD_MODEL, "templates": "abc", "weights": [[0.0, 0.0]] * 6}), "JSON arrays"),
+        (json.dumps({**_GOOD_MODEL, "templates": {"x": 1, "y": 2}, "weights": [[0.0, 0.0]] * 5}), "JSON arrays"),
+        (json.dumps({**_GOOD_MODEL, "labels": {"O": 0, "T1": 0}}), "JSON arrays"),
     ],
     ids=[
         "top-level-list",
@@ -347,6 +350,9 @@ _GOOD_MODEL = {
         "huge-int-lambda",
         "huge-int-weight",
         "dep-features-not-bool",
+        "string-templates",
+        "object-templates",
+        "object-labels",
     ],
 )
 def test_load_rejects_malformed_models(tmp_path, text, match):

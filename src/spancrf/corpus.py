@@ -66,15 +66,17 @@ class DependencyTree:
         for i, h in enumerate(self.heads, start=1):
             if not 0 <= h <= n:
                 raise ValueError(f"head {h} of token {i} out of range 0..{n}")
-        # every token must reach the root; a finite walk that revisits a node is a cycle
+        # every token must reach the root. A walk up the heads stops at a node an
+        # earlier walk reached, which reaches the root, so each node is walked once;
+        # meeting its own walk again is a cycle
+        walk = [-1] + [0] * n  # the walk that first reached each token; 0 for none yet
         for i in range(1, n + 1):
-            seen = set()
             j = i
-            while j != 0:
-                if j in seen:
-                    raise ValueError(f"cyclic head assignment through token {j}")
-                seen.add(j)
+            while walk[j] == 0:
+                walk[j] = i
                 j = self.heads[j - 1]
+            if walk[j] == i:
+                raise ValueError(f"cyclic head assignment through token {j}")
 
     @property
     def n(self) -> int:

@@ -54,6 +54,15 @@ class FeatureIndex:
         self._ids: dict[str, int] = {}
         self._frozen = False
 
+    @classmethod
+    def frozen_from(cls, strings: list[str]) -> "FeatureIndex":
+        """A frozen index giving the distinct strings ids 0, 1, ... in order."""
+        index = cls()
+        index._ids, index._frozen = dict(zip(strings, range(len(strings)))), True
+        if len(index) != len(strings):
+            raise ValueError("repeated template strings")
+        return index
+
     def intern(self, feature: str) -> int | None:
         """Id of the feature, allocating a new one unless frozen. None if frozen and unseen."""
         fid = self._ids.get(feature)

@@ -41,6 +41,7 @@ step time, objective evaluations) to a trace callback; `spancrf train
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -70,7 +71,7 @@ from .lattice import Mode, SpanLattice, build_lattice
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 # Sentences per block, for training and decoding alike. Each block runs one
 # DP step per sentence position, so larger blocks make fewer numpy calls; the
 # bound keeps the (rows, K+1, K) temporary of posteriors and the blocks of a
@@ -133,6 +134,9 @@ class Model:
     weights is the (T+K+1, K) matrix W of the module doc, for T templates
     and K labels. converged and optimizer_message are scipy's success flag
     and message from the fit that made the model (None if it was not fit).
+    save writes one JSON object (format version 3) whose weights are W's
+    bytes as little-endian float64 in row-major order, base64-encoded, so
+    W round-trips bitwise; load reads version 3 only.
     """
 
     mode: Mode
@@ -178,10 +182,11 @@ class Model:
             "optimizer_message": self.optimizer_message,
             "labels": list(self.labels),
             "templates": list(self.index.strings()),
-            "weights": self.weights.tolist(),
+            "weights": base64.b64encode(self.weights.astype("<f8", copy=False).tobytes()).decode("ascii"),
         }
+        text = json.dumps(doc)  # the C encoder; json.dump would encode in Python
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "Model":
@@ -197,27 +202,28 @@ class Model:
             raise SerializationError(f"unsupported model version {doc.get('version')!r}")
         try:
             labels, templates, weights = doc["labels"], doc["templates"], doc["weights"]
-            if not all(isinstance(value, list) for value in (labels, templates, weights)):
-                raise TypeError("labels, templates and weights must be JSON arrays")
+            if not (isinstance(labels, list) and isinstance(templates, list)):
+                raise TypeError("labels and templates must be JSON arrays")
             if not all(isinstance(item, str) for item in (*labels, *templates)):
                 raise TypeError("labels and templates must be strings")
-            if len(set(templates)) != len(templates):
-                raise ValueError("repeated template strings")
+            if not isinstance(weights, str):
+                raise TypeError("weights must be a base64 string")
             if not isinstance(doc["converged"], (bool, type(None))):
                 raise TypeError("converged must be true, false or null")
             if not isinstance(doc["optimizer_message"], (str, type(None))):
                 raise TypeError("optimizer_message must be a string or null")
             if not isinstance(doc["lambda"], (int, float)) or isinstance(doc["lambda"], bool):
                 raise TypeError(f"lambda must be a number, got {doc['lambda']!r}")
-            index = FeatureIndex()
-            for t in templates:
-                index.intern(t)
-            index.freeze()
+            index = FeatureIndex.frozen_from(templates)
+            shape = (len(templates) + len(labels) + 1, len(labels))
+            raw = base64.b64decode(weights, validate=True)
+            if len(raw) != 8 * shape[0] * shape[1]:
+                raise ValueError(f"weights hold {len(raw)} bytes, not the float64 of a {shape[0]} x {shape[1]} matrix")
             return cls(
                 mode=Mode(doc["mode"], doc["L"]),
                 labels=tuple(labels),
                 index=index,
-                weights=np.asarray(weights, dtype=np.float64),
+                weights=np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64),
                 lam=float(doc["lambda"]),
                 dep_features=doc["dep_features"],
                 converged=doc["converged"],

@@ -31,6 +31,25 @@ def test_dependency_tree_rejects_cycle():
         DependencyTree((2, 3, 2, 0), ("a", "b", "c", "root"))
 
 
+def test_dependency_tree_validates_a_long_path_in_linear_time():
+    # token i heads on token i+1 and the last token is the root: depth n, so a
+    # walk from every token to the root would take n^2 / 2 = 2e8 steps
+    n = 20_000
+    tree = DependencyTree(tuple(range(2, n + 1)) + (0,), ("dep",) * (n - 1) + ("root",))
+    assert tree.root == n
+
+
+def test_dependency_tree_reports_a_cycle_at_the_end_of_a_long_chain():
+    # tokens 1..n-3 are a chain into the cycle n-2 -> n-1 -> n -> n-2; token n+1 is the root
+    n = 5_000
+    heads = tuple(range(2, n + 1)) + (n - 2, 0)
+    with pytest.raises(ValueError, match=f"cyclic head assignment through token {n - 2}$"):
+        DependencyTree(heads, ("dep",) * (n + 1))
+    # a walk that enters a cycle from a tail names the first node it meets twice
+    with pytest.raises(ValueError, match="through token 3$"):
+        DependencyTree((3, 0, 4, 5, 3), ("a",) * 5)
+
+
 def test_dependency_tree_rejects_extra_root():
     with pytest.raises(ValueError):
         DependencyTree((0, 0, 2), ("root", "root", "dep"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -241,11 +242,39 @@ def test_save_load_round_trip(tmp_path):
     assert decode_corpus(loaded, corpus) == decode_corpus(model, corpus)
 
     doc = json.loads(path.read_text())
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["mode"] == "dgm" and doc["L"] == 6
     assert doc["lambda"] == 0.01 and doc["dep_features"] is False
-    assert len(doc["weights"]) == len(doc["templates"]) + len(doc["labels"]) + 1
-    assert all(len(row) == len(doc["labels"]) for row in doc["weights"])
+    # W's bytes as little-endian float64, row-major
+    raw = base64.b64decode(doc["weights"], validate=True)
+    assert len(raw) == 8 * (len(doc["templates"]) + len(doc["labels"]) + 1) * len(doc["labels"])
+    assert raw == model.weights.astype("<f8").tobytes()
+    assert loaded.weights.flags.writeable and loaded.weights.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_save_load_is_bitwise_at_the_edges_of_float64(tmp_path, kind):
+    corpus = synthesize(12, mean_len=6.0, num_types=2, vocab=30, seed=23)
+    held = synthesize(40, mean_len=7.0, num_types=2, vocab=30, seed=24)
+    model = fit(corpus, quick(l2=0.01, max_iter=5), Mode(kind, 4))
+    fitted = model.weights.copy()
+    path = tmp_path / "model.json"
+    huge = np.finfo(np.float64).max
+    assert huge == 1.7976931348623157e308
+    edges = [-0.0, 5e-324, huge, -huge, np.nextafter(1.0, 2.0)]
+    model.weights.flat[: len(edges)] = edges
+    model.save(path)
+    loaded = Model.load(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert math.copysign(1.0, loaded.weights.flat[0]) == -1.0
+    # scores built from +-huge overflow, so the decoded model holds the other edges only
+    model.weights = fitted
+    model.weights.flat[[0, 1, 4]] = [-0.0, 5e-324, np.nextafter(1.0, 2.0)]
+    model.save(path)
+    loaded = Model.load(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    want = decode_corpus(model, held)
+    assert any(want) and decode_corpus(loaded, held) == want
 
 
 def test_optimizer_status_survives_save_and_load(tmp_path):
@@ -264,13 +293,13 @@ def test_optimizer_status_survives_save_and_load(tmp_path):
 
 def test_load_rejects_bad_documents(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 3}))
+    path.write_text(json.dumps({"version": 4}))
     with pytest.raises(SerializationError, match="version"):
         Model.load(path)
-    path.write_text(json.dumps({"version": 2, "mode": "dgm"}))
+    path.write_text(json.dumps({"version": 3, "mode": "dgm"}))
     with pytest.raises(SerializationError, match="malformed"):
         Model.load(path)
-    path.write_text(json.dumps({**_GOOD_MODEL, "weights": [[0.0, 1.0]]}))
+    path.write_text(json.dumps({**_GOOD_MODEL, "weights": _weights([[0.0, 1.0]])}))
     with pytest.raises(SerializationError, match="weights"):
         Model.load(path)
 
@@ -293,9 +322,24 @@ def test_load_rejects_version_1_models(tmp_path):
         Model.load(path)
 
 
+def test_load_rejects_version_2_models(tmp_path):
+    # a version-2 file: W as rows of JSON numbers
+    v2 = {**_GOOD_MODEL, "version": 2, "weights": _GOOD_W.tolist()}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(v2))
+    with pytest.raises(SerializationError, match="unsupported model version 2"):
+        Model.load(path)
+
+
+def _weights(rows) -> str:
+    """The weights field of a version-3 file: the bytes of W as little-endian float64, in base64."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
 # one template and two labels: W has 1 + 2 + 1 rows of 2
+_GOOD_W = np.array([[0.5, -0.5], [0.0, 1.0], [0.0, 0.25], [0.25, 0.0]])
 _GOOD_MODEL = {
-    "version": 2,
+    "version": 3,
     "mode": "dgm",
     "L": 8,
     "lambda": 0.1,
@@ -304,8 +348,9 @@ _GOOD_MODEL = {
     "optimizer_message": "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
     "labels": ["O", "A"],
     "templates": ["w:a"],
-    "weights": [[0.5, -0.5], [0.0, 1.0], [0.0, 0.25], [0.25, 0.0]],
+    "weights": _weights(_GOOD_W),
 }
+_GOOD_BYTES = base64.b64decode(_GOOD_MODEL["weights"])
 
 
 @pytest.mark.parametrize(
@@ -314,8 +359,11 @@ _GOOD_MODEL = {
         ("[1, 2]", "JSON object"),
         ('{"version": 1, "mode": ', "not JSON"),
         (json.dumps({**_GOOD_MODEL, "templates": ["w:a", "w:a"]}), "repeated"),
-        (json.dumps({**_GOOD_MODEL, "weights": [[float("nan"), 0.0]] + _GOOD_MODEL["weights"][1:]}), "finite"),
-        (json.dumps({**_GOOD_MODEL, "weights": [[0.5, -0.5, 1.0]] + _GOOD_MODEL["weights"][1:]}), "malformed"),
+        (json.dumps({**_GOOD_MODEL, "weights": _weights(np.vstack([[np.nan, 0.0], _GOOD_W[1:]]))}), "finite"),
+        (json.dumps({**_GOOD_MODEL, "weights": _weights(np.vstack([[np.inf, 0.0], _GOOD_W[1:]]))}), "finite"),
+        (json.dumps({**_GOOD_MODEL, "weights": _weights(np.vstack([[-np.inf, 0.0], _GOOD_W[1:]]))}), "finite"),
+        (json.dumps({**_GOOD_MODEL, "weights": base64.b64encode(_GOOD_BYTES[:-1]).decode()}), "63 bytes"),
+        (json.dumps({**_GOOD_MODEL, "weights": base64.b64encode(_GOOD_BYTES + b"\0").decode()}), "65 bytes"),
         (json.dumps({**_GOOD_MODEL, "labels": ["A", "O"]}), "labels"),
         (json.dumps({**_GOOD_MODEL, "mode": "linear"}), "labels"),
         (json.dumps({**_GOOD_MODEL, "converged": 1}), "converged"),
@@ -326,10 +374,14 @@ _GOOD_MODEL = {
         (json.dumps({**_GOOD_MODEL, "lambda": "0.1"}), "lambda"),
         (json.dumps({**_GOOD_MODEL, "lambda": True}), "lambda"),
         (json.dumps({**_GOOD_MODEL, "lambda": 10**400}), "malformed"),
-        (json.dumps({**_GOOD_MODEL, "weights": [[10**400, 0.0]] + _GOOD_MODEL["weights"][1:]}), "malformed"),
+        (json.dumps({**_GOOD_MODEL, "weights": _GOOD_MODEL["weights"][:-4] + "!" + _GOOD_MODEL["weights"][-3:]}), "Only base64 data"),
+        (json.dumps({**_GOOD_MODEL, "weights": _GOOD_MODEL["weights"][:-1]}), "padding"),
+        (json.dumps({**_GOOD_MODEL, "weights": "é" + _GOOD_MODEL["weights"][1:]}), "ASCII"),
+        (json.dumps({**_GOOD_MODEL, "weights": _GOOD_W.tolist()}), "base64 string"),
+        (json.dumps({**_GOOD_MODEL, "weights": None}), "base64 string"),
         (json.dumps({**_GOOD_MODEL, "dep_features": "no"}), "dep_features"),
-        (json.dumps({**_GOOD_MODEL, "templates": "abc", "weights": [[0.0, 0.0]] * 6}), "JSON arrays"),
-        (json.dumps({**_GOOD_MODEL, "templates": {"x": 1, "y": 2}, "weights": [[0.0, 0.0]] * 5}), "JSON arrays"),
+        (json.dumps({**_GOOD_MODEL, "templates": "abc", "weights": _weights([[0.0, 0.0]] * 6)}), "JSON arrays"),
+        (json.dumps({**_GOOD_MODEL, "templates": {"x": 1, "y": 2}, "weights": _weights([[0.0, 0.0]] * 5)}), "JSON arrays"),
         (json.dumps({**_GOOD_MODEL, "labels": {"O": 0, "T1": 0}}), "JSON arrays"),
     ],
     ids=[
@@ -337,7 +389,10 @@ _GOOD_MODEL = {
         "invalid-json",
         "repeated-feature",
         "nan-weight",
-        "ragged-weights",
+        "inf-weight",
+        "minus-inf-weight",
+        "weights-one-byte-short",
+        "weights-one-byte-long",
         "label-0-not-O",
         "linear-segment-labels",
         "converged-not-bool",
@@ -348,7 +403,11 @@ _GOOD_MODEL = {
         "string-lambda",
         "boolean-lambda",
         "huge-int-lambda",
-        "huge-int-weight",
+        "weights-invalid-base64-character",
+        "weights-bad-base64-padding",
+        "weights-non-ascii",
+        "weights-as-rows",
+        "null-weights",
         "dep-features-not-bool",
         "string-templates",
         "object-templates",

@@ -259,8 +259,7 @@ def test_save_load_is_bitwise_at_the_edges_of_float64(tmp_path, kind):
     model = fit(corpus, quick(l2=0.01, max_iter=5), Mode(kind, 4))
     fitted = model.weights.copy()
     path = tmp_path / "model.json"
-    huge = np.finfo(np.float64).max
-    assert huge == 1.7976931348623157e308
+    huge = 1.7976931348623157e308  # the largest finite float64
     edges = [-0.0, 5e-324, huge, -huge, np.nextafter(1.0, 2.0)]
     model.weights.flat[: len(edges)] = edges
     model.save(path)

@@ -124,9 +124,9 @@ def test_criterion_05_gradient_finite_differences():
         compiled = _compile(corpus, mode, labels, index, dep=True, project=True)
         index.freeze()
         objective = Objective(compiled, l2=float(rng.choice([0.0, 0.05])))
-        w = rng.normal(scale=0.3, size=compiled.num_features)
+        w = rng.normal(scale=0.3, size=compiled.num_weights)
         _, grad = objective(w)
-        for k in range(compiled.num_features):
+        for k in range(compiled.num_weights):
             w[k] += h
             up, _ = objective(w)
             w[k] -= 2 * h

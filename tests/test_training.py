@@ -544,7 +544,7 @@ def test_objective_does_not_depend_on_block_layout(kind):
             index, compiled = training._prepare(corpus, mode, True)
         assert len(compiled.blocks) == -(-len(corpus) // size)
         strings.append(index.strings())
-        w = np.random.default_rng(29).normal(size=compiled.num_features)
+        w = np.random.default_rng(29).normal(size=compiled.num_weights)
         results.append(training.Objective(compiled, 0.01)(w))
     assert strings[0] == strings[1] == strings[2]
     assert len(results[0][1]) == len(results[-1][1])

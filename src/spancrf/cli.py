@@ -177,7 +177,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for kind in MODE_KINDS:
         mean, std = bench_per_iteration(sentences, Mode(kind, args.max_len), config, iters=args.iters, warmup=1)
-        logger.info("%s: %.4fs +- %.4fs per iteration", kind, mean, std)
+        logger.info("%s: %.4fs +- %.4fs per objective evaluation", kind, mean, std)
         rows.append([kind, f"{mean:.6f}", f"{std:.6f}", args.iters])
     _write_rows(args, ["mode", "mean_seconds", "std_seconds", "iterations"], rows)
     return 0
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_edges_curve)
 
-    p = sub.add_parser("bench", help="per-iteration training time of all four modes")
+    p = sub.add_parser("bench", help="time of one objective evaluation in each of the four modes")
     p.add_argument("input")
     p.add_argument("--iters", type=int, default=5)
     p.add_argument("--output")

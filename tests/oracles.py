@@ -11,6 +11,7 @@ the factor builder touch package internals, and only for what they score
 Two more read a block's layout: the dense (S, K+1, K) factor marginals,
 from the package's alpha and beta, which the gradient's sums are checked
 against, and the layout's step schedules cut one position at a time.
+The optimizer's oracle is scipy's L-BFGS-B run on the package's Objective.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import math
 from collections import Counter
 
 import numpy as np
+import scipy.optimize
 
 from spancrf import DependencyTree, EntitySpan, Sentence, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
 from spancrf.inference import IOB_SCHEME, ScoredBlock, backward, forward, label_scheme, log_partition, pair_mask
+from spancrf.training import Objective
 
 
 def enumerate_labelings(scored):
@@ -408,3 +411,35 @@ def segmentation_entities(seg, scheme: str) -> tuple[EntitySpan, ...]:
     if scheme == IOB_SCHEME:
         return iob_to_spans(seg.labels())[0]
     return tuple(EntitySpan(u, v, label) for (u, v), label in seg if label != "O")
+
+
+# L-BFGS-B's messages as scipy spelled them before 1.15, and as after
+_LBFGSB_SPELLING = (
+    ("NORM_OF_PROJECTED_GRADIENT_<=_PGTOL", "NORM OF PROJECTED GRADIENT <= PGTOL"),
+    ("REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", "RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+    ("TOTAL NO. of ITERATIONS", "TOTAL NO. OF ITERATIONS"),
+    ("ABNORMAL_TERMINATION_IN_LNSRCH", "ABNORMAL: "),
+)
+
+
+def lbfgsb_message(message: str) -> str:
+    """An L-BFGS-B message in the spelling of scipy 1.15 and later."""
+    for old, new in _LBFGSB_SPELLING:
+        message = message.replace(old, new)
+    return message
+
+
+def lbfgsb_fit(compiled, config):
+    """scipy's L-BFGS-B from w = 0 with fit's options, on a compiled corpus.
+
+    Returns scipy's result, its message in lbfgsb_message's spelling.
+    """
+    result = scipy.optimize.minimize(
+        Objective(compiled, config.l2),
+        np.zeros(compiled.num_weights),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": config.max_iter, "maxcor": 10, "ftol": config.ftol, "gtol": config.gtol},
+    )
+    result.message = lbfgsb_message(result.message)
+    return result

@@ -6,10 +6,12 @@ import base64
 import json
 import logging
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -43,6 +45,8 @@ from oracles import (
     brute_log_partition,
     brute_marginals,
     dense_mask,
+    lbfgsb_fit,
+    lbfgsb_message,
     path_score,
     random_sentence,
     reference_rows,
@@ -434,6 +438,123 @@ def test_fit_warns_when_the_optimizer_stops_early(caplog):
     with caplog.at_level(logging.WARNING, logger="spancrf.training"):
         fit(one_word_corpus(), quick(l2=1.0), Mode("semi", 2))
     assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def fit_with_result(corpus, config, mode):
+    """fit's model and the OptimizeResult of the optimizer run it made."""
+    results = []
+    original = scipy.optimize.minimize
+
+    def minimize(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(scipy.optimize, "minimize", minimize):
+        model = fit(corpus, config, mode)
+    (result,) = results
+    return model, result
+
+
+@pytest.mark.parametrize("case", ["converged", "capped", "capped-where-it-converges", "converged-at-zero"])
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_optimizer_takes_lbfgsb_steps(kind, case):
+    mode = Mode(kind, 4)
+    corpus = synthesize(25, mean_len=6.0, num_types=2, vocab=40, entity_rate=0.4, seed=60 + MODE_KINDS.index(kind))
+    held = synthesize(40, mean_len=7.0, num_types=2, vocab=40, entity_rate=0.4, seed=70)
+    _, compiled = training._prepare(corpus, mode, True)
+    config = quick(l2=0.01)
+    if case == "capped":
+        config = quick(l2=0.01, max_iter=3)
+    elif case == "capped-where-it-converges":
+        converged = lbfgsb_fit(compiled, config)
+        assert converged.status == 0 and 3 < converged.nit < config.max_iter
+        config = quick(l2=0.01, max_iter=converged.nit)
+    elif case == "converged-at-zero":
+        grad = training.Objective(compiled, 0.01)(np.zeros(compiled.num_weights))[1]
+        assert 0 < np.abs(grad).max() < 100.0
+        config = quick(l2=0.01, gtol=100.0)
+    want = lbfgsb_fit(compiled, config)
+    model, got = fit_with_result(corpus, config, mode)
+    assert (got.nit, got.nfev, got.status, got.message) == (want.nit, want.nfev, want.status, want.message)
+    assert got.status == (0 if case.startswith("converged") else 1)
+    assert model.converged is (got.status == 0)
+    if case == "converged-at-zero":
+        assert got.nit == 0 and got.nfev == 1 and not model.weights.any()
+    np.testing.assert_allclose(model.weights, want.x.reshape(model.weights.shape), rtol=1e-6, atol=1e-9)
+    oracle = replace(model, weights=want.x.reshape(model.weights.shape))
+    assert decode_corpus(model, corpus + held) == decode_corpus(oracle, corpus + held)
+
+
+def test_optimizer_restarts_and_stops_as_lbfgsb_after_failed_searches():
+    # a gradient that disagrees with the function: the first search succeeds,
+    # the next fails, the restart from -g fails too, and the run ends
+    def fun(x):
+        return float(np.abs(x).sum()), np.sign(x) * 0.001 + 1.0
+
+    options = {"maxiter": 100, "maxcor": 10, "ftol": 1e-9, "gtol": 1e-5}
+    runs = [scipy.optimize.minimize(fun, np.ones(3), jac=True, method=m, options=options) for m in ("L-BFGS-B", training._lbfgs)]
+    want, got = runs
+    assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status) == (1, 48, 2)
+    assert got.message == lbfgsb_message(want.message) and got.message.startswith("ABNORMAL")
+    assert not got.success
+
+
+def _minimize(fun, x0, callback=None):
+    options = {"maxiter": 1000, "maxcor": 10, "ftol": 1e-20, "gtol": 1e-9}
+    return scipy.optimize.minimize(fun, x0, jac=True, method=training._lbfgs, callback=callback, options=options)
+
+
+def test_optimizer_reaches_the_minimum_of_an_ill_conditioned_quadratic():
+    scale = np.logspace(0, 4, 30)
+    center = np.random.default_rng(61).normal(size=30)
+
+    def fun(x):
+        diff = x - center
+        return 0.5 * float((scale * diff * diff).sum()), scale * diff
+
+    result = _minimize(fun, np.zeros(30))
+    assert result.success and result.message.startswith("CONVERGENCE")
+    np.testing.assert_allclose(result.x, center, rtol=0, atol=1e-8)
+    assert result.fun <= 1e-15
+
+
+def test_optimizer_solves_rosenbrock():
+    seen = []
+    result = _minimize(lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)), [-1.2, 1.0], callback=seen.append)
+    assert result.success
+    np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=0, atol=1e-4)
+    # non-convex: some line searches need more than their first trial step
+    assert result.nfev > result.nit + 1
+    assert len(seen) == result.nit
+
+
+def test_optimizer_result_owns_its_arrays():
+    x0 = np.zeros(6)
+    result = _minimize(lambda x: (float(((x - 1.0) ** 2).sum()), 2.0 * (x - 1.0)), x0)
+    assert result.x.flags.owndata and result.x.base is None
+    assert not np.shares_memory(result.x, result.jac) and not np.shares_memory(result.x, x0)
+    assert not x0.any()
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_objective_products_are_bitwise_the_plain_expressions(kind):
+    corpus = synthesize(20, mean_len=6.0, num_types=2, vocab=40, seed=62)
+    _, compiled = training._prepare(corpus, Mode(kind, 4), True)
+    objective = training.Objective(compiled, 0.3)
+    rng = np.random.default_rng(63)
+    for _ in range(2):  # the second call reuses the Objective's buffer
+        w = rng.normal(scale=0.5, size=compiled.num_weights)
+        gold, W = compiled.gold, w.reshape(compiled.gold.shape)
+        value, grad = 0.0, np.zeros(gold.shape)
+        for block in compiled.blocks:
+            value += training._eval_block(block, W, grad)
+        value -= float((gold * W).sum())
+        grad -= gold
+        value += 0.3 * float((W * W).sum())
+        grad += 2.0 * 0.3 * W
+        got_value, got_grad = objective(w)
+        assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+        assert got_grad.tobytes() == grad.ravel().tobytes()
 
 
 @pytest.mark.parametrize("kind", MODE_KINDS)

@@ -452,13 +452,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, maxls=20, **_):
+def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
     """L-BFGS-B's unconstrained path as a scipy.optimize.minimize method, step for step.
 
     The direction is the two-loop recursion (Nocedal 1980) over the newest
     maxcor (s, y) pairs with H0 = s'y / y'y of the newest, which equals
     L-BFGS-B's compact form; the line search is its MINPACK-2 dcsrch, with its
-    constants, first trial step and maxls evaluations. A failed search clears
+    constants, first trial step and cap of 20 evaluations. A failed search clears
     the pairs and retries from -g, or stops with status 2 if there were none.
     Stopping tests, their order and the messages are L-BFGS-B's.
     """
@@ -485,9 +485,9 @@ def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, maxls=20, 
         gd0 = gdt = _dot(g, d)
         if gd0 < 0:
             search = DCSRCH(None, None, ftol=1e-3, gtol=0.9, xtol=0.1, stpmin=0.0, stpmax=1e10)
-            for k in range(maxls + 1):
+            for k in range(21):
                 stp, _, _, task = search._iterate(stp, ft, gdt, task)
-                if task[:2] != b"FG" or k == maxls:
+                if task[:2] != b"FG" or k == 20:
                     break
                 np.multiply(d, stp, out=xt)
                 xt += x

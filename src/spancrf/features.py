@@ -23,20 +23,30 @@ head of the root token is <ROOT>. A template repeated within a row (only
 dependency templates can repeat) is one entry with its count, at its
 first occurrence.
 
-block_rows builds these rows for a whole block of sentences at once.
-Every distinct word, POS tag, shape and (word or POS, head's) pair of the
+block_rows builds these rows for a whole block of sentences at once, and
+assembles them from per-token id columns by array gathers. When training,
+every distinct word, POS tag, shape and (word or POS, head's) pair of the
 block gets its template strings once (a shape is computed once per
-distinct word), and the rows are assembled from those id tables by array
-gathers; only the seg string is formatted per span. When decoding, the
-index is frozen and each string is looked up in it directly; an unseen
-template gets id -1 and leaves its row. When training, each string first
-gets a block-local id, and the local ids that occur are then interned
-once per distinct string, in the order of first occurrence in the rows,
-so the template index and the rows are those of interning every row's
-templates one by one.
+distinct word) and each string a block-local id; the local ids that occur
+are then interned once per distinct string, in the order of first
+occurrence in the rows, so the template index and the rows are those of
+interning every row's templates one by one. When decoding, the index is
+frozen, and on its first use block_rows re-keys it once into vocabulary
+tables (_Vocabulary), kept on the index: the words, POS tags and shapes
+its templates mention, each template family as an array from vocabulary
+code to template id, and each vocabulary word's shape and affix ids. A
+block then maps each token's word and tag to its code with one lookup and
+gathers every word-, POS- and shape-keyed id from the arrays; shapes and
+affixes are computed only for words outside the vocabulary, dependency
+templates are found by binary search on the codes of their parts, and a
+seg string is formatted only for a span whose every word is a piece of
+some seg template. An unseen template gets id -1 and leaves its row.
 """
 
 from __future__ import annotations
+
+from itertools import chain, combinations, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -53,6 +63,7 @@ class FeatureIndex:
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self._frozen = False
+        self._vocabulary: _Vocabulary | None = None  # built by block_rows once frozen
 
     @classmethod
     def frozen_from(cls, strings: list[str]) -> "FeatureIndex":
@@ -112,21 +123,16 @@ def word_shape(surface: str) -> str:
     return "".join(out)
 
 
-class _TemplateIds:
-    """Template ids keyed by template string. Against a frozen index they are
-    its ids, -1 for a template it has not seen; otherwise they are block-local
-    ids allocated on sight, which block_rows maps to the index afterwards."""
+# The template families keyed by one token's word ("w"), POS tag ("p") or
+# shape ("sh"); "i" + key is the key's family by offset (iw:2:Ami).
+_FAMILIES = {
+    "w": ("w", "pw", "bw", "aw", "sw", "ew"),
+    "p": ("p", "pp", "bp", "ap", "sp", "ep"),
+    "sh": ("sh", "psh", "bsh", "ash"),
+}
 
-    def __init__(self, index: FeatureIndex) -> None:
-        self.frozen = index.frozen
-        self.ids: dict[str, int] = index._ids if self.frozen else {}
 
-    def table(self, prefix: str, values: list[str]) -> np.ndarray:
-        """Ids of prefix + value for each value."""
-        ids = self.ids
-        if self.frozen:
-            return np.array([ids.get(prefix + v, -1) for v in values], dtype=np.int32)
-        return np.array([ids.setdefault(prefix + v, len(ids)) for v in values], dtype=np.int32)
+_AFFIX_FAMILIES = ("pre1", "pre2", "pre3", "suf1", "suf2", "suf3")
 
 
 def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
@@ -136,52 +142,111 @@ def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
     return list(seen), np.array(codes, dtype=np.intp)
 
 
-class _Tokens:
-    """The block's tokens, flattened: word, POS and shape codes per token.
+def _get(table: dict[str, int], values, missing: int) -> np.ndarray:
+    """table[v] for each of the values, missing where v is not in table."""
+    return np.fromiter(map(table.get, values, repeat(missing)), dtype=np.int64)
 
-    fields lists (name, distinct values, code per token) for the word ("w"),
-    POS ("p") and shape ("sh"); a shape is computed once per distinct word.
-    """
+
+def _affixes(lookup, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(len(words), 3) ids of pre1..pre3 and suf1..suf3 of each word, -1 past its length."""
+    short = np.fromiter(map(len, words), dtype=np.intp, count=len(words))[:, None] < np.arange(1, 4)
+    pre = np.column_stack([lookup(f"pre{k}", map(itemgetter(slice(k)), words)) for k in range(1, 4)])
+    suf = np.column_stack([lookup(f"suf{k}", map(itemgetter(slice(-k, None)), words)) for k in range(1, 4)])
+    pre[short] = suf[short] = -1
+    return pre, suf
+
+
+def _surfaces(words: list[str], start: np.ndarray, end: np.ndarray):
+    """The surface forms, words joined by spaces, of the spans start..end of the token list words."""
+    return map(" ".join, map(words.__getitem__, map(slice, start.tolist(), (end + 1).tolist())))
+
+
+class _Tokens:
+    """The block's tokens, flattened: the word and POS tag of each, and
+    whether it opens or closes its sentence."""
 
     def __init__(self, sentences: list[Sentence]) -> None:
         self.sentences = sentences
-        self.words = [t.surface for s in sentences for t in s.tokens]
+        tokens = list(chain.from_iterable(s.tokens for s in sentences))
+        self.words = list(map(attrgetter("surface"), tokens))
+        self.tags = list(map(attrgetter("pos"), tokens))
         lengths = np.array([s.n for s in sentences], dtype=np.intp)
         self.first = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         self.last = self.first + lengths - 1
-        words, self.word = _codes(self.words)
-        tags, self.tag = _codes([t.pos for s in sentences for t in s.tokens])
-        shapes, shape_of_word = _codes([word_shape(w) for w in words])
-        self.shape = shape_of_word[self.word]
-        self.fields = (("w", words, self.word), ("p", tags, self.tag), ("sh", shapes, self.shape))
+        self.opens, self.closes = np.zeros((2, len(tokens)), dtype=bool)  # first, last of a sentence
+        self.opens[self.first] = self.closes[self.last] = True
 
-    def neighbour(self, codes: np.ndarray, step: int, sentinel: int) -> np.ndarray:
-        """Code of each token's previous (step -1) or next (step 1) token, sentinel at the sentence edge."""
-        out = np.roll(codes, -step)
-        out[self.first if step < 0 else self.last] = sentinel
-        return out
+    def neighbour(self, codes: np.ndarray, at: np.ndarray, step: int, sentinel: int) -> np.ndarray:
+        """Code of the token before (step -1) or after (step 1) each token at,
+        sentinel across a sentence edge."""
+        edge = self.closes if step > 0 else self.opens
+        return np.where(edge[at], sentinel, codes.take(at + step, mode="clip"))
 
-    def affixes(self, templates: _TemplateIds) -> tuple[np.ndarray, np.ndarray]:
-        """(N, 3) ids of pre1..pre3 and suf1..suf3 of each token's word, -1 past its length."""
-        words = self.fields[0][1]  # the distinct words
-        pre = np.full((len(words), 3), -1, dtype=np.int32)
-        suf = np.full((len(words), 3), -1, dtype=np.int32)
-        for k in range(1, 4):
-            fits = [i for i, w in enumerate(words) if len(w) >= k]
-            pre[fits, k - 1] = templates.table(f"pre{k}:", [words[i][:k] for i in fits])
-            suf[fits, k - 1] = templates.table(f"suf{k}:", [words[i][-k:] for i in fits])
-        return pre[self.word], suf[self.word]
+    def arcs(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Each token's head (0 for the root), the head's token index, and its relation."""
+        heads = np.fromiter(chain.from_iterable(s.tree.heads for s in self.sentences), dtype=np.intp)
+        head_at = np.repeat(self.first, self.last - self.first + 1) + heads - 1
+        return heads, head_at, list(chain.from_iterable(s.tree.labels for s in self.sentences))
 
-    def dependencies(self, templates: _TemplateIds) -> np.ndarray:
+
+class _LocalIds:
+    """Training: block-local template ids, allocated on sight per template
+    string; block_rows interns the ones that occur into the index afterwards.
+
+    fields lists (key, code of each token, sentinel code) for the word, POS
+    and shape keys, coded by their distinct values in the block; a shape is
+    computed once per distinct word. pre and suf hold each token's affix ids.
+    """
+
+    def __init__(self, tokens: _Tokens) -> None:
+        self.ids: dict[str, int] = {}
+        words, word = _codes(tokens.words)
+        tags, tag = _codes(tokens.tags)
+        shapes, shape = _codes([word_shape(w) for w in words])
+        self.values = {"w": words, "p": tags, "sh": shapes}
+        self.fields = (("w", word, len(words)), ("p", tag, len(tags)), ("sh", shape[word], len(shapes)))
+        pre, suf = _affixes(self.lookup, words)
+        self.pre, self.suf = pre[word], suf[word]
+
+    @property
+    def num_ids(self) -> int:
+        return len(self.ids)
+
+    def lookup(self, name: str, values) -> np.ndarray:
+        """Ids of name:value for each value."""
+        ids, prefix = self.ids, name + ":"
+        return np.array([ids.setdefault(prefix + v, len(ids)) for v in values], dtype=np.int32)
+
+    def field(self, name: str, key: str, sentinel: str | None = None) -> np.ndarray:
+        """Ids of the family name for each code of key, then for the sentinel if given."""
+        values = self.values[key]
+        return self.lookup(name, values if sentinel is None else values + [sentinel])
+
+    def offsets(self, key: str, codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Ids of i<key>:offset:value for codes of key at 1-based offsets.
+        Strings are made per value only up to the largest offset it is seen at."""
+        values = self.values[key]
+        reach = np.zeros(len(values), dtype=np.intp)
+        np.maximum.at(reach, codes, offset)
+        table = np.full((len(values), int(reach.max(initial=0))), -1, dtype=np.int32)
+        for o in range(1, table.shape[1] + 1):
+            have = np.flatnonzero(reach >= o)
+            table[have, o - 1] = self.lookup(f"i{key}:{o}", [values[i] for i in have])
+        return table[codes, offset - 1]
+
+    def seg(self, tokens: _Tokens, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        return self.lookup("seg", _surfaces(tokens.words, start, end))
+
+    def dependencies(self, tokens: _Tokens) -> np.ndarray:
         """(N, 4) ids of dw, dwl, dp, dpl of every token. Each distinct (word
         or POS, head's word or POS) pair, and each pair with its relation, is
         formatted once."""
-        heads = np.array([h for s in self.sentences for h in s.tree.heads], dtype=np.intp)
-        head_at = np.repeat(self.first, self.last - self.first + 1) + heads - 1
-        rels, rel = _codes([r for s in self.sentences for r in s.tree.labels])
+        heads, head_at, relations = tokens.arcs()
+        rels, rel = _codes(relations)
         num_rels = len(rels)
         columns = []
-        for name, values, codes in self.fields[:2]:
+        for key, codes, _ in self.fields[:2]:
+            values = self.values[key]
             # pair code k: value k // width, head's value k % width (len(values) is <ROOT>)
             width, heads_of = len(values) + 1, values + [ROOT]
             head = np.where(heads == 0, len(values), codes[head_at])
@@ -190,21 +255,219 @@ class _Tokens:
             # labeled code k: pair k // num_rels, relation k % num_rels
             labeled, labeled_of = np.unique(pair_of * num_rels + rel, return_inverse=True)
             labeled_pairs = [f"{pairs[k // num_rels]}+{rels[k % num_rels]}" for k in labeled.tolist()]
-            columns.append(templates.table(f"d{name}:", pairs)[pair_of])
-            columns.append(templates.table(f"d{name}l:", labeled_pairs)[labeled_of])
+            columns.append(self.lookup(f"d{key}", pairs)[pair_of])
+            columns.append(self.lookup(f"d{key}l", labeled_pairs)[labeled_of])
         return np.column_stack(columns)
 
 
-def _offset_ids(templates: _TemplateIds, name: str, values: list[str], codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Ids of name:offset:value for value codes at 1-based offsets. Strings
-    are made per value only up to the largest offset it is seen at."""
-    reach = np.zeros(len(values), dtype=np.intp)
-    np.maximum.at(reach, codes, offset)
-    table = np.full((len(values), int(reach.max(initial=0))), -1, dtype=np.int32)
-    for o in range(1, table.shape[1] + 1):
-        have = np.flatnonzero(reach >= o)
-        table[have, o - 1] = templates.table(f"{name}:{o}:", [values[i] for i in have])
-    return table[codes, offset - 1]
+def _group(items) -> dict[str, dict[str, int]]:
+    """(template, id) items as name -> value -> id, split at the first ':'.
+    Empty values are dropped: no token, tag, shape or sentinel is empty."""
+    groups: dict[str, dict[str, int]] = {}
+    for template, tid in items:
+        name, _, value = template.partition(":")
+        try:
+            groups[name][value] = tid
+        except KeyError:
+            groups[name] = {value: tid}
+    for values in groups.values():
+        values.pop("", None)
+    return groups
+
+
+def _splits(value: str, k: int):
+    """Every way to write value as k parts joined by '+'."""
+    pieces = value.split("+")
+    return [
+        ["+".join(pieces[a:b]) for a, b in zip((0, *cuts), (*cuts, len(pieces)))]
+        for cuts in combinations(range(1, len(pieces)), k - 1)
+    ]
+
+
+def _dependency_parts(strings: dict[str, dict[str, int]], name: str, width: int) -> tuple[list, list]:
+    """The parts of each value of the family name split at '+' into width
+    parts, and its id; a value enters once per split, since a word or tag
+    may hold '+'."""
+    ids = strings.get(name, {})
+    parts = list(map(str.split, ids, repeat("+")))
+    if set(map(len, parts)) <= {width}:
+        return parts, list(ids.values())
+    split = [(p, tid) for value, tid in ids.items() for p in _splits(value, width)]
+    return [p for p, _ in split], [tid for _, tid in split]
+
+
+class _Keyed:
+    """Ids by int64 key, found by binary search; -1 for a key it does not hold."""
+
+    def __init__(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        order = np.argsort(keys)
+        self.keys = np.append(keys[order], np.iinfo(np.int64).max)
+        self.ids = np.append(ids[order], -1).astype(np.int32)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self.keys, keys)
+        return np.where(self.keys[at] == keys, self.ids[at], -1)
+
+
+class _Vocabulary:
+    """A frozen index re-keyed by template family and value; block_rows
+    builds it on the index's first use and keeps it on the index.
+
+    Values are split from the family name at the first ':' and, in the
+    offset families, from the offset at the second; a value may hold ':'.
+    - code[key] numbers the values that the families of a key mention (the
+      words, POS tags and shapes of the templates); code len(code[key])
+      stands for every other value.
+    - family[name] maps a code to the id of name:value, -1 where the index
+      has no such template. offset_table gives the same for i<key>:o:value
+      by (code, o - 1), for the offsets a block asks for; cells[key] holds
+      those templates by offset until then.
+    - For each word code: shape is the code of its shape, pre and suf the
+      ids of its affixes, and seg whether every space-separated piece of it
+      is a piece of some seg template, which a word of a matching seg is.
+    - strings[name] maps a value to the id of name:value, for the families
+      read by string (len, seg, and the affixes of words outside the
+      vocabulary).
+    - The dependency templates are split at '+' into their parts, every
+      split of a value entered, since a word or tag may hold '+'; the
+      dependent and head parts join the word (dw, dwl) or POS (dp, dpl)
+      codes, and rel numbers the relation parts. pair[key] maps the key
+      (dependent code, head code) of a pair that some template holds to a
+      pair code; unlabeled[key] maps a pair code to the dw or dp id, and
+      labeled[key] the key (pair code, relation code) to the dwl or dpl id.
+    """
+
+    def __init__(self, index: FeatureIndex) -> None:
+        self.num_ids = len(index)
+        strings = self.strings = _group(index._ids.items())
+        # (dependent, head) and (dependent, head, relation) parts of each dependency template
+        deps = {key: (_dependency_parts(strings, f"d{key}", 2), _dependency_parts(strings, f"d{key}l", 3)) for key in "wp"}
+        self.code: dict[str, dict[str, int]] = {}
+        self.family: dict[str, np.ndarray] = {}
+        self.offset: dict[str, np.ndarray] = {}
+        self.cells: dict[str, dict[int, dict[str, int]]] = {}
+        for key, names in _FAMILIES.items():
+            families = [strings.get(name, {}) for name in names]
+            # offsets as block_rows spells them; no span is 10**18 tokens long
+            offsets = self.cells[key] = {
+                int(o): ids
+                for o, ids in _group(strings.get("i" + key, {}).items()).items()
+                if o.isdecimal() and len(o) < 19 and o == str(int(o)) != "0"
+            }
+            dependents_and_heads = [chain.from_iterable(map(itemgetter(0, 1), parts)) for parts, _ in deps.get(key, ())]
+            values = dict.fromkeys(chain(*families, *offsets.values(), *dependents_and_heads))
+            values.pop("", None)  # a dependency part, but no token, tag or shape
+            code = self.code[key] = {v: c for c, v in enumerate(values)}
+            for name, ids in zip(names, families):
+                table = self.family[name] = np.full(len(code) + 1, -1, dtype=np.int32)
+                table[_get(code, ids, -1)] = list(ids.values())
+        words, shapes = list(self.code["w"]), self.code["sh"]
+        self.seg_pieces = set(" ".join(strings.get("seg", ())).split(" "))
+        self.shape = np.append(_get(shapes, map(word_shape, words), len(shapes)), len(shapes))
+        self.pre, self.suf = (np.vstack((a, np.full((1, 3), -1, dtype=np.int32))) for a in _affixes(self.lookup, words))
+        self.seg = np.array([self.seg_possible(w) for w in words] + [False])
+        labeled_parts = [parts for _, (parts, _) in deps.values()]
+        self.rel = {r: c for c, r in enumerate(dict.fromkeys(chain(*(map(itemgetter(2), p) for p in labeled_parts))))}
+        self.pair: dict[str, _Keyed] = {}
+        self.unlabeled: dict[str, np.ndarray] = {}
+        self.labeled: dict[str, _Keyed] = {}
+        for key, ((parts, ids), (labeled, labeled_ids)) in deps.items():
+            code, n = self.code[key], len(self.code[key]) + 1
+            pair = _get(code, chain.from_iterable(map(itemgetter(0, 1), parts + labeled)), -1).reshape(-1, 2)
+            # key -1 for a pair with an empty part: no token's key is negative
+            pair = np.where((pair >= 0).all(axis=1), pair[:, 0] * n + pair[:, 1], -1)
+            pair, pair_of = np.unique(pair, return_inverse=True)
+            pair_of = pair_of.ravel()
+            self.pair[key] = _Keyed(pair, np.arange(len(pair)))
+            table = self.unlabeled[key] = np.full(len(pair) + 1, -1, dtype=np.int32)  # the last for no pair
+            table[pair_of[: len(parts)]] = ids
+            rel = _get(self.rel, map(itemgetter(2), labeled), -1)
+            self.labeled[key] = _Keyed(pair_of[len(parts) :] * (len(self.rel) + 1) + rel, np.array(labeled_ids, dtype=np.int32))
+        # blocks read only these families by string
+        self.strings = {name: strings[name] for name in ("len", "seg", *_AFFIX_FAMILIES) if name in strings}
+
+    def lookup(self, name: str, values) -> np.ndarray:
+        """Ids of name:value for each value, -1 for a template the index lacks."""
+        return _get(self.strings.get(name, {}), values, -1).astype(np.int32)
+
+    def offset_table(self, key: str, reach: int) -> np.ndarray:
+        """(codes, w + 1) ids of i<key>:o:value at [code, o - 1] for the
+        offsets o up to w >= min(reach, the largest offset held); the last
+        column is -1. It is grown on demand, so that its width follows the
+        spans decoded, not an offset a template may spell."""
+        table, width = self.offset.get(key), min(reach, max(self.cells[key], default=0))
+        if table is None or table.shape[1] <= width:
+            code = self.code[key]
+            table = self.offset[key] = np.full((len(code) + 1, width + 1), -1, dtype=np.int32)
+            for o, ids in self.cells[key].items():
+                if o <= width:
+                    table[_get(code, ids, -1), o - 1] = list(ids.values())
+        return table
+
+    def seg_possible(self, word: str) -> bool:
+        return all(map(self.seg_pieces.__contains__, word.split(" ")))
+
+
+class _VocabIds:
+    """Decoding: template ids gathered from a frozen index's _Vocabulary.
+
+    Each token's word and POS tag get their vocabulary codes with one lookup
+    each; the shape, affixes and seg test of a word come from the tables,
+    and are computed only for the words outside the vocabulary, once per
+    distinct word. fields, pre and suf are as in _LocalIds, coded by the
+    vocabulary.
+    """
+
+    def __init__(self, tokens: _Tokens, vocab: _Vocabulary) -> None:
+        self.vocab, self.num_ids, self.lookup = vocab, vocab.num_ids, vocab.lookup
+        code = vocab.code
+        word = _get(code["w"], tokens.words, len(code["w"]))
+        shape, self.pre, self.suf, self.seg_ok = vocab.shape[word], vocab.pre[word], vocab.suf[word], vocab.seg[word]
+        unseen = np.flatnonzero(word == len(code["w"]))
+        if len(unseen):
+            new, new_of = _codes([tokens.words[i] for i in unseen.tolist()])
+            shape[unseen] = _get(code["sh"], map(word_shape, new), len(code["sh"]))[new_of]
+            pre, suf = _affixes(vocab.lookup, new)
+            self.pre[unseen], self.suf[unseen] = pre[new_of], suf[new_of]
+            self.seg_ok[unseen] = np.array([vocab.seg_possible(w) for w in new])[new_of]
+        self.codes = {"w": word, "p": _get(code["p"], tokens.tags, len(code["p"])), "sh": shape}
+        self.fields = tuple((key, codes, len(code[key]) + 1) for key, codes in self.codes.items())
+
+    def field(self, name: str, key: str, sentinel: str | None = None) -> np.ndarray:
+        """Ids of the family name for each code of key, then for the sentinel if given."""
+        table = self.vocab.family[name]
+        if sentinel is None:
+            return table
+        code = self.vocab.code[key]
+        return np.append(table, table[code.get(sentinel, len(code))])
+
+    def offsets(self, key: str, codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Ids of i<key>:offset:value for codes of key at 1-based offsets."""
+        table = self.vocab.offset_table(key, int(offset.max(initial=0)))
+        return table[codes, np.minimum(offset, table.shape[1]) - 1]
+
+    def seg(self, tokens: _Tokens, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """seg ids, looked up only for the spans whose every word may sit in a seg template."""
+        blocked = np.concatenate(([0], np.cumsum(~self.seg_ok)))
+        maybe = np.flatnonzero(blocked[end + 1] == blocked[start])
+        ids = np.full(len(start), -1, dtype=np.int32)
+        ids[maybe] = self.lookup("seg", _surfaces(tokens.words, start[maybe], end[maybe]))
+        return ids
+
+    def dependencies(self, tokens: _Tokens) -> np.ndarray:
+        """(N, 4) ids of dw, dwl, dp, dpl of every token, by binary search on vocabulary codes."""
+        vocab = self.vocab
+        heads, head_at, relations = tokens.arcs()
+        rel = _get(vocab.rel, relations, len(vocab.rel))
+        columns = []
+        for key in "wp":
+            codes, n = self.codes[key], len(vocab.code[key]) + 1
+            head = np.where(heads == 0, vocab.code[key].get(ROOT, n - 1), codes[head_at])
+            pair = vocab.pair[key](codes * n + head)  # -1 for a pair no template holds
+            columns.append(vocab.unlabeled[key][pair])
+            # a key from pair -1 is negative, so no table holds it
+            columns.append(vocab.labeled[key](pair.astype(np.int64) * (len(vocab.rel) + 1) + rel))
+        return np.column_stack(columns)
 
 
 def _pack(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,57 +481,48 @@ def _pack(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return indptr, ids, indptr[:-1] + width
 
 
-def _position_rows(tokens: _Tokens, templates: _TemplateIds, i: np.ndarray, dep: bool) -> tuple[np.ndarray, np.ndarray]:
-    """indptr and ids of the position templates of tokens i."""
-    (_, words, word), (_, tags, tag), (_, shapes, shape) = tokens.fields
-    prev = [tokens.neighbour(codes, -1, len(values)) for _, values, codes in tokens.fields]
-    pre, suf = tokens.affixes(templates)
+def _position_rows(tokens: _Tokens, src, i: np.ndarray, dep: bool) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and ids of the position templates of tokens i, their ids from src (_LocalIds or _VocabIds)."""
+    (_, word, n_word), (_, tag, n_tag), (_, shape, n_shape) = src.fields
     columns = [
-        templates.table("w:", words)[word],
-        templates.table("p:", tags)[tag],
-        templates.table("pw:", words + [BOS])[prev[0]],
-        templates.table("pp:", tags + [BOS])[prev[1]],
-        templates.table("sh:", shapes)[shape],
-        templates.table("psh:", shapes + [BOS])[prev[2]],
-        pre,
-        suf,
+        src.field("w", "w")[word[i]],
+        src.field("p", "p")[tag[i]],
+        src.field("pw", "w", BOS)[tokens.neighbour(word, i, -1, n_word)],
+        src.field("pp", "p", BOS)[tokens.neighbour(tag, i, -1, n_tag)],
+        src.field("sh", "sh")[shape[i]],
+        src.field("psh", "sh", BOS)[tokens.neighbour(shape, i, -1, n_shape)],
+        src.pre[i],
+        src.suf[i],
     ]
     if dep:
-        columns.append(tokens.dependencies(templates))
-    indptr, ids, _ = _pack(np.column_stack(columns)[i], np.zeros(len(i), dtype=np.intp))
+        columns.append(src.dependencies(tokens)[i])
+    indptr, ids, _ = _pack(np.column_stack(columns), np.zeros(len(i), dtype=np.intp))
     return indptr, ids
 
 
 def _segment_rows(
-    tokens: _Tokens, templates: _TemplateIds, start: np.ndarray, end: np.ndarray, dep: bool
+    tokens: _Tokens, src, start: np.ndarray, end: np.ndarray, dep: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """indptr, ids and counts of the segment templates of the spans
-    start..end (0-based token indices of the block, inclusive)."""
+    start..end (0-based token indices of the block, inclusive), their ids
+    from src (_LocalIds or _VocabIds); an id is -1 where the template is
+    unseen or repeats an earlier entry of its row."""
     length = end - start + 1
-    words = tokens.words
-    seg = templates.table("seg:", [" ".join(words[a : b + 1]) for a, b in zip(start.tolist(), end.tolist())])
-    pre, suf = tokens.affixes(templates)
-    before = [
-        templates.table(f"b{name}:", values + [BOS])[tokens.neighbour(codes, -1, len(values))[start]]
-        for name, values, codes in tokens.fields
-    ]
-    after = [
-        templates.table(f"a{name}:", values + [EOS])[tokens.neighbour(codes, 1, len(values))[end]]
-        for name, values, codes in tokens.fields
-    ]
-    (_, word_list, word), (_, tag_list, tag), _ = tokens.fields
+    before = [src.field(f"b{key}", key, BOS)[tokens.neighbour(codes, start, -1, n)] for key, codes, n in src.fields]
+    after = [src.field(f"a{key}", key, EOS)[tokens.neighbour(codes, end, 1, n)] for key, codes, n in src.fields]
+    (_, word, _), (_, tag, _), _ = src.fields
     head = np.column_stack(
         before
         + after
         + [
-            templates.table("sw:", word_list)[word[start]],
-            templates.table("ew:", word_list)[word[end]],
-            templates.table("sp:", tag_list)[tag[start]],
-            templates.table("ep:", tag_list)[tag[end]],
-            templates.table("len:", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
-            seg,
-            pre[start],
-            suf[end],
+            src.field("sw", "w")[word[start]],
+            src.field("ew", "w")[word[end]],
+            src.field("sp", "p")[tag[start]],
+            src.field("ep", "p")[tag[end]],
+            src.lookup("len", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
+            src.seg(tokens, start, end),
+            src.pre[start],
+            src.suf[end],
         ]
     )
     # after the head: iw, ip, ish for each offset, then dw, dwl, dp, dpl for each offset
@@ -277,26 +531,27 @@ def _segment_rows(
     offset = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)
     token = start[row] + offset
     at = tail[row] + 3 * offset
-    for k, (name, values, codes) in enumerate(tokens.fields):
-        ids[at + k] = _offset_ids(templates, f"i{name}", values, codes[token], offset + 1)
+    for k, (key, codes, _) in enumerate(src.fields):
+        ids[at + k] = src.offsets(key, codes[token], offset + 1)
     counts = np.ones(len(ids), dtype=np.int32)
     if dep:
         cells = ((tail + 3 * length)[row] + 4 * offset)[:, None] + np.arange(4)
-        ids[cells] = tokens.dependencies(templates)[token]
-        # one token's four templates differ, so only rows of several tokens can repeat one
-        multi = length[row] > 1
-        counts, keep = _merge_repeats(ids, row[multi], cells[multi].ravel(), len(templates.ids))
-        ids, counts = ids[keep], counts[keep]
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        ids[cells] = src.dependencies(tokens)[token]
+        # one token's four templates differ, so only rows of several tokens can
+        # repeat one; an unseen template (-1) leaves its row whether it repeats or not
+        cells, cell_row = cells.ravel(), np.repeat(row, 4)
+        merge = np.repeat(length[row] > 1, 4) & (ids[cells] >= 0)
+        counts, keep = _merge_repeats(ids, cell_row[merge], cells[merge], src.num_ids)
+        ids[~keep] = -1  # block_rows drops the -1 entries
     return indptr, ids, counts
 
 
 def _merge_repeats(ids: np.ndarray, row: np.ndarray, cells: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts of ids and a keep mask: within each row, the first of the cells
     holding one id keeps the count of them all, the others are dropped.
-    cells are positions into ids in increasing order, 4 per entry of row; an
-    id is -1 (unknown) or below num_ids, so no two rows share a key."""
-    key = np.repeat(row, 4).astype(np.int64) * (num_ids + 1) + ids[cells] + 1
+    cells are positions into ids in increasing order, row the row of each;
+    their ids are below num_ids, so no two rows share a key."""
+    key = row.astype(np.int64) * num_ids + ids[cells]
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     new = np.ones(len(key), dtype=bool)
@@ -322,21 +577,31 @@ def block_rows(
     Row r is span uv[r] = (u, v), 1-based, of sentences[sentence[r]].
     segments selects segment templates; otherwise a span (i, i) gets the
     position templates of token i. Templates get their ids from index: a
-    frozen index is read directly and leaves unseen templates out of their
-    rows; an unfrozen one interns them.
+    frozen index is read through its vocabulary tables, built on first use,
+    and leaves unseen templates out of their rows; an unfrozen one interns
+    them.
     """
     tokens = _Tokens(sentences)
     first = tokens.first[sentence]
     start, end = first + uv[:, 0] - 1, first + uv[:, 1] - 1
-    templates = _TemplateIds(index)
-    if segments:
-        indptr, ids, counts = _segment_rows(tokens, templates, start, end, dep)
+    if index.frozen:
+        if index._vocabulary is None:
+            index._vocabulary = _Vocabulary(index)
+        src = _VocabIds(tokens, index._vocabulary)
     else:
-        indptr, ids = _position_rows(tokens, templates, start, dep)
+        src = _LocalIds(tokens)
+    if segments:
+        indptr, ids, counts = _segment_rows(tokens, src, start, end, dep)
+    else:
+        indptr, ids = _position_rows(tokens, src, start, dep)
         counts = np.ones(len(ids), dtype=np.int32)
+    known = ids >= 0
+    if not known.all():
+        ids, counts = ids[known], counts[known]
+        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
     if not index.frozen:
         # local ids to template ids, one intern per string, in order of first occurrence in the rows
-        strings = list(templates.ids)
+        strings = list(src.ids)
         first_at = np.full(len(strings), len(ids), dtype=np.int32)
         np.minimum.at(first_at, ids, np.arange(len(ids), dtype=np.int32))
         occurring = np.flatnonzero(first_at < len(ids))
@@ -344,8 +609,4 @@ def block_rows(
         for lid in occurring[np.argsort(first_at[occurring])].tolist():
             global_id[lid] = index.intern(strings[lid])
         ids = global_id[ids]
-    known = ids >= 0
-    if not known.all():
-        ids, counts = ids[known], counts[known]
-        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
     return indptr.astype(np.int64), ids, counts.astype(np.float64)

@@ -30,9 +30,10 @@ at a time. Training interns the templates into a growing index, so each
 block's X has as many columns as the index had after that block and an
 early block is narrower than W[:T]; templates interned later have larger
 ids, so X @ W[:X.shape[1]] is exact. Decoding builds its blocks the same
-way against the model's frozen index, whose ids block_rows reads directly
-(an unseen template is left out), and runs one Viterbi pass per block,
-which builds only the layout's forward steps.
+way against the model's frozen index, whose ids block_rows gathers from
+vocabulary tables it builds on the index's first use (an unseen template
+is left out), and runs one Viterbi pass per block, which builds only the
+layout's forward steps.
 
 fit minimizes with _lbfgs (L-BFGS-B's steps, by the two-loop recursion) and
 can hand each iteration (objective, gradient infinity norm, step time, objective
@@ -467,6 +468,7 @@ def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
     S, Y, (sy, yy, alpha) = np.zeros((maxcor, n)), np.zeros((maxcor, n)), np.zeros((3, maxcor))
     d, xt, tmp = np.empty(n), np.empty(n), np.empty(n)
     f, g = fun(x, *args), jac(x, *args)
+    last = x.copy()  # the point of the latest call
     nfev, nit, stored, newest, status = 1, 0, 0, 0, None
     if np.abs(g).max() <= gtol:
         status, message = 0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
@@ -492,7 +494,12 @@ def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
                 np.multiply(d, stp, out=xt)
                 xt += x
                 ft, gt = fun(xt, *args), jac(xt, *args)
-                nfev, gdt = nfev + 1, _dot(gt, d)
+                gdt = _dot(gt, d)
+                # minimize's MemoizeJac answers a call at the latest point from its
+                # cache, and L-BFGS-B does not count it: count only calls that evaluate
+                if not np.array_equal(xt, last):
+                    nfev += 1
+                    np.copyto(last, xt)
         if task[:4] not in (b"CONV", b"WARN"):
             if not stored:
                 status, message = 2, "ABNORMAL: "

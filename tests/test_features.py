@@ -224,9 +224,11 @@ def test_frozen_index_filters_vectors(shlomo, womack):
     assert len(index) == size
 
 
-# Short words (affixes shorter than 3), and '+' so that dependency templates
-# of different tokens can spell the same string.
-_WORDS = ("a", "b", "ab", "Ab", "a+b", "+", "b+", "x1", "Lee", "Ami")
+# Short words (affixes shorter than 3); '+' so that dependency templates of
+# different tokens can spell the same string; ':' so that a template value
+# holds the separator of its family name; and the sentinels as words, so that
+# a word's template can spell a sentinel's.
+_WORDS = ("a", "b", "ab", "Ab", "a+b", "+", "b+", "x1", "Lee", "Ami", "a:b", ":", BOS, EOS, ROOT)
 _UNSEEN = ("zz", "Q", "9")
 
 
@@ -238,7 +240,7 @@ def corpora(draw, words=_WORDS, max_sentences=5):
         n = draw(st.integers(1, 7))
         heads = orient_edges(n, random_tree(n, rng).edges, root=draw(st.integers(1, n)))
         surfaces = draw(st.lists(st.sampled_from(words), min_size=n, max_size=n))
-        tags = draw(st.lists(st.sampled_from(("NN", "N+", "VB")), min_size=n, max_size=n))
+        tags = draw(st.lists(st.sampled_from(("NN", "N+", "VB", "V:B")), min_size=n, max_size=n))
         rels = tuple("root" if h == 0 else draw(st.sampled_from(("dep", "mod"))) for h in heads)
         out.append(Sentence(tuple(Token(w, t) for w, t in zip(surfaces, tags)), DependencyTree(heads, rels)))
     return out
@@ -303,6 +305,27 @@ def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
     spans = lattices[0].sorted_spans()
     assert rows[spans.index((1, 2)), -1] == rows[spans.index((1, 3)), -1] == 1
     assert not rows[len(spans) + lattices[1].sorted_spans().index((1, 2))].any()
+
+
+def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds():
+    # The words of "seg:zz q" and "seg:a:b" occur in no other template, so
+    # they are outside every word-keyed table; the seg lookup must still find
+    # both spans, and "iw:2:q" and "dw:q+zz" the templates that name q.
+    # "iw:02:q" spells its offset in a way no span's template does, and no
+    # span reaches the offsets of the last two iw templates.
+    sentence = Sentence(tuple(Token(w, "NN") for w in ("zz", "q", "a:b")), DependencyTree((0, 1, 1), ("root", "dep", "dep")))
+    other = Sentence(tuple(Token(w, "VB") for w in ("q", "zz")), DependencyTree((2, 0), ("dep", "root")))
+    index = FeatureIndex.frozen_from(["sw:k", "seg:zz q", "seg:a:b", "seg:q a:b x", "iw:2:q", "iw:02:q", "dw:q+zz", "ip:1:NN", f"iw:{10**15}:q", f"iw:{'9' * 5000}:q"])
+    mode = Mode("semi", 4)
+    sentences = [sentence, other]
+    block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), index, True)
+    lattices = [build_lattice(s, mode) for s in sentences]
+    _assert_rows_equal(block, reference_rows(sentences, lattices, True, True, index.lookup))
+    rows = block.emit.toarray()
+    spans = lattices[0].sorted_spans()
+    for span, template in (((1, 2), "seg:zz q"), ((3, 3), "seg:a:b"), ((1, 2), "iw:2:q"), ((2, 2), "dw:q+zz")):
+        assert rows[spans.index(span), index.lookup(template)] == 1, template
+    assert not rows[len(spans) :, index.lookup("seg:zz q")].any()
 
 
 @pytest.mark.parametrize("kind", MODE_KINDS)

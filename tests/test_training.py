@@ -499,6 +499,27 @@ def test_optimizer_restarts_and_stops_as_lbfgsb_after_failed_searches():
     assert not got.success
 
 
+def test_optimizer_counts_evaluations_as_lbfgsb_when_a_search_stalls():
+    # the gradient -2x of x.x points uphill: the searches stall and try one
+    # point twice in a row, which minimize's MemoizeJac answers from its cache
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return float(x @ x), -2.0 * x
+
+    options = {"maxiter": 100, "maxcor": 10, "ftol": 1e-9, "gtol": 1e-5}
+    runs = []
+    for method in ("L-BFGS-B", training._lbfgs):
+        calls.clear()
+        runs.append(scipy.optimize.minimize(fun, np.ones(3), jac=True, method=method, options=options))
+    want, got = runs
+    assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status)
+    assert got.status == 2 and got.nfev == len(calls) == 18
+    assert len({x.tobytes() for x in calls}) < len(calls)
+    assert got.message == lbfgsb_message(want.message) and got.message.startswith("ABNORMAL: ")
+
+
 def _minimize(fun, x0, callback=None):
     options = {"maxiter": 1000, "maxcor": 10, "ftol": 1e-20, "gtol": 1e-9}
     return scipy.optimize.minimize(fun, x0, jac=True, method=training._lbfgs, callback=callback, options=options)
@@ -706,6 +727,29 @@ def test_decode_single_sentence_matches_corpus_decode(womack):
     corpus = synthesize(6, mean_len=6.0, num_types=2, vocab=0, entity_rate=0.4, seed=18)
     model = fit(corpus, quick(l2=0.0, max_iter=30), Mode("semi", 8))
     assert [decode_corpus(model, [s])[0] for s in corpus] == decode_corpus(model, corpus)
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_decoding_tables_are_only_a_cache(tmp_path, kind):
+    # the first decode builds lookup tables on the model's frozen index; they
+    # must change neither the model file nor any decoded span
+    train = synthesize(30, mean_len=6.0, num_types=2, vocab=40, entity_rate=0.4, seed=33)
+    held = synthesize(25, mean_len=7.0, num_types=2, vocab=80, entity_rate=0.4, seed=34)
+    assert {t.surface for s in held for t in s.tokens} - {t.surface for s in train for t in s.tokens}
+    model = fit(train, quick(l2=0.01, max_iter=15), Mode(kind, 4))  # its index frozen by fit
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    model.save(before)
+    loaded = Model.load(before)  # its index frozen by Model.load
+    want = decode_corpus(model, held)
+    assert decode_corpus(loaded, held) == want and sum(map(len, want)) > 0
+    for size in (1, 7, len(held)):
+        parts = [held[i : i + size] for i in range(0, len(held), size)]
+        assert [spans for part in parts for spans in decode_corpus(model, part)] == want
+        assert [spans for part in parts for spans in decode_corpus(Model.load(before), part)] == want
+    model.save(after)
+    assert after.read_bytes() == before.read_bytes()
+    loaded.save(after)
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_cross_validate_picks_working_regularizer():

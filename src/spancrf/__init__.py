@@ -69,7 +69,7 @@ from .training import (
     Objective,
     TrainConfig,
     TrainingError,
-    bench_per_iteration,
+    bench_per_evaluation,
     cross_validate,
     decode_corpus,
     fit,

@@ -31,7 +31,7 @@ from .evaluation import DEFAULT_SAMPLES, bootstrap_test, score
 from .inference import InvariantViolation
 from .lattice import MODE_KINDS, Mode, _edges_per_token, _representability, coverage
 from .synth import synthesize
-from .training import Model, TrainConfig, TrainingError, bench_per_iteration, cross_validate, decode_corpus, fit
+from .training import Model, TrainConfig, TrainingError, bench_per_evaluation, cross_validate, decode_corpus, fit
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +76,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as trace:
 
         def report(record: dict) -> None:
-            print(f"iter {record['iteration']}: objective {record['objective']:.6f} ({record['step_s']:.3f}s)")
+            if "iteration" in record:  # not the compile summary, which is logged
+                print(f"iter {record['iteration']}: objective {record['objective']:.6f} ({record['step_s']:.3f}s)")
             if trace:
                 trace.write(json.dumps(record) + "\n")
 
@@ -176,10 +177,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _config(args)
     rows = []
     for kind in MODE_KINDS:
-        mean, std = bench_per_iteration(sentences, Mode(kind, args.max_len), config, iters=args.iters, warmup=1)
+        mean, std = bench_per_evaluation(sentences, Mode(kind, args.max_len), config, iters=args.iters, warmup=1)
         logger.info("%s: %.4fs +- %.4fs per objective evaluation", kind, mean, std)
         rows.append([kind, f"{mean:.6f}", f"{std:.6f}", args.iters])
-    _write_rows(args, ["mode", "mean_seconds", "std_seconds", "iterations"], rows)
+    _write_rows(args, ["mode", "mean_seconds", "std_seconds", "evaluations"], rows)
     return 0
 
 
@@ -211,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace",
         metavar="PATH",
-        help="write one JSON line per L-BFGS iteration of the final fit (iteration, objective, "
-        "grad_inf_norm, step_s, fevals)",
+        help="write JSON lines for the final fit: first {\"compile\": {...}}, the compile summary "
+        "also logged to stderr, then one per L-BFGS iteration (iteration, objective, grad_inf_norm, "
+        "step_s, fevals)",
     )
     _add_common(p, folds=True)
     p.set_defaults(func=cmd_train)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time of one objective evaluation in each of the four modes")
     p.add_argument("input")
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--iters", type=int, default=5, help="timed objective evaluations per mode (default 5)")
     p.add_argument("--output")
     _add_common(p)
     p.set_defaults(func=cmd_bench)

@@ -1,8 +1,8 @@
-"""Feature templates and the block featurizer that compiles them into span rows.
+"""Feature templates and the block featurizer that compiles them into unit and member rows.
 
 A template is a string with a template-name prefix, so no two templates
 can collide: "w:Ami", "seg:Shlomo Ben - Ami". Templates carry no label.
-Every lattice span gets one row of template counts, and the weight of a
+Every lattice span has a row of template counts, and the weight of a
 template for a label is one cell of the model's weight matrix, so labels
 and transitions need no strings (training.py describes that matrix). The
 FeatureIndex maps template strings to dense ids; while unfrozen it
@@ -19,28 +19,41 @@ prefixes of the first word, suffixes of the last, then iw:o, ip:o, ish:o
 for each offset o = 1..v-u+1. Dependency templates dw (word+head),
 dwl (word+head+relation), dp (POS+headPOS) and dpl (POS+headPOS+relation)
 follow, for the current position or for every token of the segment; the
-head of the root token is <ROOT>. A template repeated within a row (only
-dependency templates can repeat) is one entry with its count, at its
-first occurrence.
+head of the root token is <ROOT>. Only dependency templates can repeat
+within a row, and a row counts each template it holds.
 
-block_rows builds these rows for a whole block of sentences at once, and
-assembles them from per-token id columns by array gathers. When training,
-every distinct word, POS tag, shape and (word or POS, head's) pair of the
-block gets its template strings once (a shape is computed once per
-distinct word) and each string a block-local id; the local ids that occur
-are then interned once per distinct string, in the order of first
-occurrence in the rows, so the template index and the rows are those of
-interning every row's templates one by one. When decoding, the index is
-frozen, and on its first use block_rows re-keys it once into vocabulary
-tables (_Vocabulary), kept on the index: the words, POS tags and shapes
-its templates mention, each template family as an array from vocabulary
-code to template id, and each vocabulary word's shape and affix ids. A
-block then maps each token's word and tag to its code with one lookup and
-gathers every word-, POS- and shape-keyed id from the arrays; shapes and
-affixes are computed only for words outside the vocabulary, dependency
-templates are found by binary search on the codes of their parts, and a
-seg string is formatted only for a span whose every word is a piece of
-some seg template. An unseen template gets id -1 and leaves its row.
+A segment row repeats the templates its span shares with its neighbours,
+so the rows are never built. They are the product X = M @ U of two 0/1
+operators: U has one row per unit, the templates that vary together, and
+M one row per span, the units it holds. The units are
+- a start boundary: bw, bp, bsh, sw, sp, pre1-3 of the span's first token;
+- an end boundary: aw, ap, ash, ew, ep, suf1-3 of its last token;
+- a span: len, seg;
+- a (start, offset o) cell: iw:o, ip:o, ish:o;
+- a token: dw, dwl, dp, dpl (only with dependency templates).
+So a span holds 3 + 2 (v-u+1) units, 3 + (v-u+1) without dependency
+templates, and M's product sums repeated dependency templates itself. In
+linear mode a unit is a token's position templates and M is the identity.
+
+block_rows builds both operators for a whole block of sentences at once,
+and assembles them from per-token id columns by array gathers. When
+training, every distinct word, POS tag, shape and (word or POS, head's)
+pair of the block gets its template strings once (a shape is computed once
+per distinct word) and each string a block-local id; the local ids that
+occur are then interned once per distinct string, in the order of first
+occurrence in the rows X (a template's first span, then its column
+there), so the template index is that of interning every row's templates
+one by one. When decoding, the index is frozen, and on its first use
+block_rows re-keys it once into vocabulary tables (_Vocabulary), kept on
+the index: the words, POS tags and shapes its templates mention, each
+template family as an array from vocabulary code to template id, and each
+vocabulary word's shape and affix ids. A block then maps each token's word
+and tag to its code with one lookup and gathers every word-, POS- and
+shape-keyed id from the arrays; shapes and affixes are computed only for
+words outside the vocabulary, dependency templates are found by binary
+search on the codes of their parts, and a seg string is formatted only for
+a span whose every word is a piece of some seg template. An unseen
+template gets id -1 and leaves its unit.
 """
 
 from __future__ import annotations
@@ -208,10 +221,6 @@ class _LocalIds:
         pre, suf = _affixes(self.lookup, words)
         self.pre, self.suf = pre[word], suf[word]
 
-    @property
-    def num_ids(self) -> int:
-        return len(self.ids)
-
     def lookup(self, name: str, values) -> np.ndarray:
         """Ids of name:value for each value."""
         ids, prefix = self.ids, name + ":"
@@ -338,7 +347,6 @@ class _Vocabulary:
     """
 
     def __init__(self, index: FeatureIndex) -> None:
-        self.num_ids = len(index)
         strings = self.strings = _group(index._ids.items())
         # (dependent, head) and (dependent, head, relation) parts of each dependency template
         deps = {key: (_dependency_parts(strings, f"d{key}", 2), _dependency_parts(strings, f"d{key}l", 3)) for key in "wp"}
@@ -419,7 +427,7 @@ class _VocabIds:
     """
 
     def __init__(self, tokens: _Tokens, vocab: _Vocabulary) -> None:
-        self.vocab, self.num_ids, self.lookup = vocab, vocab.num_ids, vocab.lookup
+        self.vocab, self.lookup = vocab, vocab.lookup
         code = vocab.code
         word = _get(code["w"], tokens.words, len(code["w"]))
         shape, self.pre, self.suf, self.seg_ok = vocab.shape[word], vocab.pre[word], vocab.suf[word], vocab.seg[word]
@@ -470,19 +478,9 @@ class _VocabIds:
         return np.column_stack(columns)
 
 
-def _pack(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows that start with the present (>= 0) ids of their row of head, then
-    leave tail[r] slots free: (indptr, ids, offset of each row's tail)."""
-    present = head >= 0
-    width = present.sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(width + tail)))
-    ids = np.empty(int(indptr[-1]), dtype=np.int32)
-    ids[(indptr[:-1, None] + np.cumsum(present, axis=1) - 1)[present]] = head[present]
-    return indptr, ids, indptr[:-1] + width
-
-
-def _position_rows(tokens: _Tokens, src, i: np.ndarray, dep: bool) -> tuple[np.ndarray, np.ndarray]:
-    """indptr and ids of the position templates of tokens i, their ids from src (_LocalIds or _VocabIds)."""
+def _position_rows(tokens: _Tokens, src, i: np.ndarray, dep: bool) -> np.ndarray:
+    """(len(i), columns) ids of the position templates of tokens i, their ids
+    from src (_LocalIds or _VocabIds), -1 where absent or unseen."""
     (_, word, n_word), (_, tag, n_tag), (_, shape, n_shape) = src.fields
     columns = [
         src.field("w", "w")[word[i]],
@@ -496,72 +494,81 @@ def _position_rows(tokens: _Tokens, src, i: np.ndarray, dep: bool) -> tuple[np.n
     ]
     if dep:
         columns.append(src.dependencies(tokens)[i])
-    indptr, ids, _ = _pack(np.column_stack(columns), np.zeros(len(i), dtype=np.intp))
-    return indptr, ids
+    return np.column_stack(columns)
+
+
+# The columns of a span's row of segment templates (module doc order) that the
+# templates of a start, end and span unit take; a cell's start at 18 + 3(o-1)
+# and a token's at 18 + 3 len + 4(t-u).
+_START_SLOTS = (0, 1, 2, 6, 8, 12, 13, 14)  # bw bp bsh sw sp pre1-3
+_END_SLOTS = (3, 4, 5, 7, 9, 15, 16, 17)  # aw ap ash ew ep suf1-3
+_SPAN_SLOTS = (10, 11)  # len seg
+_HEAD = 18
 
 
 def _segment_rows(
     tokens: _Tokens, src, start: np.ndarray, end: np.ndarray, dep: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, ids and counts of the segment templates of the spans
-    start..end (0-based token indices of the block, inclusive), their ids
-    from src (_LocalIds or _VocabIds); an id is -1 where the template is
-    unseen or repeats an earlier entry of its row."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unit rows and member rows of the spans start..end (0-based token
+    indices of the block, inclusive), template ids from src (_LocalIds or
+    _VocabIds).
+
+    The units are numbered start boundaries, end boundaries, spans,
+    (start, offset) cells, then with dep the tokens, each kind in token
+    (span) order; only units some span holds exist. Returns
+    - templates: (units, 8) ids of each unit's templates, -1 where the unit
+      has fewer or the template is unseen;
+    - slots: the column of each template in a span's row of templates
+      (module doc order), counted from its unit's first column there;
+    - indptr, members: CSR rows of the units of each span, in unit order;
+    - member_slots: the first column of each member's templates in its span's row.
+    """
+    n_tokens, n_spans = len(tokens.words), len(start)
     length = end - start + 1
-    before = [src.field(f"b{key}", key, BOS)[tokens.neighbour(codes, start, -1, n)] for key, codes, n in src.fields]
-    after = [src.field(f"a{key}", key, EOS)[tokens.neighbour(codes, end, 1, n)] for key, codes, n in src.fields]
-    (_, word, _), (_, tag, _), _ = src.fields
-    head = np.column_stack(
-        before
-        + after
-        + [
-            src.field("sw", "w")[word[start]],
-            src.field("ew", "w")[word[end]],
-            src.field("sp", "p")[tag[start]],
-            src.field("ep", "p")[tag[end]],
-            src.lookup("len", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
-            src.seg(tokens, start, end),
-            src.pre[start],
-            src.suf[end],
-        ]
-    )
-    # after the head: iw, ip, ish for each offset, then dw, dwl, dp, dpl for each offset
-    indptr, ids, tail = _pack(head, (3 + 4 * dep) * length)
-    row = np.repeat(np.arange(len(start)), length)
-    offset = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)
-    token = start[row] + offset
-    at = tail[row] + 3 * offset
-    for k, (key, codes, _) in enumerate(src.fields):
-        ids[at + k] = src.offsets(key, codes[token], offset + 1)
-    counts = np.ones(len(ids), dtype=np.int32)
+    is_start, is_end, is_token = np.zeros((3, n_tokens), dtype=bool)
+    is_start[start] = is_end[end] = True
+    reach = np.zeros(n_tokens, dtype=np.intp)  # the longest span from each start: its cells
+    np.maximum.at(reach, start, length)
+    cell_start = np.repeat(np.arange(n_tokens), reach)
+    first_cell = np.cumsum(reach) - reach
+    cell_offset = np.arange(len(cell_start)) - first_cell[cell_start]  # 0-based
     if dep:
-        cells = ((tail + 3 * length)[row] + 4 * offset)[:, None] + np.arange(4)
-        ids[cells] = src.dependencies(tokens)[token]
-        # one token's four templates differ, so only rows of several tokens can
-        # repeat one; an unseen template (-1) leaves its row whether it repeats or not
-        cells, cell_row = cells.ravel(), np.repeat(row, 4)
-        merge = np.repeat(length[row] > 1, 4) & (ids[cells] >= 0)
-        counts, keep = _merge_repeats(ids, cell_row[merge], cells[merge], src.num_ids)
-        ids[~keep] = -1  # block_rows drops the -1 entries
-    return indptr, ids, counts
-
-
-def _merge_repeats(ids: np.ndarray, row: np.ndarray, cells: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of ids and a keep mask: within each row, the first of the cells
-    holding one id keeps the count of them all, the others are dropped.
-    cells are positions into ids in increasing order, row the row of each;
-    their ids are below num_ids, so no two rows share a key."""
-    key = row.astype(np.int64) * num_ids + ids[cells]
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = sorted_key[1:] != sorted_key[:-1]
-    group_start = np.flatnonzero(new)
-    counts = np.ones(len(ids), dtype=np.int32)
-    counts[cells[order[group_start]]] = np.diff(np.append(group_start, len(key)))
-    keep = np.ones(len(ids), dtype=bool)
-    keep[cells[order[~new]]] = False
-    return counts, keep
+        is_token[cell_start + cell_offset] = True
+    starts, ends, token = np.flatnonzero(is_start), np.flatnonzero(is_end), np.flatnonzero(is_token)
+    base = np.cumsum([0, len(starts), len(ends), n_spans, len(cell_start), len(token)])
+    templates = np.full((base[-1], 8), -1, dtype=np.int32)
+    slots = np.zeros((base[-1], 8), dtype=np.int64)
+    (_, word, _), (_, tag, _), _ = src.fields
+    kinds = (
+        [src.field(f"b{key}", key, BOS)[tokens.neighbour(codes, starts, -1, n)] for key, codes, n in src.fields]
+        + [src.field("sw", "w")[word[starts]], src.field("sp", "p")[tag[starts]], src.pre[starts]],
+        [src.field(f"a{key}", key, EOS)[tokens.neighbour(codes, ends, 1, n)] for key, codes, n in src.fields]
+        + [src.field("ew", "w")[word[ends]], src.field("ep", "p")[tag[ends]], src.suf[ends]],
+        [src.lookup("len", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1], src.seg(tokens, start, end)],
+        [src.offsets(key, codes[cell_start + cell_offset], cell_offset + 1) for key, codes, _ in src.fields],
+        [src.dependencies(tokens)[token]] if dep else [np.empty((0, 4), dtype=np.int32)],
+    )
+    for k, (columns, kind_slots) in enumerate(zip(kinds, (_START_SLOTS, _END_SLOTS, _SPAN_SLOTS, range(3), range(4)))):
+        templates[base[k] : base[k + 1], : len(kind_slots)] = np.column_stack(columns)
+        slots[base[k] : base[k + 1], : len(kind_slots)] = kind_slots
+    # each span's members: its start, end and span units, its cells, then its tokens
+    width = 3 + (1 + dep) * length
+    indptr = np.concatenate(([0], np.cumsum(width)))
+    members, member_slot = np.empty(indptr[-1], dtype=np.intp), np.zeros(indptr[-1], dtype=np.int64)
+    at = indptr[:-1]
+    members[at] = base[0] + np.cumsum(is_start)[start] - 1
+    members[at + 1] = base[1] + np.cumsum(is_end)[end] - 1
+    members[at + 2] = base[2] + np.arange(n_spans)
+    row = np.repeat(np.arange(n_spans), length)
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)  # 0-based
+    cell = at[row] + 3 + offset
+    members[cell] = base[3] + first_cell[start[row]] + offset
+    member_slot[cell] = _HEAD + 3 * offset
+    if dep:
+        cell += length[row]
+        members[cell] = base[4] + np.cumsum(is_token)[start[row] + offset] - 1
+        member_slot[cell] = _HEAD + 3 * length[row] + 4 * offset
+    return templates, slots, indptr, members, member_slot
 
 
 def block_rows(
@@ -571,15 +578,17 @@ def block_rows(
     segments: bool,
     dep: bool,
     index: FeatureIndex,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, data) of the template rows of a block.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The template rows of a block as two 0/1 CSR operators, X = M @ U,
+    each as (indptr, indices): U's rows hold the template ids of each unit,
+    M's rows the units of each span.
 
-    Row r is span uv[r] = (u, v), 1-based, of sentences[sentence[r]].
-    segments selects segment templates; otherwise a span (i, i) gets the
-    position templates of token i. Templates get their ids from index: a
-    frozen index is read through its vocabulary tables, built on first use,
-    and leaves unseen templates out of their rows; an unfrozen one interns
-    them.
+    Row r of M is span uv[r] = (u, v), 1-based, of sentences[sentence[r]].
+    segments selects segment templates and their units (module doc);
+    otherwise a span (i, i) is one unit, the position templates of token i,
+    and M is the identity. Templates get their ids from index: a frozen
+    index is read through its vocabulary tables, built on first use, and
+    leaves unseen templates out of their units; an unfrozen one interns them.
     """
     tokens = _Tokens(sentences)
     first = tokens.first[sentence]
@@ -591,22 +600,28 @@ def block_rows(
     else:
         src = _LocalIds(tokens)
     if segments:
-        indptr, ids, counts = _segment_rows(tokens, src, start, end, dep)
+        templates, slots, indptr, members, member_slots = _segment_rows(tokens, src, start, end, dep)
     else:
-        indptr, ids = _position_rows(tokens, src, start, dep)
-        counts = np.ones(len(ids), dtype=np.int32)
-    known = ids >= 0
-    if not known.all():
-        ids, counts = ids[known], counts[known]
-        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
+        templates = _position_rows(tokens, src, start, dep)
+        slots = np.broadcast_to(np.arange(templates.shape[1]), templates.shape)
+        indptr, members = np.arange(len(start) + 1), np.arange(len(start))
+        member_slots = np.zeros(len(start), dtype=np.intp)
+    present = templates >= 0
+    ids = templates[present]
     if not index.frozen:
-        # local ids to template ids, one intern per string, in order of first occurrence in the rows
+        # local ids to template ids, one intern per string, in order of first
+        # occurrence in the spans' rows: by the first span that holds the
+        # template's unit (the smallest row), then by its column in that row
+        never = np.iinfo(np.int64).max
+        stride = int(member_slots.max()) + int(slots.max()) + 1  # above every column
+        unit_first = np.full(len(templates), never)
+        np.minimum.at(unit_first, members, np.repeat(np.arange(len(start)), np.diff(indptr)) * stride + member_slots)
         strings = list(src.ids)
-        first_at = np.full(len(strings), len(ids), dtype=np.int32)
-        np.minimum.at(first_at, ids, np.arange(len(ids), dtype=np.int32))
-        occurring = np.flatnonzero(first_at < len(ids))
+        first_at = np.full(len(strings), never)
+        np.minimum.at(first_at, ids, (unit_first[:, None] + slots)[present])
+        occurring = np.flatnonzero(first_at < never)
         global_id = np.full(len(strings), -1, dtype=np.int32)
         for lid in occurring[np.argsort(first_at[occurring])].tolist():
             global_id[lid] = index.intern(strings[lid])
         ids = global_id[ids]
-    return indptr.astype(np.int64), ids, counts.astype(np.float64)
+    return (np.concatenate(([0], np.cumsum(present.sum(axis=1)))), ids), (indptr, members)

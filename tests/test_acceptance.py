@@ -161,7 +161,7 @@ def test_criterion_07_overfit_all_modes():
     iterations = {}
     for kind in MODE_KINDS:
         seen = []
-        model = fit(corpus, config, Mode(kind, 8), trace=lambda record: seen.append(record["iteration"]))
+        model = fit(corpus, config, Mode(kind, 8), trace=lambda record: seen.append(record.get("iteration")))
         assert seen and seen[-1] <= 200, kind
         preds = decode_corpus(model, corpus)
         f1 = score([s.gold for s in corpus], preds).f1
@@ -198,9 +198,9 @@ def test_criterion_09_dgm_faster_than_semi():
 
 
 def bench(corpus, kind):
-    from spancrf.training import bench_per_iteration
+    from spancrf.training import bench_per_evaluation
 
-    return bench_per_iteration(corpus, Mode(kind, 8), iters=3, warmup=1)
+    return bench_per_evaluation(corpus, Mode(kind, 8), iters=3, warmup=1)
 
 
 def test_criterion_10_edge_accounting():

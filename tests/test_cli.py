@@ -15,7 +15,7 @@ import pytest
 
 import spancrf
 import spancrf.lattice
-from spancrf import LabelSet, read_conll, read_predictions, representability_stats, synthesize, write_conll
+from spancrf import LabelSet, Model, read_conll, read_predictions, representability_stats, synthesize, write_conll
 from spancrf.cli import main
 from spancrf.lattice import Mode, average_edges_per_token, build_lattice, edge_count
 
@@ -66,12 +66,32 @@ def test_train_predict_evaluate_round_trip(tmp_path, corpus_path, capsys):
     assert by_type["overall"][6] == "100.0000"
 
 
-def test_train_trace_writes_one_record_per_iteration(tmp_path, corpus_path, capsys):
+def test_train_trace_writes_one_record_per_iteration(tmp_path, corpus_path, capsys, caplog):
     model = tmp_path / "model.json"
     trace = tmp_path / "run.jsonl"
-    assert main(["train", str(corpus_path), str(model), "--mode", "dgm", "--trace", str(trace)]) == 0
-    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("iter ")]
-    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    with caplog.at_level("INFO"):
+        assert main(["train", str(corpus_path), str(model), "--mode", "dgm", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    printed = [line for line in out if line.startswith("iter ")]
+    assert out == printed + [f"model written to {model}"]
+    summary, *records = [json.loads(line) for line in trace.read_text().splitlines()]
+    # the compile summary comes first, under a key no iteration record has
+    assert list(summary) == ["compile"]
+    compiled = summary["compile"]
+    corpus = read_conll(corpus_path)
+    assert compiled["sentences"] == len(corpus) and compiled["tokens"] == sum(s.n for s in corpus)
+    assert compiled["gold_entities"] == sum(len(s.gold) for s in corpus)
+    assert 0 <= compiled["split_entities"] <= compiled["gold_entities"]
+    assert 1 <= compiled["spans_per_token"] and compiled["emission_entries_per_span"] > 3
+    saved = Model.load(model)
+    assert compiled["templates"] == len(saved.index) and compiled["weights"] == saved.weights.size
+    assert compiled["compile_s"] > 0
+    # and is the one line fit logs, with the same fields
+    logged = [r.getMessage() for r in caplog.records if r.name == "spancrf.training"]
+    logged = [message for message in logged if message.startswith("compiled ")]
+    assert len(logged) == 1
+    assert f"{compiled['sentences']} sentences, {compiled['tokens']} tokens:" in logged[0]
+    assert f"{compiled['templates']} templates, {compiled['weights']} weights" in logged[0]
     assert len(records) == len(printed) > 1
     for k, (record, line) in enumerate(zip(records, printed), start=1):
         assert set(record) == {"iteration", "objective", "grad_inf_norm", "step_s", "fevals"}
@@ -214,7 +234,7 @@ def test_edges_curve_stays_under_linear_bound(capsys):
 def test_bench_times_all_modes(corpus_path, capsys):
     assert main(["bench", str(corpus_path), "--iters", "1", "--max-len", "3"]) == 0
     rows = _csv_rows(capsys.readouterr().out)
-    assert rows[0] == ["mode", "mean_seconds", "std_seconds", "iterations"]
+    assert rows[0] == ["mode", "mean_seconds", "std_seconds", "evaluations"]
     assert [r[0] for r in rows[1:]] == ["linear", "semi", "dgm-s", "dgm"]
     assert all(float(r[1]) > 0 for r in rows[1:])
 

@@ -1,9 +1,10 @@
 """Feature templates, the string index, and the weight-matrix layout.
 
 Template strings are read back from the span rows that training compiles,
-so the tests see exactly what the model is trained and decoded on. The
-compiled rows are also compared, entry by entry, with rows built span by
-span from the template strings of tests/oracles.py.
+members @ units (implied_rows), so the tests see exactly what the model is
+trained and decoded on. The implied rows are also compared, template by
+template, with rows built span by span from the template strings of
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from oracles import orient_edges, reference_rows
-from spancrf import DependencyTree, LabelSet, Sentence, Token, random_tree, synthesize
+from spancrf import DependencyTree, EntitySpan, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
 from spancrf.features import BOS, EOS, ROOT, FeatureIndex, word_shape
 from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels
 from spancrf.lattice import MODE_KINDS, Mode, build_lattice
-from spancrf.training import _block, _compile
+from spancrf.training import _block, _compile, _iob_gold, project_gold
 
 
 @pytest.mark.parametrize(
@@ -73,15 +75,28 @@ def _compiled(sentence, kind, dep=True, index=None):
     return _compile([sentence], mode, labels, index, dep, project=True), index
 
 
+def implied_rows(block) -> sparse.csr_matrix:
+    """The block's span-by-template count matrix members @ units, indices sorted."""
+    rows = (block.members @ block.units).tocsr()
+    rows.sort_indices()
+    return rows
+
+
+def row_counts(rows: sparse.csr_matrix, strings) -> list[dict[str, float]]:
+    """Each row of a count matrix as template string -> count."""
+    return [
+        {strings[tid]: count for tid, count in zip(rows.indices[lo:hi], rows.data[lo:hi].tolist())}
+        for lo, hi in zip(rows.indptr[:-1], rows.indptr[1:])
+    ]
+
+
 def template_counts(sentence, span, kind="semi", dep=True, index=None):
     """Template string -> count of the compiled row of the span."""
     compiled, index = _compiled(sentence, kind, dep, index)
     block = compiled.blocks[0]
     # the block holds one sentence; its rows are its spans in sorted order
     row = sorted(block.scored.lattices[0].allowed).index(span)
-    lo, hi = block.emit.indptr[row], block.emit.indptr[row + 1]
-    names = index.strings()
-    return {names[tid]: count for tid, count in zip(block.emit.indices[lo:hi], block.emit.data[lo:hi])}
+    return row_counts(implied_rows(block)[row], index.strings())[0]
 
 
 def gold_transitions(sentence, kind="semi"):
@@ -206,10 +221,11 @@ def test_labels_share_one_row_per_span(womack):
     compiled, index = _compiled(womack, "semi")
     block = compiled.blocks[0]
     spans = sorted(block.scored.lattices[0].allowed)
-    assert block.emit.shape == (len(spans), len(index))
+    rows = implied_rows(block)
+    assert rows.shape == (len(spans), len(index))
     per, misc = compiled.labels.index("PER"), compiled.labels.index("MISC")
-    np.testing.assert_array_equal(compiled.gold[: len(index), per], block.emit[spans.index((1, 3))].toarray()[0])
-    np.testing.assert_array_equal(compiled.gold[: len(index), misc], block.emit[spans.index((5, 8))].toarray()[0])
+    np.testing.assert_array_equal(compiled.gold[: len(index), per], rows[spans.index((1, 3))].toarray()[0])
+    np.testing.assert_array_equal(compiled.gold[: len(index), misc], rows[spans.index((5, 8))].toarray()[0])
 
 
 def test_frozen_index_filters_vectors(shlomo, womack):
@@ -233,48 +249,81 @@ _UNSEEN = ("zz", "Q", "9")
 
 
 @st.composite
-def corpora(draw, words=_WORDS, max_sentences=5):
+def corpora(draw, words=_WORDS, max_sentences=5, max_n=7):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     out = []
     for _ in range(draw(st.integers(1, max_sentences))):
-        n = draw(st.integers(1, 7))
+        n = draw(st.integers(1, max_n))
         heads = orient_edges(n, random_tree(n, rng).edges, root=draw(st.integers(1, n)))
         surfaces = draw(st.lists(st.sampled_from(words), min_size=n, max_size=n))
         tags = draw(st.lists(st.sampled_from(("NN", "N+", "VB", "V:B")), min_size=n, max_size=n))
         rels = tuple("root" if h == 0 else draw(st.sampled_from(("dep", "mod"))) for h in heads)
-        out.append(Sentence(tuple(Token(w, t) for w, t in zip(surfaces, tags)), DependencyTree(heads, rels)))
+        gold, start = [], 1  # consecutive pieces, each an entity or not
+        while start <= n:
+            end = draw(st.integers(start, n))
+            etype = draw(st.sampled_from(("A", "B", None)))
+            if etype:
+                gold.append(EntitySpan(start, end, etype))
+            start = end + 1
+        out.append(Sentence(tuple(Token(w, t) for w, t in zip(surfaces, tags)), DependencyTree(heads, rels), tuple(gold)))
     return out
 
 
-def _assert_rows_equal(block, reference):
+def _assert_rows_equal(block, strings, reference, reference_strings):
+    """The block's implied rows, read through strings, hold the reference's
+    integer counts, read through reference_strings, template by template."""
+    rows = implied_rows(block)
+    assert (rows.data == np.rint(rows.data)).all()
     indptr, indices, data = reference
-    np.testing.assert_array_equal(block.emit.indptr, indptr)
-    np.testing.assert_array_equal(block.emit.indices, indices)
-    np.testing.assert_array_equal(block.emit.data, data)
+    expected = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(reference_strings)))
+    assert row_counts(rows, strings) == row_counts(expected, reference_strings)
+
+
+def _gold_rows(sentences, lattices, scheme):
+    """(row, label name) of every gold segment of the block, rows in span order."""
+    out, first = [], 0
+    for sentence, lattice in zip(sentences, lattices):
+        spans = lattice.sorted_spans()
+        seg = _iob_gold(sentence) if scheme == IOB_SCHEME else project_gold(sentence, lattice)[0]
+        out.extend((first + spans.index(span), label) for span, label in seg)
+        first += len(spans)
+    return out
 
 
 def _check_against_reference(train, test, kind, dep, block_size):
     """Compile train (interning) and test (frozen lookup) and compare every
-    block's CSR arrays and the template index with the string reference."""
+    block's implied rows, the gold counts and the template index with the
+    string reference."""
     mode = Mode(kind, 4)
-    segments = label_scheme(mode) != IOB_SCHEME
+    scheme = label_scheme(mode)
+    segments = scheme != IOB_SCHEME
     labels = mode_labels(LabelSet.from_corpus(train), mode)
     index, ref_index = FeatureIndex(), FeatureIndex()
     with mock.patch.object(training, "_BLOCK_SIZE", block_size):
         compiled = _compile(train, mode, labels, index, dep, project=True)
+    gold = np.zeros((len(index), len(labels)))
     for b, block in enumerate(compiled.blocks):
         chunk = train[b * block_size : (b + 1) * block_size]
         lattices = [build_lattice(s, mode) for s in chunk]
-        _assert_rows_equal(block, reference_rows(chunk, lattices, segments, dep, ref_index.intern))
+        reference = reference_rows(chunk, lattices, segments, dep, ref_index.intern)
+        _assert_rows_equal(block, index.strings(), reference, ref_index.strings())
         # as wide as the index after the block's templates, not the final index
-        assert block.emit.shape[1] == len(ref_index)
+        assert block.units.shape[1] == len(ref_index)
+        indptr, indices, data = reference
+        indicator = np.zeros((len(indptr) - 1, len(labels)))
+        for row, label in _gold_rows(chunk, lattices, scheme):
+            indicator[row, labels.index(label)] = 1.0
+        X = sparse.csr_matrix((data, indices, indptr), shape=(len(indicator), len(ref_index)))
+        gold[: len(ref_index)] += X.T @ indicator
     assert index.strings() == ref_index.strings()
+    np.testing.assert_array_equal(compiled.gold[: len(index)], gold)
 
     index.freeze()
     block = _block(test, mode, labels, index, dep)
     lattices = [build_lattice(s, mode) for s in test]
-    _assert_rows_equal(block, reference_rows(test, lattices, segments, dep, ref_index.lookup))
-    assert block.emit.shape[1] == len(index) == len(ref_index)
+    reference = reference_rows(test, lattices, segments, dep, ref_index.lookup)
+    _assert_rows_equal(block, index.strings(), reference, ref_index.strings())
+    assert block.units.shape[1] == len(index) == len(ref_index)
 
 
 @settings(max_examples=80, deadline=None)
@@ -283,13 +332,20 @@ def test_rows_equal_string_reference(train, test, kind, dep):
     _check_against_reference(train, test, kind, dep, block_size=2)
 
 
+@settings(max_examples=20, deadline=None)
+@given(corpora(max_n=1), corpora(words=_WORDS[::2] + _UNSEEN, max_n=1), st.sampled_from(MODE_KINDS), st.booleans())
+def test_rows_equal_string_reference_for_one_token_sentences(train, test, kind, dep):
+    # every span is a whole sentence: its start and end units both sit at a sentence edge
+    _check_against_reference(train, test, kind, dep, block_size=2)
+
+
 def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
     # Tokens 2 and 3 of "k u u" share all four (unknown) dependency
     # templates, so the span (1, 3) repeats each of them; its row and the
     # row before it, (1, 2), hold the first token's known "dpl" template,
-    # the index's last id. A merge key in which an unknown id runs into the
-    # previous row's largest id would add the repeats to that count. Every
-    # template of the span (1, 2) of "z z" is unknown, so its row is empty.
+    # the index's last id, once each: the unknown repeats add to no count.
+    # Every template of the span (1, 2) of "z z" is unknown, so its row is
+    # empty (its units hold no template).
     known = Sentence(tuple(Token(w, "NN") for w in "kuu"), DependencyTree((0, 1, 1), ("root", "dep", "dep")))
     unknown = Sentence(tuple(Token("z", "ZZ") for _ in range(2)), DependencyTree((0, 1), ("root", "dep")))
     index = FeatureIndex()
@@ -300,8 +356,9 @@ def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
     sentences = [known, unknown]
     block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), index, True)
     lattices = [build_lattice(s, mode) for s in sentences]
-    _assert_rows_equal(block, reference_rows(sentences, lattices, True, True, index.lookup))
-    rows = block.emit.toarray()
+    reference = reference_rows(sentences, lattices, True, True, index.lookup)
+    _assert_rows_equal(block, index.strings(), reference, index.strings())
+    rows = implied_rows(block).toarray()
     spans = lattices[0].sorted_spans()
     assert rows[spans.index((1, 2)), -1] == rows[spans.index((1, 3)), -1] == 1
     assert not rows[len(spans) + lattices[1].sorted_spans().index((1, 2))].any()
@@ -320,8 +377,9 @@ def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds(
     sentences = [sentence, other]
     block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), index, True)
     lattices = [build_lattice(s, mode) for s in sentences]
-    _assert_rows_equal(block, reference_rows(sentences, lattices, True, True, index.lookup))
-    rows = block.emit.toarray()
+    reference = reference_rows(sentences, lattices, True, True, index.lookup)
+    _assert_rows_equal(block, index.strings(), reference, index.strings())
+    rows = implied_rows(block).toarray()
     spans = lattices[0].sorted_spans()
     for span, template in (((1, 2), "seg:zz q"), ((3, 3), "seg:a:b"), ((1, 2), "iw:2:q"), ((2, 2), "dw:q+zz")):
         assert rows[spans.index(span), index.lookup(template)] == 1, template

@@ -25,7 +25,7 @@ from spancrf import (
     Token,
     TrainConfig,
     TrainingError,
-    bench_per_iteration,
+    bench_per_evaluation,
     build_lattice,
     cross_validate,
     decode_corpus,
@@ -650,14 +650,14 @@ def test_never_live_weights_stay_zero(kind):
         assert len(compiled.blocks) == (sentences + 63) // 64
         assert index.strings() == model.index.strings()
         T = len(model.index)
-        widths = [block.emit.shape[1] for block in compiled.blocks]
+        widths = [block.units.shape[1] for block in compiled.blocks]
         assert widths == sorted(widths) and widths[-1] == T
         assert len(widths) == 1 or widths[0] < T
         live_cells = np.zeros((T, len(model.labels)))
         live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
         for block in compiled.blocks:
             allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
-            live_cells[: block.emit.shape[1]] += block.emit.T @ allowed.any(axis=1)
+            live_cells[: block.units.shape[1]] += (block.members @ block.units).T @ allowed.any(axis=1)
             live_pairs |= allowed.any(axis=0)
         never = np.vstack([live_cells == 0, ~live_pairs])
         assert never.any() and np.abs(model.weights[~never]).max() > 0
@@ -786,6 +786,8 @@ def test_trace_reports_decreasing_objective():
     corpus = synthesize(10, mean_len=6.0, num_types=2, vocab=30, seed=22)
     seen = []
     fit(corpus, quick(l2=0.1, max_iter=25), Mode("linear"), trace=seen.append)
+    summary, *seen = seen
+    assert list(summary) == ["compile"] and summary["compile"]["sentences"] == 10
     assert [r["iteration"] for r in seen] == list(range(1, len(seen) + 1))
     values = [r["objective"] for r in seen]
     assert all(math.isfinite(v) for v in values)
@@ -816,7 +818,7 @@ def test_empty_corpus_rejected():
 
 def test_bench_reports_mean_and_spread():
     corpus = synthesize(8, mean_len=5.0, num_types=2, vocab=20, seed=24)
-    mean, std = bench_per_iteration(corpus, Mode("linear"), iters=3, warmup=1)
+    mean, std = bench_per_evaluation(corpus, Mode("linear"), iters=3, warmup=1)
     assert mean > 0 and std >= 0
     with pytest.raises(ValueError):
-        bench_per_iteration(corpus, Mode("linear"), iters=0)
+        bench_per_evaluation(corpus, Mode("linear"), iters=0)

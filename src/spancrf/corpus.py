@@ -230,6 +230,25 @@ def iob_to_spans(tags: Sequence[str]) -> tuple[tuple[EntitySpan, ...], tuple[int
     return tuple(spans), tuple(repaired)
 
 
+def _sentence_lines(path):
+    """The token lines of each sentence of a CoNLL-style file, as a list of
+    (1-based line number, tab-separated columns). A leading BOM is skipped,
+    lines starting with '#' are comments and blank lines end a sentence."""
+    lines = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                continue
+            if line.strip():
+                lines.append((lineno, line.split("\t")))
+            elif lines:
+                yield lines
+                lines = []
+    if lines:
+        yield lines
+
+
 def read_conll(path) -> list[Sentence]:
     """Parse a CoNLL-style file into sentences.
 
@@ -237,43 +256,12 @@ def read_conll(path) -> list[Sentence]:
     rows, bad head indices, or invalid trees.
     """
     sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    heads: list[int] = []
-    deprels: list[str] = []
-    tags: list[str] = []
-    token_lines: list[int] = []
-
-    def flush() -> None:
-        if not tokens:
-            return
-        first_line = token_lines[0]
-        try:
-            tree = DependencyTree(tuple(heads), tuple(deprels))
-        except ValueError as exc:
-            raise ConllParseError(f"sentence starting at line {first_line}: {exc}") from exc
-        spans, repaired = iob_to_spans(tags)
-        for pos in repaired:
-            logger.debug(
-                "line %d: %s without an open entity of its type, repaired to B-",
-                token_lines[pos - 1],
-                tags[pos - 1],
-            )
-        sentences.append(Sentence(tuple(tokens), tree, spans))
-        tokens.clear()
-        heads.clear()
-        deprels.clear()
-        tags.clear()
-        token_lines.clear()
-
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split("\t")
+    for lines in _sentence_lines(path):
+        tokens: list[Token] = []
+        heads: list[int] = []
+        deprels: list[str] = []
+        tags: list[str] = []
+        for lineno, cols in lines:
             if len(cols) < 6:
                 raise ConllParseError(
                     f"line {lineno}: expected at least 6 tab-separated columns, got {len(cols)}"
@@ -298,8 +286,18 @@ def read_conll(path) -> list[Sentence]:
             heads.append(head)
             deprels.append(cols[4])
             tags.append(cols[5])
-            token_lines.append(lineno)
-    flush()
+        try:
+            tree = DependencyTree(tuple(heads), tuple(deprels))
+        except ValueError as exc:
+            raise ConllParseError(f"sentence starting at line {lines[0][0]}: {exc}") from exc
+        spans, repaired = iob_to_spans(tags)
+        for pos in repaired:
+            logger.debug(
+                "line %d: %s without an open entity of its type, repaired to B-",
+                lines[pos - 1][0],
+                tags[pos - 1],
+            )
+        sentences.append(Sentence(tuple(tokens), tree, spans))
     return sentences
 
 
@@ -341,24 +339,9 @@ def write_conll(sentences: Sequence[Sentence], predictions, path) -> None:
 def read_predictions(path) -> list[list[EntitySpan]]:
     """Read the 7th (prediction) column of an annotated file as entity spans per sentence."""
     predictions: list[list[EntitySpan]] = []
-    tags: list[str] = []
-
-    def flush() -> None:
-        if not tags:
-            return
-        spans, _ = iob_to_spans(tags)
-        predictions.append(list(spans))
-        tags.clear()
-
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split("\t")
+    for lines in _sentence_lines(path):
+        tags: list[str] = []
+        for lineno, cols in lines:
             if len(cols) < 7:
                 raise ConllParseError(f"line {lineno}: no prediction column (need 7, got {len(cols)})")
             try:
@@ -366,6 +349,5 @@ def read_predictions(path) -> list[list[EntitySpan]]:
             except ValueError as exc:
                 raise ConllParseError(f"line {lineno}: {exc}") from exc
             tags.append(cols[6])
-    flush()
+        predictions.append(list(iob_to_spans(tags)[0]))
     return predictions
-

@@ -51,9 +51,8 @@ vocabulary word's shape and affix ids. A block then maps each token's word
 and tag to its code with one lookup and gathers every word-, POS- and
 shape-keyed id from the arrays; shapes and affixes are computed only for
 words outside the vocabulary, dependency templates are found by binary
-search on the codes of their parts, and a seg string is formatted only for
-a span whose every word is a piece of some seg template. An unseen
-template gets id -1 and leaves its unit.
+search on the codes of their parts, and len and seg are looked up by
+string, as in training. An unseen template gets id -1 and leaves its unit.
 """
 
 from __future__ import annotations
@@ -243,9 +242,6 @@ class _LocalIds:
             table[have, o - 1] = self.lookup(f"i{key}:{o}", [values[i] for i in have])
         return table[codes, offset - 1]
 
-    def seg(self, tokens: _Tokens, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        return self.lookup("seg", _surfaces(tokens.words, start, end))
-
     def dependencies(self, tokens: _Tokens) -> np.ndarray:
         """(N, 4) ids of dw, dwl, dp, dpl of every token. Each distinct (word
         or POS, head's word or POS) pair, and each pair with its relation, is
@@ -332,8 +328,7 @@ class _Vocabulary:
       by (code, o - 1), for the offsets a block asks for; cells[key] holds
       those templates by offset until then.
     - For each word code: shape is the code of its shape, pre and suf the
-      ids of its affixes, and seg whether every space-separated piece of it
-      is a piece of some seg template, which a word of a matching seg is.
+      ids of its affixes.
     - strings[name] maps a value to the id of name:value, for the families
       read by string (len, seg, and the affixes of words outside the
       vocabulary).
@@ -370,10 +365,8 @@ class _Vocabulary:
                 table = self.family[name] = np.full(len(code) + 1, -1, dtype=np.int32)
                 table[_get(code, ids, -1)] = list(ids.values())
         words, shapes = list(self.code["w"]), self.code["sh"]
-        self.seg_pieces = set(" ".join(strings.get("seg", ())).split(" "))
         self.shape = np.append(_get(shapes, map(word_shape, words), len(shapes)), len(shapes))
         self.pre, self.suf = (np.vstack((a, np.full((1, 3), -1, dtype=np.int32))) for a in _affixes(self.lookup, words))
-        self.seg = np.array([self.seg_possible(w) for w in words] + [False])
         labeled_parts = [parts for _, (parts, _) in deps.values()]
         self.rel = {r: c for c, r in enumerate(dict.fromkeys(chain(*(map(itemgetter(2), p) for p in labeled_parts))))}
         self.pair: dict[str, _Keyed] = {}
@@ -412,32 +405,27 @@ class _Vocabulary:
                     table[_get(code, ids, -1), o - 1] = list(ids.values())
         return table
 
-    def seg_possible(self, word: str) -> bool:
-        return all(map(self.seg_pieces.__contains__, word.split(" ")))
-
 
 class _VocabIds:
     """Decoding: template ids gathered from a frozen index's _Vocabulary.
 
     Each token's word and POS tag get their vocabulary codes with one lookup
-    each; the shape, affixes and seg test of a word come from the tables,
-    and are computed only for the words outside the vocabulary, once per
-    distinct word. fields, pre and suf are as in _LocalIds, coded by the
-    vocabulary.
+    each; the shape and affixes of a word come from the tables, and are
+    computed only for the words outside the vocabulary, once per distinct
+    word. fields, pre and suf are as in _LocalIds, coded by the vocabulary.
     """
 
     def __init__(self, tokens: _Tokens, vocab: _Vocabulary) -> None:
         self.vocab, self.lookup = vocab, vocab.lookup
         code = vocab.code
         word = _get(code["w"], tokens.words, len(code["w"]))
-        shape, self.pre, self.suf, self.seg_ok = vocab.shape[word], vocab.pre[word], vocab.suf[word], vocab.seg[word]
+        shape, self.pre, self.suf = vocab.shape[word], vocab.pre[word], vocab.suf[word]
         unseen = np.flatnonzero(word == len(code["w"]))
         if len(unseen):
             new, new_of = _codes([tokens.words[i] for i in unseen.tolist()])
             shape[unseen] = _get(code["sh"], map(word_shape, new), len(code["sh"]))[new_of]
             pre, suf = _affixes(vocab.lookup, new)
             self.pre[unseen], self.suf[unseen] = pre[new_of], suf[new_of]
-            self.seg_ok[unseen] = np.array([vocab.seg_possible(w) for w in new])[new_of]
         self.codes = {"w": word, "p": _get(code["p"], tokens.tags, len(code["p"])), "sh": shape}
         self.fields = tuple((key, codes, len(code[key]) + 1) for key, codes in self.codes.items())
 
@@ -453,14 +441,6 @@ class _VocabIds:
         """Ids of i<key>:offset:value for codes of key at 1-based offsets."""
         table = self.vocab.offset_table(key, int(offset.max(initial=0)))
         return table[codes, np.minimum(offset, table.shape[1]) - 1]
-
-    def seg(self, tokens: _Tokens, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        """seg ids, looked up only for the spans whose every word may sit in a seg template."""
-        blocked = np.concatenate(([0], np.cumsum(~self.seg_ok)))
-        maybe = np.flatnonzero(blocked[end + 1] == blocked[start])
-        ids = np.full(len(start), -1, dtype=np.int32)
-        ids[maybe] = self.lookup("seg", _surfaces(tokens.words, start[maybe], end[maybe]))
-        return ids
 
     def dependencies(self, tokens: _Tokens) -> np.ndarray:
         """(N, 4) ids of dw, dwl, dp, dpl of every token, by binary search on vocabulary codes."""
@@ -537,24 +517,28 @@ def _segment_rows(
     starts, ends, token = np.flatnonzero(is_start), np.flatnonzero(is_end), np.flatnonzero(is_token)
     base = np.cumsum([0, len(starts), len(ends), n_spans, len(cell_start), len(token)])
     templates = np.full((base[-1], 8), -1, dtype=np.int32)
-    slots = np.zeros((base[-1], 8), dtype=np.int64)
+    slots = np.zeros((base[-1], 8), dtype=np.int8)  # every slot is below _HEAD
     (_, word, _), (_, tag, _), _ = src.fields
     kinds = (
         [src.field(f"b{key}", key, BOS)[tokens.neighbour(codes, starts, -1, n)] for key, codes, n in src.fields]
         + [src.field("sw", "w")[word[starts]], src.field("sp", "p")[tag[starts]], src.pre[starts]],
         [src.field(f"a{key}", key, EOS)[tokens.neighbour(codes, ends, 1, n)] for key, codes, n in src.fields]
         + [src.field("ew", "w")[word[ends]], src.field("ep", "p")[tag[ends]], src.suf[ends]],
-        [src.lookup("len", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1], src.seg(tokens, start, end)],
+        [
+            src.lookup("len", [str(k) for k in range(1, int(length.max()) + 1)])[length - 1],
+            src.lookup("seg", _surfaces(tokens.words, start, end)),
+        ],
         [src.offsets(key, codes[cell_start + cell_offset], cell_offset + 1) for key, codes, _ in src.fields],
         [src.dependencies(tokens)[token]] if dep else [np.empty((0, 4), dtype=np.int32)],
     )
     for k, (columns, kind_slots) in enumerate(zip(kinds, (_START_SLOTS, _END_SLOTS, _SPAN_SLOTS, range(3), range(4)))):
         templates[base[k] : base[k + 1], : len(kind_slots)] = np.column_stack(columns)
         slots[base[k] : base[k + 1], : len(kind_slots)] = kind_slots
+    del kinds  # copied into templates; freed before the members' temporaries
     # each span's members: its start, end and span units, its cells, then its tokens
     width = 3 + (1 + dep) * length
     indptr = np.concatenate(([0], np.cumsum(width)))
-    members, member_slot = np.empty(indptr[-1], dtype=np.intp), np.zeros(indptr[-1], dtype=np.int64)
+    members, member_slot = np.empty(indptr[-1], dtype=np.int32), np.zeros(indptr[-1], dtype=np.int32)
     at = indptr[:-1]
     members[at] = base[0] + np.cumsum(is_start)[start] - 1
     members[at + 1] = base[1] + np.cumsum(is_end)[end] - 1

@@ -28,8 +28,8 @@ block and into the gradient. Blocks are reduced in block order.
 _block builds a block in one step: its lattices, its ScoredBlock, whose
 layout is the one span-to-row map (_compile finds gold rows with
 layout.rows), then from the layout's span arrays the (S, K) mask in one
-allowed_mask call and the operators by features.block_rows, _GROUP
-sentences at a time. Training interns the templates into a growing index,
+allowed_mask call and the operators by one features.block_rows call
+over the whole block. Training interns the templates into a growing index,
 so each block's units has as many columns as the index had after that
 block and an early block is narrower than W[:T]; templates interned later
 have larger ids, so units @ W[:units.shape[1]] is exact. Decoding builds
@@ -83,11 +83,6 @@ MODEL_VERSION = 3
 # bound keeps the (rows, K+1, K) temporary of posteriors and the blocks of a
 # long predict input small.
 _BLOCK_SIZE = 512
-# Rows are featurized in groups of this many sentences. Whole 64-sentence
-# blocks at once gave about 5 % more peak RSS than groups of 16 on a
-# 60-sentence semi-Markov fit: larger temporaries leave more freed heap
-# that the process keeps.
-_GROUP = 16
 
 
 class TrainingError(RuntimeError):
@@ -303,38 +298,25 @@ def _block(sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index
     """The block of sentences: lattices, labeling-rule masks and template rows.
 
     Every span gets one row of members, in span order; the units' templates
-    are interned into index _GROUP sentences at a time (a frozen index leaves
-    unseen templates out). units has as many columns as index has afterwards.
+    come from one block_rows call, which interns them into index (a frozen
+    index leaves unseen templates out). units has as many columns as index
+    has afterwards.
     """
     scheme = label_scheme(mode)
     lattices = tuple(build_lattice(sentence, mode) for sentence in sentences)
     S, K = sum(map(len, lattices)), len(labels)
     scored = ScoredBlock(lattices, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
     lay = scored.layout
-    units, members, num_units = [], [], 0
-    for g in range(0, len(sentences), _GROUP):
-        lo, hi = np.searchsorted(lay.sentence, [g, g + _GROUP])
-        (unit_ptr, ids), (indptr, group_members) = block_rows(
-            sentences[g : g + _GROUP], lay.sentence[lo:hi] - g, lay.uv[lo:hi], scheme != IOB_SCHEME, dep, index
-        )
-        units.append((unit_ptr, ids))
-        members.append((indptr, group_members + num_units))
-        num_units += len(unit_ptr) - 1
+    (unit_ptr, ids), (indptr, members) = block_rows(sentences, lay.sentence, lay.uv, scheme != IOB_SCHEME, dep, index)
+    num_units = len(unit_ptr) - 1
     return _Block(
         scored,
         ~allowed_mask(lay.uv, K),
         ~pair_mask(labels, scheme),
-        _csr(units, len(index)),
-        _csr(members, num_units),
+        sparse.csr_matrix((np.ones(len(ids)), ids, unit_ptr), shape=(num_units, len(index))),
+        sparse.csr_matrix((np.ones(len(members)), members, indptr), shape=(S, num_units)),
         np.empty((num_units, K)),
     )
-
-
-def _csr(rows: list[tuple[np.ndarray, np.ndarray]], width: int) -> sparse.csr_matrix:
-    """The 0/1 matrix of the CSR row groups (indptr, indices), stacked."""
-    indices = np.concatenate([ids for _, ids in rows])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate([np.diff(ptr) for ptr, _ in rows]))))
-    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(indptr) - 1, width))
 
 
 def _accumulate(out: np.ndarray, A: sparse.csr_matrix, X: np.ndarray, transpose: bool = False) -> None:

@@ -386,14 +386,22 @@ def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds(
     assert not rows[len(spans) :, index.lookup("seg:zz q")].any()
 
 
-@pytest.mark.parametrize("kind", MODE_KINDS)
-@pytest.mark.parametrize("dep", [True, False])
-def test_rows_equal_string_reference_with_distinct_words(kind, dep):
+@pytest.mark.parametrize(
+    "kind, dep, block_size",
+    [
+        pytest.param(kind, dep, size, id=f"{dep}-{kind}" if size == 64 else f"{dep}-{kind}-{size}")
+        for size in (64, training._BLOCK_SIZE)
+        for dep in (True, False)
+        for kind in MODE_KINDS
+    ],
+)
+def test_rows_equal_string_reference_with_distinct_words(kind, dep, block_size):
     # vocab=0: every surface form in both corpora is distinct, so every
-    # word template of the second corpus is unseen
+    # word template of the second corpus is unseen. At the production block
+    # size all 70 training sentences are featurized in one block_rows call.
     train = synthesize(70, mean_len=6.0, vocab=0, seed=31)
     test = synthesize(10, mean_len=6.0, vocab=0, seed=32)
-    _check_against_reference(train, test, kind, dep, block_size=64)
+    _check_against_reference(train, test, kind, dep, block_size=block_size)
 
 
 def test_one_token_sentences_touch_both_edges():

@@ -27,7 +27,7 @@ class ConllParseError(Exception):
 
 
 class SerializationError(Exception):
-    """Predictions cannot be rendered as IOB2 tags for the given sentences."""
+    """Sentences or predictions that cannot be written so that they read back unchanged."""
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,8 @@ def write_conll(sentences: Sequence[Sentence], predictions, path) -> None:
 
     predictions is a per-sentence sequence of EntitySpan lists aligned 1:1
     with sentences, or None for a 6-column file. Reading the output back
-    reproduces the sentences exactly.
+    reproduces the sentences exactly; a surface, POS tag, relation or entity
+    type holding a tab or line break raises SerializationError instead.
     """
     if predictions is not None and len(predictions) != len(sentences):
         raise SerializationError(
@@ -332,7 +333,10 @@ def write_conll(sentences: Sequence[Sentence], predictions, path) -> None:
                 ]
                 if pred_tags is not None:
                     cols.append(pred_tags[i])
-                handle.write("\t".join(cols) + "\n")
+                line = "\t".join(cols)
+                if line.count("\t") >= len(cols) or "\n" in line or "\r" in line:
+                    raise SerializationError(f"sentence {idx + 1}, token {i + 1}: a field of {line!r} holds a tab or line break")
+                handle.write(line + "\n")
             handle.write("\n")
 
 

@@ -8,32 +8,29 @@ and transitions need no strings (training.py describes that matrix). The
 FeatureIndex maps template strings to dense ids; while unfrozen it
 allocates on sight, after freeze() unseen strings are dropped.
 
-Position templates (one row per token, linear mode), in row order:
-w, p, pw, pp, sh, psh (current/previous word, POS and word shape, <BOS>
-before the first token), then pre1..pre3 and suf1..suf3 of the current
-word (up to its length). Segment templates (one row per span u..v), in
-row order: bw, bp, bsh and aw, ap, ash (word/POS/shape before and after
-the segment, <BOS>/<EOS> at the sentence edges), sw, ew, sp, ep
-(start/end word and POS), len, seg (the surface form joined by spaces),
-prefixes of the first word, suffixes of the last, then iw:o, ip:o, ish:o
-for each offset o = 1..v-u+1. Dependency templates dw (word+head),
-dwl (word+head+relation), dp (POS+headPOS) and dpl (POS+headPOS+relation)
-follow, for the current position or for every token of the segment; the
-head of the root token is <ROOT>. Only dependency templates can repeat
-within a row, and a row counts each template it holds.
+Position templates (one row per token, linear mode), in row order: w, p,
+pw, pp, sh, psh (current/previous word, POS and word shape, <BOS> before
+the first token), pre1..pre3 and suf1..suf3 of the current word (up to
+its length), then if enabled the dependency templates dw (word+head), dwl
+(word+head+relation), dp (POS+headPOS) and dpl (POS+headPOS+relation);
+the head of the root token is <ROOT>.
 
 A segment row repeats the templates its span shares with its neighbours,
 so the rows are never built. They are the product X = M @ U of two 0/1
 operators: U has one row per unit, the templates that vary together, and
-M one row per span, the units it holds. The units are
-- a start boundary: bw, bp, bsh, sw, sp, pre1-3 of the span's first token;
-- an end boundary: aw, ap, ash, ew, ep, suf1-3 of its last token;
-- a span: len, seg;
-- a (start, offset o) cell: iw:o, ip:o, ish:o;
-- a token: dw, dwl, dp, dpl (only with dependency templates).
+M one row per span, the units it holds. A span u..v's row is its units'
+templates, the units in this member order:
+- a start boundary: bw, bp, bsh (word/POS/shape before the span, <BOS>
+  at the sentence's start), sw, sp, pre1-3 (of its first token);
+- an end boundary: aw, ap, ash (after the span, <EOS> at the end), ew,
+  ep, suf1-3 (of its last token);
+- a span: len, seg (the surface form joined by spaces);
+- a (start, offset o) cell for each o = 1..v-u+1: iw:o, ip:o, ish:o;
+- a token for each of u..v: dw, dwl, dp, dpl (with dependency templates).
 So a span holds 3 + 2 (v-u+1) units, 3 + (v-u+1) without dependency
-templates, and M's product sums repeated dependency templates itself. In
-linear mode a unit is a token's position templates and M is the identity.
+templates. Only dependency templates can repeat within a row, and M's
+product sums them. In linear mode a unit is a token's position templates
+and M is the identity.
 
 block_rows builds both operators for a whole block of sentences at once,
 and assembles them from per-token id columns by array gathers. When
@@ -41,14 +38,14 @@ training, every distinct word, POS tag, shape and (word or POS, head's)
 pair of the block gets its template strings once (a shape is computed once
 per distinct word) and each string a block-local id; the local ids that
 occur are then interned once per distinct string, in the order of first
-occurrence in the rows X (a template's first span, then its column
-there), so the template index is that of interning every row's templates
-one by one. When decoding, the index is frozen, and on its first use
-block_rows re-keys it once into vocabulary tables (_Vocabulary), kept on
-the index: the words, POS tags and shapes its templates mention, each
-template family as an array from vocabulary code to template id, and each
-vocabulary word's shape and affix ids. A block then maps each token's word
-and tag to its code with one lookup and gathers every word-, POS- and
+occurrence in the rows X (a template's first span, then its place in
+that span's row), so the template index is that of interning every row's
+templates one by one. When decoding, the index is frozen, and on its
+first use block_rows re-keys it once into vocabulary tables (_Vocabulary),
+kept on the index: the words, POS tags and shapes its templates mention,
+each template family as an array from vocabulary code to template id, and
+each vocabulary word's shape and affix ids. A block then maps each token's
+word and tag to its code with one lookup and gathers every word-, POS- and
 shape-keyed id from the arrays; shapes and affixes are computed only for
 words outside the vocabulary, dependency templates are found by binary
 search on the codes of their parts, and len and seg are looked up by
@@ -477,18 +474,9 @@ def _position_rows(tokens: _Tokens, src, i: np.ndarray, dep: bool) -> np.ndarray
     return np.column_stack(columns)
 
 
-# The columns of a span's row of segment templates (module doc order) that the
-# templates of a start, end and span unit take; a cell's start at 18 + 3(o-1)
-# and a token's at 18 + 3 len + 4(t-u).
-_START_SLOTS = (0, 1, 2, 6, 8, 12, 13, 14)  # bw bp bsh sw sp pre1-3
-_END_SLOTS = (3, 4, 5, 7, 9, 15, 16, 17)  # aw ap ash ew ep suf1-3
-_SPAN_SLOTS = (10, 11)  # len seg
-_HEAD = 18
-
-
 def _segment_rows(
     tokens: _Tokens, src, start: np.ndarray, end: np.ndarray, dep: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit rows and member rows of the spans start..end (0-based token
     indices of the block, inclusive), template ids from src (_LocalIds or
     _VocabIds).
@@ -496,12 +484,10 @@ def _segment_rows(
     The units are numbered start boundaries, end boundaries, spans,
     (start, offset) cells, then with dep the tokens, each kind in token
     (span) order; only units some span holds exist. Returns
-    - templates: (units, 8) ids of each unit's templates, -1 where the unit
-      has fewer or the template is unseen;
-    - slots: the column of each template in a span's row of templates
-      (module doc order), counted from its unit's first column there;
-    - indptr, members: CSR rows of the units of each span, in unit order;
-    - member_slots: the first column of each member's templates in its span's row.
+    - templates: (units, 8) ids of each unit's templates, in the module
+      doc's order, -1 where the unit has fewer or the template is unseen;
+    - indptr, members: CSR rows of the units of each span, in unit order,
+      which is the module doc's member order.
     """
     n_tokens, n_spans = len(tokens.words), len(start)
     length = end - start + 1
@@ -517,7 +503,6 @@ def _segment_rows(
     starts, ends, token = np.flatnonzero(is_start), np.flatnonzero(is_end), np.flatnonzero(is_token)
     base = np.cumsum([0, len(starts), len(ends), n_spans, len(cell_start), len(token)])
     templates = np.full((base[-1], 8), -1, dtype=np.int32)
-    slots = np.zeros((base[-1], 8), dtype=np.int8)  # every slot is below _HEAD
     (_, word, _), (_, tag, _), _ = src.fields
     kinds = (
         [src.field(f"b{key}", key, BOS)[tokens.neighbour(codes, starts, -1, n)] for key, codes, n in src.fields]
@@ -531,14 +516,14 @@ def _segment_rows(
         [src.offsets(key, codes[cell_start + cell_offset], cell_offset + 1) for key, codes, _ in src.fields],
         [src.dependencies(tokens)[token]] if dep else [np.empty((0, 4), dtype=np.int32)],
     )
-    for k, (columns, kind_slots) in enumerate(zip(kinds, (_START_SLOTS, _END_SLOTS, _SPAN_SLOTS, range(3), range(4)))):
-        templates[base[k] : base[k + 1], : len(kind_slots)] = np.column_stack(columns)
-        slots[base[k] : base[k + 1], : len(kind_slots)] = kind_slots
+    for k, columns in enumerate(kinds):
+        columns = np.column_stack(columns)
+        templates[base[k] : base[k + 1], : columns.shape[1]] = columns
     del kinds  # copied into templates; freed before the members' temporaries
     # each span's members: its start, end and span units, its cells, then its tokens
     width = 3 + (1 + dep) * length
     indptr = np.concatenate(([0], np.cumsum(width)))
-    members, member_slot = np.empty(indptr[-1], dtype=np.int32), np.zeros(indptr[-1], dtype=np.int32)
+    members = np.empty(indptr[-1], dtype=np.int32)
     at = indptr[:-1]
     members[at] = base[0] + np.cumsum(is_start)[start] - 1
     members[at + 1] = base[1] + np.cumsum(is_end)[end] - 1
@@ -547,12 +532,9 @@ def _segment_rows(
     offset = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)  # 0-based
     cell = at[row] + 3 + offset
     members[cell] = base[3] + first_cell[start[row]] + offset
-    member_slot[cell] = _HEAD + 3 * offset
     if dep:
-        cell += length[row]
-        members[cell] = base[4] + np.cumsum(is_token)[start[row] + offset] - 1
-        member_slot[cell] = _HEAD + 3 * length[row] + 4 * offset
-    return templates, slots, indptr, members, member_slot
+        members[cell + length[row]] = base[4] + np.cumsum(is_token)[start[row] + offset] - 1
+    return templates, indptr, members
 
 
 def block_rows(
@@ -584,25 +566,24 @@ def block_rows(
     else:
         src = _LocalIds(tokens)
     if segments:
-        templates, slots, indptr, members, member_slots = _segment_rows(tokens, src, start, end, dep)
+        templates, indptr, members = _segment_rows(tokens, src, start, end, dep)
     else:
         templates = _position_rows(tokens, src, start, dep)
-        slots = np.broadcast_to(np.arange(templates.shape[1]), templates.shape)
         indptr, members = np.arange(len(start) + 1), np.arange(len(start))
-        member_slots = np.zeros(len(start), dtype=np.intp)
     present = templates >= 0
     ids = templates[present]
     if not index.frozen:
         # local ids to template ids, one intern per string, in order of first
-        # occurrence in the spans' rows: by the first span that holds the
-        # template's unit (the smallest row), then by its column in that row
+        # occurrence in the spans' rows, a row being its members' templates
+        # in member order: by the first member entry that holds the
+        # template's unit (entries run span by span, each span's in member
+        # order), then by the template's column in the unit
         never = np.iinfo(np.int64).max
-        stride = int(member_slots.max()) + int(slots.max()) + 1  # above every column
         unit_first = np.full(len(templates), never)
-        np.minimum.at(unit_first, members, np.repeat(np.arange(len(start)), np.diff(indptr)) * stride + member_slots)
+        np.minimum.at(unit_first, members, np.arange(len(members), dtype=np.int64) * templates.shape[1])
         strings = list(src.ids)
         first_at = np.full(len(strings), never)
-        np.minimum.at(first_at, ids, (unit_first[:, None] + slots)[present])
+        np.minimum.at(first_at, ids, (unit_first[:, None] + np.arange(templates.shape[1]))[present])
         occurring = np.flatnonzero(first_at < never)
         global_id = np.full(len(strings), -1, dtype=np.int32)
         for lid in occurring[np.argsort(first_at[occurring])].tolist():

@@ -330,18 +330,18 @@ def segment_templates(sentence: Sentence, span: tuple[int, int], dep_features: b
         f"bw:{before_word}",
         f"bp:{before_pos}",
         f"bsh:{before_shape}",
+        f"sw:{words[0]}",
+        f"sp:{tags[0]}",
+        *prefixes(words[0]),
         f"aw:{after_word}",
         f"ap:{after_pos}",
         f"ash:{after_shape}",
-        f"sw:{words[0]}",
         f"ew:{words[-1]}",
-        f"sp:{tags[0]}",
         f"ep:{tags[-1]}",
+        *suffixes(words[-1]),
         f"len:{v - u + 1}",
         f"seg:{' '.join(words)}",
     ]
-    templates.extend(prefixes(words[0]))
-    templates.extend(suffixes(words[-1]))
     for offset, (word, pos) in enumerate(zip(words, tags), start=1):
         templates.append(f"iw:{offset}:{word}")
         templates.append(f"ip:{offset}:{pos}")

@@ -211,6 +211,20 @@ def test_write_conll_misaligned_predictions(tmp_path):
         write_conll(corpus, [()], tmp_path / "x.conll")
 
 
+@pytest.mark.parametrize("breaker", ["\t", "\n", "\r"])
+@pytest.mark.parametrize("field", ["surface", "pos", "relation", "etype"])
+def test_write_conll_rejects_fields_that_would_not_read_back(tmp_path, field, breaker):
+    odd = f"a{breaker}b"
+    tokens = (Token("x", "NN"), Token(odd if field == "surface" else "y", odd if field == "pos" else "VB"))
+    tree = DependencyTree((2, 0), (odd if field == "relation" else "nsubj", "root"))
+    gold = (EntitySpan(1, 1, odd if field == "etype" else "PER"),)
+    corpus = [synthesize(1, mean_len=3.0, seed=6)[0], Sentence(tokens, tree, gold)]
+    with pytest.raises(SerializationError, match=r"sentence 2, token [12]: a field of '.*a\\[tnr]b"):
+        write_conll(corpus, None, tmp_path / "x.conll")
+    write_conll(corpus[:1], [()], tmp_path / "ok.conll")
+    assert read_conll(tmp_path / "ok.conll") == corpus[:1]
+
+
 def test_read_predictions_requires_column(tmp_path):
     with pytest.raises(ConllParseError, match="line 1"):
         read_predictions(_write(tmp_path, "1\ta\tX\t0\troot\tO\n"))

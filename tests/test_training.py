@@ -723,6 +723,34 @@ def test_decode_does_not_depend_on_sentence_order_or_cuts(fitted, kind, order, c
     assert unpermuted == whole
 
 
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_decode_does_not_depend_on_template_order(tmp_path, fitted, kind):
+    # a model file lists its own templates, so one saved in another order
+    # (templates and the rows of W[:T] permuted alike) must decode the same
+    model, whole = fitted[kind]
+    T = len(model.index)
+    order = np.random.default_rng(71 + MODE_KINDS.index(kind)).permutation(T)
+    strings = model.index.strings()
+    permuted = replace(
+        model,
+        index=FeatureIndex.frozen_from([strings[i] for i in order]),
+        weights=np.concatenate((model.weights[order], model.weights[T:])),
+    )
+    permuted.save(tmp_path / "permuted.json")
+    permuted = Model.load(tmp_path / "permuted.json")
+    assert permuted.index.strings() != strings
+    assert decode_corpus(permuted, _HELD) == whole
+
+    def best(m):
+        block = training._block(_HELD, m.mode, m.labels, m.index, m.dep_features)
+        training._fill_scores(block, m.weights)
+        return viterbi(block.scored)
+
+    want, got = best(model), best(permuted)
+    assert [seg for seg, _ in got] == [seg for seg, _ in want]
+    assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in want]).tobytes()
+
+
 def test_decode_single_sentence_matches_corpus_decode(womack):
     corpus = synthesize(6, mean_len=6.0, num_types=2, vocab=0, entity_rate=0.4, seed=18)
     model = fit(corpus, quick(l2=0.0, max_iter=30), Mode("semi", 8))

@@ -36,7 +36,7 @@ from .corpus import (
     write_conll,
 )
 from .evaluation import EvalReport, SignificanceResult, TypeScore, bootstrap_test, score
-from .features import FeatureIndex, word_shape
+from .features import word_shape
 from .inference import (
     InvariantViolation,
     ScoredBlock,

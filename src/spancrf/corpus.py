@@ -308,36 +308,40 @@ def write_conll(sentences: Sequence[Sentence], predictions, path) -> None:
     with sentences, or None for a 6-column file. Reading the output back
     reproduces the sentences exactly; a surface, POS tag, relation or entity
     type holding a tab or line break raises SerializationError instead.
+    Every line is rendered and checked before path is opened, so an error
+    leaves path as it was.
     """
     if predictions is not None and len(predictions) != len(sentences):
         raise SerializationError(
             f"{len(predictions)} prediction lists for {len(sentences)} sentences"
         )
+    lines = []
+    for idx, sent in enumerate(sentences):
+        gold_tags = spans_to_iob(sent.gold, sent.n)
+        pred_tags = None
+        if predictions is not None:
+            try:
+                pred_tags = spans_to_iob(predictions[idx], sent.n)
+            except SerializationError as exc:
+                raise SerializationError(f"sentence {idx + 1}: {exc}") from exc
+        for i in range(sent.n):
+            cols = [
+                str(i + 1),
+                sent.tokens[i].surface,
+                sent.tokens[i].pos,
+                str(sent.tree.heads[i]),
+                sent.tree.labels[i],
+                gold_tags[i],
+            ]
+            if pred_tags is not None:
+                cols.append(pred_tags[i])
+            line = "\t".join(cols)
+            if line.count("\t") >= len(cols) or "\n" in line or "\r" in line:
+                raise SerializationError(f"sentence {idx + 1}, token {i + 1}: a field of {line!r} holds a tab or line break")
+            lines.append(line + "\n")
+        lines.append("\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for idx, sent in enumerate(sentences):
-            gold_tags = spans_to_iob(sent.gold, sent.n)
-            pred_tags = None
-            if predictions is not None:
-                try:
-                    pred_tags = spans_to_iob(predictions[idx], sent.n)
-                except SerializationError as exc:
-                    raise SerializationError(f"sentence {idx + 1}: {exc}") from exc
-            for i in range(sent.n):
-                cols = [
-                    str(i + 1),
-                    sent.tokens[i].surface,
-                    sent.tokens[i].pos,
-                    str(sent.tree.heads[i]),
-                    sent.tree.labels[i],
-                    gold_tags[i],
-                ]
-                if pred_tags is not None:
-                    cols.append(pred_tags[i])
-                line = "\t".join(cols)
-                if line.count("\t") >= len(cols) or "\n" in line or "\r" in line:
-                    raise SerializationError(f"sentence {idx + 1}, token {i + 1}: a field of {line!r} holds a tab or line break")
-                handle.write(line + "\n")
-            handle.write("\n")
+        handle.writelines(lines)
 
 
 def read_predictions(path) -> list[list[EntitySpan]]:

@@ -4,9 +4,9 @@ A template is a string with a template-name prefix, so no two templates
 can collide: "w:Ami", "seg:Shlomo Ben - Ami". Templates carry no label.
 Every lattice span has a row of template counts, and the weight of a
 template for a label is one cell of the model's weight matrix, so labels
-and transitions need no strings (training.py describes that matrix). The
-FeatureIndex maps template strings to dense ids; while unfrozen it
-allocates on sight, after freeze() unseen strings are dropped.
+and transitions need no strings (training.py describes that matrix).
+Template ids are dense: training interns the strings into a dict that
+grows on sight, and a model keeps them as a tuple in id order.
 
 Position templates (one row per token, linear mode), in row order: w, p,
 pw, pp, sh, psh (current/previous word, POS and word shape, <BOS> before
@@ -39,10 +39,10 @@ pair of the block gets its template strings once (a shape is computed once
 per distinct word) and each string a block-local id; the local ids that
 occur are then interned once per distinct string, in the order of first
 occurrence in the rows X (a template's first span, then its place in
-that span's row), so the template index is that of interning every row's
-templates one by one. When decoding, the index is frozen, and on its
-first use block_rows re-keys it once into vocabulary tables (_Vocabulary),
-kept on the index: the words, POS tags and shapes its templates mention,
+that span's row), so the template ids are those of interning every row's
+templates one by one. When decoding, the ids are read from a model's
+Vocabulary, its templates re-keyed once into tables (Model.vocabulary
+builds them on first use): the words, POS tags and shapes they mention,
 each template family as an array from vocabulary code to template id, and
 each vocabulary word's shape and affix ids. A block then maps each token's
 word and tag to its code with one lookup and gathers every word-, POS- and
@@ -64,51 +64,6 @@ from .corpus import Sentence
 BOS = "<BOS>"
 EOS = "<EOS>"
 ROOT = "<ROOT>"
-
-
-class FeatureIndex:
-    """String-to-id dictionary with dense ids in insertion order."""
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._frozen = False
-        self._vocabulary: _Vocabulary | None = None  # built by block_rows once frozen
-
-    @classmethod
-    def frozen_from(cls, strings: list[str]) -> "FeatureIndex":
-        """A frozen index giving the distinct strings ids 0, 1, ... in order."""
-        index = cls()
-        index._ids, index._frozen = dict(zip(strings, range(len(strings)))), True
-        if len(index) != len(strings):
-            raise ValueError("repeated template strings")
-        return index
-
-    def intern(self, feature: str) -> int | None:
-        """Id of the feature, allocating a new one unless frozen. None if frozen and unseen."""
-        fid = self._ids.get(feature)
-        if fid is None and not self._frozen:
-            fid = len(self._ids)
-            self._ids[feature] = fid
-        return fid
-
-    def lookup(self, feature: str) -> int | None:
-        return self._ids.get(feature)
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def strings(self) -> tuple[str, ...]:
-        return tuple(self._ids)
-
-    def __contains__(self, feature: str) -> bool:
-        return feature in self._ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
 
 def word_shape(surface: str) -> str:
@@ -200,7 +155,8 @@ class _Tokens:
 
 class _LocalIds:
     """Training: block-local template ids, allocated on sight per template
-    string; block_rows interns the ones that occur into the index afterwards.
+    string; block_rows interns the ones that occur into the growing dict of
+    template ids afterwards.
 
     fields lists (key, code of each token, sentinel code) for the word, POS
     and shape keys, coded by their distinct values in the block; a shape is
@@ -311,17 +267,18 @@ class _Keyed:
         return np.where(self.keys[at] == keys, self.ids[at], -1)
 
 
-class _Vocabulary:
-    """A frozen index re-keyed by template family and value; block_rows
-    builds it on the index's first use and keeps it on the index.
+class Vocabulary:
+    """A model's templates, in id order, re-keyed by template family and
+    value: the tables block_rows reads template ids from when decoding.
+    Model.vocabulary builds them once per model.
 
     Values are split from the family name at the first ':' and, in the
     offset families, from the offset at the second; a value may hold ':'.
     - code[key] numbers the values that the families of a key mention (the
       words, POS tags and shapes of the templates); code len(code[key])
       stands for every other value.
-    - family[name] maps a code to the id of name:value, -1 where the index
-      has no such template. offset_table gives the same for i<key>:o:value
+    - family[name] maps a code to the id of name:value, -1 where there is
+      no such template. offset_table gives the same for i<key>:o:value
       by (code, o - 1), for the offsets a block asks for; cells[key] holds
       those templates by offset until then.
     - For each word code: shape is the code of its shape, pre and suf the
@@ -338,8 +295,9 @@ class _Vocabulary:
       labeled[key] the key (pair code, relation code) to the dwl or dpl id.
     """
 
-    def __init__(self, index: FeatureIndex) -> None:
-        strings = self.strings = _group(index._ids.items())
+    def __init__(self, templates: tuple[str, ...]) -> None:
+        self.size = len(templates)
+        strings = self.strings = _group(zip(templates, range(self.size)))
         # (dependent, head) and (dependent, head, relation) parts of each dependency template
         deps = {key: (_dependency_parts(strings, f"d{key}", 2), _dependency_parts(strings, f"d{key}l", 3)) for key in "wp"}
         self.code: dict[str, dict[str, int]] = {}
@@ -385,8 +343,12 @@ class _Vocabulary:
         self.strings = {name: strings[name] for name in ("len", "seg", *_AFFIX_FAMILIES) if name in strings}
 
     def lookup(self, name: str, values) -> np.ndarray:
-        """Ids of name:value for each value, -1 for a template the index lacks."""
+        """Ids of name:value for each value, -1 for a template it lacks."""
         return _get(self.strings.get(name, {}), values, -1).astype(np.int32)
+
+    def __len__(self) -> int:
+        """The number of templates."""
+        return self.size
 
     def offset_table(self, key: str, reach: int) -> np.ndarray:
         """(codes, w + 1) ids of i<key>:o:value at [code, o - 1] for the
@@ -404,7 +366,7 @@ class _Vocabulary:
 
 
 class _VocabIds:
-    """Decoding: template ids gathered from a frozen index's _Vocabulary.
+    """Decoding: template ids gathered from a Vocabulary.
 
     Each token's word and POS tag get their vocabulary codes with one lookup
     each; the shape and affixes of a word come from the tables, and are
@@ -412,7 +374,7 @@ class _VocabIds:
     word. fields, pre and suf are as in _LocalIds, coded by the vocabulary.
     """
 
-    def __init__(self, tokens: _Tokens, vocab: _Vocabulary) -> None:
+    def __init__(self, tokens: _Tokens, vocab: Vocabulary) -> None:
         self.vocab, self.lookup = vocab, vocab.lookup
         code = vocab.code
         word = _get(code["w"], tokens.words, len(code["w"]))
@@ -543,7 +505,7 @@ def block_rows(
     uv: np.ndarray,
     segments: bool,
     dep: bool,
-    index: FeatureIndex,
+    index: dict[str, int] | Vocabulary,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The template rows of a block as two 0/1 CSR operators, X = M @ U,
     each as (indptr, indices): U's rows hold the template ids of each unit,
@@ -552,19 +514,15 @@ def block_rows(
     Row r of M is span uv[r] = (u, v), 1-based, of sentences[sentence[r]].
     segments selects segment templates and their units (module doc);
     otherwise a span (i, i) is one unit, the position templates of token i,
-    and M is the identity. Templates get their ids from index: a frozen
-    index is read through its vocabulary tables, built on first use, and
-    leaves unseen templates out of their units; an unfrozen one interns them.
+    and M is the identity. Templates get their ids from index: a Vocabulary
+    is read only, and leaves unseen templates out of their units; a dict
+    from template string to id interns them, growing on sight.
     """
     tokens = _Tokens(sentences)
     first = tokens.first[sentence]
     start, end = first + uv[:, 0] - 1, first + uv[:, 1] - 1
-    if index.frozen:
-        if index._vocabulary is None:
-            index._vocabulary = _Vocabulary(index)
-        src = _VocabIds(tokens, index._vocabulary)
-    else:
-        src = _LocalIds(tokens)
+    interning = not isinstance(index, Vocabulary)
+    src = _LocalIds(tokens) if interning else _VocabIds(tokens, index)
     if segments:
         templates, indptr, members = _segment_rows(tokens, src, start, end, dep)
     else:
@@ -572,7 +530,7 @@ def block_rows(
         indptr, members = np.arange(len(start) + 1), np.arange(len(start))
     present = templates >= 0
     ids = templates[present]
-    if not index.frozen:
+    if interning:
         # local ids to template ids, one intern per string, in order of first
         # occurrence in the spans' rows, a row being its members' templates
         # in member order: by the first member entry that holds the
@@ -585,8 +543,8 @@ def block_rows(
         first_at = np.full(len(strings), never)
         np.minimum.at(first_at, ids, (unit_first[:, None] + np.arange(templates.shape[1]))[present])
         occurring = np.flatnonzero(first_at < never)
+        order = occurring[np.argsort(first_at[occurring])]
         global_id = np.full(len(strings), -1, dtype=np.int32)
-        for lid in occurring[np.argsort(first_at[occurring])].tolist():
-            global_id[lid] = index.intern(strings[lid])
+        global_id[order] = [index.setdefault(strings[lid], len(index)) for lid in order.tolist()]
         ids = global_id[ids]
     return (np.concatenate(([0], np.cumsum(present.sum(axis=1)))), ids), (indptr, members)

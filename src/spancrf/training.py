@@ -29,14 +29,15 @@ _block builds a block in one step: its lattices, its ScoredBlock, whose
 layout is the one span-to-row map (_compile finds gold rows with
 layout.rows), then from the layout's span arrays the (S, K) mask in one
 allowed_mask call and the operators by one features.block_rows call
-over the whole block. Training interns the templates into a growing index,
-so each block's units has as many columns as the index had after that
-block and an early block is narrower than W[:T]; templates interned later
-have larger ids, so units @ W[:units.shape[1]] is exact. Decoding builds
-its blocks the same way against the model's frozen index, whose ids
-block_rows gathers from vocabulary tables it builds on the index's first
-use (an unseen template is left out), and runs one Viterbi pass per block,
-which builds only the layout's forward steps.
+over the whole block. Training interns the templates into a growing dict
+of template ids, so each block's units has as many columns as there were
+templates after that block and an early block is narrower than W[:T];
+templates interned later have larger ids, so units @ W[:units.shape[1]]
+is exact. A model keeps its templates as a tuple in id order. Decoding
+builds its blocks the same way against the model's vocabulary, the tables
+block_rows gathers ids from, built once per model on first use (an unseen
+template is left out), and runs one Viterbi pass per block, which builds
+only the layout's forward steps.
 
 fit logs a compile summary, minimizes with _lbfgs (L-BFGS-B's steps, by
 the two-loop recursion) and can hand the summary and each iteration to a
@@ -50,7 +51,8 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -59,7 +61,7 @@ from scipy.optimize._dcsrch import DCSRCH
 from scipy.sparse import _sparsetools
 
 from .corpus import EntitySpan, LabelSet, Sentence, SerializationError, iob_to_spans, spans_to_iob
-from .features import FeatureIndex, block_rows
+from .features import Vocabulary, block_rows
 from .inference import (
     IOB_SCHEME,
     ScoredBlock,
@@ -130,11 +132,14 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    """Frozen template index, labels, and trained weights for one mode.
+    """Template strings, labels, and trained weights for one mode.
 
-    weights is the (T+K+1, K) matrix W of the module doc, for T templates
-    and K labels. converged and optimizer_message are the optimizer's
-    verdict and message from the fit that made the model (None if not fit).
+    index holds the T template strings in id order, no string twice, and
+    weights is the (T+K+1, K) matrix W of the module doc, for K labels;
+    vocabulary is index's decode tables (features.Vocabulary), built on
+    first use and kept until index is assigned again. converged and
+    optimizer_message are the optimizer's verdict and message from the fit
+    that made the model (None if not fit).
     save writes one JSON object (format version 3) whose weights are W's
     bytes as little-endian float64 in row-major order, base64-encoded, so
     W round-trips bitwise; load reads version 3 only.
@@ -142,7 +147,7 @@ class Model:
 
     mode: Mode
     labels: tuple[str, ...]
-    index: FeatureIndex
+    index: tuple[str, ...] = field(repr=False)  # thousands of strings, kept out of repr
     weights: np.ndarray
     lam: float
     dep_features: bool = True
@@ -151,8 +156,8 @@ class Model:
 
     def __post_init__(self) -> None:
         K = len(self.labels)
-        if not self.index.frozen:
-            raise ValueError("the template index must be frozen")
+        if len(set(self.index)) != len(self.index):
+            raise ValueError("repeated template strings")
         if self.weights.shape != (len(self.index) + K + 1, K):
             raise ValueError(f"weights of shape {self.weights.shape} for {len(self.index)} templates and {K} labels")
         if not np.isfinite(self.weights).all():
@@ -172,6 +177,15 @@ class Model:
     def max_len(self) -> int:
         return self.mode.max_len
 
+    @cached_property
+    def vocabulary(self) -> Vocabulary:
+        return Vocabulary(self.index)
+
+    def __setattr__(self, name, value) -> None:
+        if name == "index":
+            self.__dict__.pop("vocabulary", None)  # built from the templates being replaced
+        super().__setattr__(name, value)
+
     def save(self, path) -> None:
         doc = {
             "version": MODEL_VERSION,
@@ -182,7 +196,7 @@ class Model:
             "converged": self.converged,
             "optimizer_message": self.optimizer_message,
             "labels": list(self.labels),
-            "templates": list(self.index.strings()),
+            "templates": list(self.index),
             "weights": base64.b64encode(self.weights.astype("<f8", copy=False).tobytes()).decode("ascii"),
         }
         text = json.dumps(doc)  # the C encoder; json.dump would encode in Python
@@ -215,7 +229,8 @@ class Model:
                 raise TypeError("optimizer_message must be a string or null")
             if not isinstance(doc["lambda"], (int, float)) or isinstance(doc["lambda"], bool):
                 raise TypeError(f"lambda must be a number, got {doc['lambda']!r}")
-            index = FeatureIndex.frozen_from(templates)
+            if len(set(templates)) != len(templates):  # checked first: it throws the byte count off
+                raise ValueError("repeated template strings")
             shape = (len(templates) + len(labels) + 1, len(labels))
             raw = base64.b64decode(weights, validate=True)
             if len(raw) != 8 * shape[0] * shape[1]:
@@ -223,7 +238,7 @@ class Model:
             return cls(
                 mode=Mode(doc["mode"], doc["L"]),
                 labels=tuple(labels),
-                index=index,
+                index=tuple(templates),
                 weights=np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64),
                 lam=float(doc["lambda"]),
                 dep_features=doc["dep_features"],
@@ -294,13 +309,15 @@ class _Compiled:
         return self.gold.size
 
 
-def _block(sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index: FeatureIndex, dep: bool) -> _Block:
+def _block(
+    sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index: dict[str, int] | Vocabulary, dep: bool
+) -> _Block:
     """The block of sentences: lattices, labeling-rule masks and template rows.
 
     Every span gets one row of members, in span order; the units' templates
-    come from one block_rows call, which interns them into index (a frozen
-    index leaves unseen templates out). units has as many columns as index
-    has afterwards.
+    come from one block_rows call, which interns them into index, a dict,
+    or reads them from index, a Vocabulary, which leaves unseen templates
+    out. units has as many columns as index has templates afterwards.
     """
     scheme = label_scheme(mode)
     lattices = tuple(build_lattice(sentence, mode) for sentence in sentences)
@@ -351,7 +368,7 @@ def _compile(
     corpus: list[Sentence],
     mode: Mode,
     labels: tuple[str, ...],
-    index: FeatureIndex,
+    index: dict[str, int] | Vocabulary,
     dep: bool,
     project: bool,
 ) -> _Compiled:
@@ -455,22 +472,21 @@ def objective_and_gradient(model: Model, corpus: list[Sentence]) -> tuple[float,
     """
     if not corpus:
         raise ValueError("empty corpus")
-    compiled = _compile(corpus, model.mode, model.labels, model.index, model.dep_features, project=False)
+    compiled = _compile(corpus, model.mode, model.labels, model.vocabulary, model.dep_features, project=False)
     return Objective(compiled, model.lam)(model.weights)
 
 
-def _prepare(corpus: list[Sentence], mode: Mode, dep: bool) -> tuple[FeatureIndex, _Compiled]:
-    """Labels, a fresh template index and the compiled corpus; the index is frozen on return."""
+def _prepare(corpus: list[Sentence], mode: Mode, dep: bool) -> tuple[tuple[str, ...], _Compiled]:
+    """The template strings the compile interns, in id order, and the compiled corpus."""
     if not corpus:
         raise ValueError("empty corpus")
     labels = mode_labels(LabelSet.from_corpus(corpus), mode)
-    index = FeatureIndex()
-    compiled = _compile(corpus, mode, labels, index, dep, project=True)
-    index.freeze()
-    return index, compiled
+    templates: dict[str, int] = {}
+    compiled = _compile(corpus, mode, labels, templates, dep, project=True)
+    return tuple(templates), compiled
 
 
-def _summary(corpus: list[Sentence], index: FeatureIndex, compiled: _Compiled, seconds: float) -> dict:
+def _summary(corpus: list[Sentence], index: tuple[str, ...], compiled: _Compiled, seconds: float) -> dict:
     """The compile summary of fit, logged at INFO; emission entries are the
     operators' entries (units and members) per span."""
     tokens = sum(sentence.n for sentence in corpus)
@@ -644,14 +660,14 @@ def decode_corpus(model: Model, corpus: list[Sentence]) -> list[tuple[EntitySpan
     """Viterbi entity spans for every sentence.
 
     Sentences are compiled block by block into the template rows training
-    uses, against the frozen index, so templates first seen here score 0.
+    uses, against the model's vocabulary, so templates first seen here score 0.
     The spans do not depend on how the corpus is split into calls.
     """
     scheme = label_scheme(model.mode)
     out = []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
-        block = _block(chunk, model.mode, model.labels, model.index, model.dep_features)
+        block = _block(chunk, model.mode, model.labels, model.vocabulary, model.dep_features)
         _fill_scores(block, model.weights)
         out.extend(_segmentation_entities(seg, scheme) for seg, _ in viterbi(block.scored))
     return out
@@ -697,7 +713,7 @@ def bench_per_evaluation(
 ) -> tuple[float, float]:
     """Mean and stddev of one objective+gradient evaluation's wall time.
 
-    The set-up fit() runs (labels, feature index, compile) happens once up
+    The set-up fit() runs (labels, template interning, compile) happens once up
     front and is excluded; an optimizer iteration adds its further line-search
     evaluations and the _lbfgs direction. Warmups run first, uncounted.
     """

@@ -382,9 +382,10 @@ def reference_scores(model, sentence) -> ScoredBlock:
     live = dense_mask(lattice, model.labels, scheme).any(axis=1)
     K = len(model.labels)
     T = len(model.index)
+    ids = {template: tid for tid, template in enumerate(model.index)}
 
     def weight(template: str, y: int) -> float:
-        tid = model.index.lookup(template)
+        tid = ids.get(template)
         return 0.0 if tid is None else model.weights[tid, y]
 
     tw = np.array([[model.weights[T + p, y] for y in range(K)] for p in range(K + 1)])

@@ -25,7 +25,6 @@ from spancrf.combinatorics import (
 )
 from spancrf.corpus import LabelSet
 from spancrf.evaluation import score
-from spancrf.features import FeatureIndex
 from spancrf.inference import ScoredBlock, label_scheme, log_partition, mode_labels, viterbi
 from spancrf.lattice import (
     MODE_KINDS,
@@ -120,9 +119,7 @@ def test_criterion_05_gradient_finite_differences():
         types = ("A",) if kind == "linear" else ("A", "B")[: int(rng.integers(1, 3))]
         corpus = [random_sentence(rng, n=int(rng.integers(2, 5)), types=types) for _ in range(2)]
         labels = mode_labels(LabelSet(list(types)), mode)
-        index = FeatureIndex()
-        compiled = _compile(corpus, mode, labels, index, dep=True, project=True)
-        index.freeze()
+        compiled = _compile(corpus, mode, labels, {}, dep=True, project=True)
         objective = Objective(compiled, l2=float(rng.choice([0.0, 0.05])))
         w = rng.normal(scale=0.3, size=compiled.num_weights)
         _, grad = objective(w)

@@ -221,8 +221,15 @@ def test_write_conll_rejects_fields_that_would_not_read_back(tmp_path, field, br
     corpus = [synthesize(1, mean_len=3.0, seed=6)[0], Sentence(tokens, tree, gold)]
     with pytest.raises(SerializationError, match=r"sentence 2, token [12]: a field of '.*a\\[tnr]b"):
         write_conll(corpus, None, tmp_path / "x.conll")
+    assert not (tmp_path / "x.conll").exists()  # no line is written before every line is checked
     write_conll(corpus[:1], [()], tmp_path / "ok.conll")
     assert read_conll(tmp_path / "ok.conll") == corpus[:1]
+    # a predicted span of a later sentence that does not render leaves an existing file unchanged
+    before = (tmp_path / "ok.conll").read_bytes()
+    overlapping = (EntitySpan(1, 2, "PER"), EntitySpan(2, 2, "PER"))
+    with pytest.raises(SerializationError, match="sentence 2: overlapping span"):
+        write_conll([corpus[0], corpus[0]], [(), overlapping], tmp_path / "ok.conll")
+    assert (tmp_path / "ok.conll").read_bytes() == before
 
 
 def test_read_predictions_requires_column(tmp_path):

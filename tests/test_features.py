@@ -1,4 +1,4 @@
-"""Feature templates, the string index, and the weight-matrix layout.
+"""Feature templates, their interning and decode tables, and the weight-matrix layout.
 
 Template strings are read back from the span rows that training compiles,
 members @ units (implied_rows), so the tests see exactly what the model is
@@ -20,7 +20,7 @@ from scipy import sparse
 from oracles import orient_edges, reference_rows
 from spancrf import DependencyTree, EntitySpan, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
-from spancrf.features import BOS, EOS, ROOT, FeatureIndex, word_shape
+from spancrf.features import BOS, EOS, ROOT, Vocabulary, word_shape
 from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels
 from spancrf.lattice import MODE_KINDS, Mode, build_lattice
 from spancrf.training import _block, _compile, _iob_gold, project_gold
@@ -47,32 +47,15 @@ def test_word_shape_rejects_empty():
         word_shape("")
 
 
-def test_index_allocates_dense_ids_in_order():
-    idx = FeatureIndex()
-    assert idx.intern("a") == 0
-    assert idx.intern("b") == 1
-    assert idx.intern("a") == 0
-    assert idx.strings() == ("a", "b")
-    assert "a" in idx and "c" not in idx
-    assert len(idx) == 2
-
-
-def test_frozen_index_drops_unseen():
-    idx = FeatureIndex()
-    idx.intern("a")
-    idx.freeze()
-    assert idx.frozen
-    assert idx.intern("a") == 0
-    assert idx.intern("new") is None
-    assert idx.lookup("new") is None
-    assert len(idx) == 1
-
-
-def _compiled(sentence, kind, dep=True, index=None):
+def _compiled(sentence, kind, dep=True, templates=None):
+    """The sentence compiled alone and the template strings in id order:
+    interned into a fresh dict, or, given templates, read from their
+    Vocabulary."""
     mode = Mode(kind, 8)
     labels = mode_labels(LabelSet.from_corpus([sentence]), mode)
-    index = FeatureIndex() if index is None else index
-    return _compile([sentence], mode, labels, index, dep, project=True), index
+    ids = {} if templates is None else Vocabulary(templates)
+    compiled = _compile([sentence], mode, labels, ids, dep, project=True)
+    return compiled, tuple(ids) if templates is None else templates
 
 
 def implied_rows(block) -> sparse.csr_matrix:
@@ -90,13 +73,13 @@ def row_counts(rows: sparse.csr_matrix, strings) -> list[dict[str, float]]:
     ]
 
 
-def template_counts(sentence, span, kind="semi", dep=True, index=None):
+def template_counts(sentence, span, kind="semi", dep=True, templates=None):
     """Template string -> count of the compiled row of the span."""
-    compiled, index = _compiled(sentence, kind, dep, index)
+    compiled, templates = _compiled(sentence, kind, dep, templates)
     block = compiled.blocks[0]
     # the block holds one sentence; its rows are its spans in sorted order
     row = sorted(block.scored.lattices[0].allowed).index(span)
-    return row_counts(implied_rows(block)[row], index.strings())[0]
+    return row_counts(implied_rows(block)[row], templates)[0]
 
 
 def gold_transitions(sentence, kind="semi"):
@@ -229,15 +212,11 @@ def test_labels_share_one_row_per_span(womack):
 
 
 def test_frozen_index_filters_vectors(shlomo, womack):
-    # an index frozen after one sentence drops the templates first seen in another
-    index = FeatureIndex()
-    _compiled(shlomo, "semi", index=index)
-    size = len(index)
-    index.freeze()
-    got = template_counts(womack, (1, 3), index=index)
+    # the vocabulary of one sentence's templates drops the templates first seen in another
+    _, templates = _compiled(shlomo, "semi")
+    got = template_counts(womack, (1, 3), templates=templates)
     assert f"bw:{BOS}" in got and "sw:Lee" not in got
-    assert got == {t: c for t, c in template_counts(womack, (1, 3)).items() if t in index}
-    assert len(index) == size
+    assert got == {t: c for t, c in template_counts(womack, (1, 3)).items() if t in templates}
 
 
 # Short words (affixes shorter than 3); '+' so that dependency templates of
@@ -291,23 +270,24 @@ def _gold_rows(sentences, lattices, scheme):
 
 
 def _check_against_reference(train, test, kind, dep, block_size):
-    """Compile train (interning) and test (frozen lookup) and compare every
-    block's implied rows, the gold counts and the template index with the
+    """Compile train (interning) and test (vocabulary lookup) and compare
+    every block's implied rows, the gold counts and the template ids with the
     string reference."""
     mode = Mode(kind, 4)
     scheme = label_scheme(mode)
     segments = scheme != IOB_SCHEME
     labels = mode_labels(LabelSet.from_corpus(train), mode)
-    index, ref_index = FeatureIndex(), FeatureIndex()
+    index, ref_index = {}, {}
     with mock.patch.object(training, "_BLOCK_SIZE", block_size):
         compiled = _compile(train, mode, labels, index, dep, project=True)
+    templates = tuple(index)
     gold = np.zeros((len(index), len(labels)))
     for b, block in enumerate(compiled.blocks):
         chunk = train[b * block_size : (b + 1) * block_size]
         lattices = [build_lattice(s, mode) for s in chunk]
-        reference = reference_rows(chunk, lattices, segments, dep, ref_index.intern)
-        _assert_rows_equal(block, index.strings(), reference, ref_index.strings())
-        # as wide as the index after the block's templates, not the final index
+        reference = reference_rows(chunk, lattices, segments, dep, lambda t: ref_index.setdefault(t, len(ref_index)))
+        _assert_rows_equal(block, templates, reference, tuple(ref_index))
+        # as wide as the templates after the block's, not as all of them
         assert block.units.shape[1] == len(ref_index)
         indptr, indices, data = reference
         indicator = np.zeros((len(indptr) - 1, len(labels)))
@@ -315,15 +295,14 @@ def _check_against_reference(train, test, kind, dep, block_size):
             indicator[row, labels.index(label)] = 1.0
         X = sparse.csr_matrix((data, indices, indptr), shape=(len(indicator), len(ref_index)))
         gold[: len(ref_index)] += X.T @ indicator
-    assert index.strings() == ref_index.strings()
+    assert templates == tuple(ref_index)
     np.testing.assert_array_equal(compiled.gold[: len(index)], gold)
 
-    index.freeze()
-    block = _block(test, mode, labels, index, dep)
+    block = _block(test, mode, labels, Vocabulary(templates), dep)
     lattices = [build_lattice(s, mode) for s in test]
-    reference = reference_rows(test, lattices, segments, dep, ref_index.lookup)
-    _assert_rows_equal(block, index.strings(), reference, ref_index.strings())
-    assert block.units.shape[1] == len(index) == len(ref_index)
+    reference = reference_rows(test, lattices, segments, dep, ref_index.get)
+    _assert_rows_equal(block, templates, reference, templates)
+    assert block.units.shape[1] == len(templates)
 
 
 @settings(max_examples=80, deadline=None)
@@ -343,21 +322,18 @@ def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
     # Tokens 2 and 3 of "k u u" share all four (unknown) dependency
     # templates, so the span (1, 3) repeats each of them; its row and the
     # row before it, (1, 2), hold the first token's known "dpl" template,
-    # the index's last id, once each: the unknown repeats add to no count.
+    # the last template id, once each: the unknown repeats add to no count.
     # Every template of the span (1, 2) of "z z" is unknown, so its row is
     # empty (its units hold no template).
     known = Sentence(tuple(Token(w, "NN") for w in "kuu"), DependencyTree((0, 1, 1), ("root", "dep", "dep")))
     unknown = Sentence(tuple(Token("z", "ZZ") for _ in range(2)), DependencyTree((0, 1), ("root", "dep")))
-    index = FeatureIndex()
-    for template in ("sw:k", "len:1", "bw:k", f"dpl:NN+{ROOT}+root"):
-        index.intern(template)
-    index.freeze()
+    templates = ("sw:k", "len:1", "bw:k", f"dpl:NN+{ROOT}+root")
     mode = Mode("semi", 4)
     sentences = [known, unknown]
-    block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), index, True)
+    block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), Vocabulary(templates), True)
     lattices = [build_lattice(s, mode) for s in sentences]
-    reference = reference_rows(sentences, lattices, True, True, index.lookup)
-    _assert_rows_equal(block, index.strings(), reference, index.strings())
+    reference = reference_rows(sentences, lattices, True, True, {t: i for i, t in enumerate(templates)}.get)
+    _assert_rows_equal(block, templates, reference, templates)
     rows = implied_rows(block).toarray()
     spans = lattices[0].sorted_spans()
     assert rows[spans.index((1, 2)), -1] == rows[spans.index((1, 3)), -1] == 1
@@ -372,18 +348,19 @@ def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds(
     # span reaches the offsets of the last two iw templates.
     sentence = Sentence(tuple(Token(w, "NN") for w in ("zz", "q", "a:b")), DependencyTree((0, 1, 1), ("root", "dep", "dep")))
     other = Sentence(tuple(Token(w, "VB") for w in ("q", "zz")), DependencyTree((2, 0), ("dep", "root")))
-    index = FeatureIndex.frozen_from(["sw:k", "seg:zz q", "seg:a:b", "seg:q a:b x", "iw:2:q", "iw:02:q", "dw:q+zz", "ip:1:NN", f"iw:{10**15}:q", f"iw:{'9' * 5000}:q"])
+    templates = ("sw:k", "seg:zz q", "seg:a:b", "seg:q a:b x", "iw:2:q", "iw:02:q", "dw:q+zz", "ip:1:NN", f"iw:{10**15}:q", f"iw:{'9' * 5000}:q")
+    ids = {t: i for i, t in enumerate(templates)}
     mode = Mode("semi", 4)
     sentences = [sentence, other]
-    block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), index, True)
+    block = _block(sentences, mode, mode_labels(LabelSet(["PER"]), mode), Vocabulary(templates), True)
     lattices = [build_lattice(s, mode) for s in sentences]
-    reference = reference_rows(sentences, lattices, True, True, index.lookup)
-    _assert_rows_equal(block, index.strings(), reference, index.strings())
+    reference = reference_rows(sentences, lattices, True, True, ids.get)
+    _assert_rows_equal(block, templates, reference, templates)
     rows = implied_rows(block).toarray()
     spans = lattices[0].sorted_spans()
     for span, template in (((1, 2), "seg:zz q"), ((3, 3), "seg:a:b"), ((1, 2), "iw:2:q"), ((2, 2), "dw:q+zz")):
-        assert rows[spans.index(span), index.lookup(template)] == 1, template
-    assert not rows[len(spans) :, index.lookup("seg:zz q")].any()
+        assert rows[spans.index(span), ids[template]] == 1, template
+    assert not rows[len(spans) :, ids["seg:zz q"]].any()
 
 
 @pytest.mark.parametrize(

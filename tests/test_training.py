@@ -37,7 +37,6 @@ from spancrf import (
     synthesize,
 )
 from spancrf import training
-from spancrf.features import FeatureIndex
 from spancrf.inference import IOB_SCHEME, label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
@@ -103,8 +102,8 @@ def test_model_validation():
         Model(model.mode, model.labels, model.index, model.weights[:-1], 0.0)
     with pytest.raises(ValueError):
         Model(model.mode, model.labels, model.index, model.weights, -1.0)
-    with pytest.raises(ValueError, match="frozen"):
-        Model(model.mode, model.labels, FeatureIndex(), model.weights[len(model.index) :], 0.0)
+    with pytest.raises(ValueError, match="repeated"):
+        Model(model.mode, model.labels, model.index[:-1] + model.index[:1], model.weights, 0.0)
     assert model.max_len == 2
 
 
@@ -239,8 +238,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.labels == model.labels
     assert loaded.lam == model.lam
     assert loaded.dep_features is False
-    assert loaded.index.strings() == model.index.strings()
-    assert loaded.index.frozen
+    assert loaded.index == model.index
     np.testing.assert_array_equal(loaded.weights, model.weights)
     assert loaded.converged == model.converged
     assert decode_corpus(loaded, corpus) == decode_corpus(model, corpus)
@@ -603,6 +601,7 @@ def test_objective_matches_enumeration_at_large_weights(kind):
     model = fit(corpus, quick(l2=0.0, max_iter=1), mode)
     model.lam = 0.0
     K, T = len(model.labels), len(model.index)
+    ids = {template: tid for tid, template in enumerate(model.index)}
     for scale in (0.0, 5.0, 50.0, 1e3):
         model.weights = rng.normal(scale=scale, size=model.weights.shape)
         value, grad = objective_and_gradient(model, corpus)
@@ -616,7 +615,7 @@ def test_objective_matches_enumeration_at_large_weights(kind):
                 gold = list(project_gold(sentence, scored.lattices[0])[0])
             gold = [(int(scored.layout.rows(0, *span)[0]), model.labels.index(label)) for span, label in gold]
             want_value += brute_log_partition(scored) - path_score(scored, gold)
-            indptr, indices, data = reference_rows([sentence], scored.lattices, scheme != IOB_SCHEME, True, model.index.lookup)
+            indptr, indices, data = reference_rows([sentence], scored.lattices, scheme != IOB_SCHEME, True, ids.get)
             S = len(scored.emission)
             X = sparse.csr_matrix((data, indices, indptr), shape=(S, T))
             m = brute_marginals(scored)
@@ -644,11 +643,11 @@ def test_never_live_weights_stay_zero(kind):
         corpus = synthesize(sentences, mean_len=mean_len, num_types=2, vocab=40, seed=26)
         with mock.patch.object(training, "_BLOCK_SIZE", 64):
             model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
-            # compiled as fit compiles it: a fresh index, so an early block is narrower than W[:T]
-            index = FeatureIndex()
+            # compiled as fit compiles it: into a fresh dict, so an early block is narrower than W[:T]
+            index = {}
             compiled = training._compile(corpus, mode, model.labels, index, True, project=True)
         assert len(compiled.blocks) == (sentences + 63) // 64
-        assert index.strings() == model.index.strings()
+        assert tuple(index) == model.index
         T = len(model.index)
         widths = [block.units.shape[1] for block in compiled.blocks]
         assert widths == sorted(widths) and widths[-1] == T
@@ -685,7 +684,7 @@ def test_objective_does_not_depend_on_block_layout(kind):
         with mock.patch.object(training, "_BLOCK_SIZE", size):
             index, compiled = training._prepare(corpus, mode, True)
         assert len(compiled.blocks) == -(-len(corpus) // size)
-        strings.append(index.strings())
+        strings.append(index)
         w = np.random.default_rng(29).normal(size=compiled.num_weights)
         results.append(training.Objective(compiled, 0.01)(w))
     assert strings[0] == strings[1] == strings[2]
@@ -730,19 +729,19 @@ def test_decode_does_not_depend_on_template_order(tmp_path, fitted, kind):
     model, whole = fitted[kind]
     T = len(model.index)
     order = np.random.default_rng(71 + MODE_KINDS.index(kind)).permutation(T)
-    strings = model.index.strings()
+    strings = model.index
     permuted = replace(
         model,
-        index=FeatureIndex.frozen_from([strings[i] for i in order]),
+        index=tuple(strings[i] for i in order),
         weights=np.concatenate((model.weights[order], model.weights[T:])),
     )
     permuted.save(tmp_path / "permuted.json")
     permuted = Model.load(tmp_path / "permuted.json")
-    assert permuted.index.strings() != strings
+    assert permuted.index != strings
     assert decode_corpus(permuted, _HELD) == whole
 
     def best(m):
-        block = training._block(_HELD, m.mode, m.labels, m.index, m.dep_features)
+        block = training._block(_HELD, m.mode, m.labels, m.vocabulary, m.dep_features)
         training._fill_scores(block, m.weights)
         return viterbi(block.scored)
 
@@ -757,17 +756,39 @@ def test_decode_single_sentence_matches_corpus_decode(womack):
     assert [decode_corpus(model, [s])[0] for s in corpus] == decode_corpus(model, corpus)
 
 
+def test_decode_builds_one_vocabulary_per_model(tmp_path, fitted):
+    # the vocabulary is built on a model's first decode and kept: later calls
+    # and later blocks reuse it, and loading a model builds none. Assigning
+    # the model other templates (here permuted, with the rows of W[:T])
+    # drops it, so the next decode reads the new ids
+    model, whole = fitted["dgm"]
+    model.save(tmp_path / "model.json")
+    with mock.patch.object(training, "Vocabulary", wraps=training.Vocabulary) as built:
+        loaded = Model.load(tmp_path / "model.json")
+        assert built.call_count == 0
+        with mock.patch.object(training, "_BLOCK_SIZE", 10):  # ten blocks per call
+            assert decode_corpus(loaded, _HELD) == whole
+            assert decode_corpus(loaded, _HELD[:25]) == whole[:25]
+        assert built.call_count == 1
+        T = len(loaded.index)
+        order = np.random.default_rng(72).permutation(T)
+        loaded.index = tuple(loaded.index[i] for i in order)
+        loaded.weights = np.concatenate((loaded.weights[order], loaded.weights[T:]))
+        assert decode_corpus(loaded, _HELD) == whole
+        assert built.call_count == 2
+
+
 @pytest.mark.parametrize("kind", MODE_KINDS)
 def test_decoding_tables_are_only_a_cache(tmp_path, kind):
-    # the first decode builds lookup tables on the model's frozen index; they
+    # the first decode builds the model's vocabulary, its lookup tables; they
     # must change neither the model file nor any decoded span
     train = synthesize(30, mean_len=6.0, num_types=2, vocab=40, entity_rate=0.4, seed=33)
     held = synthesize(25, mean_len=7.0, num_types=2, vocab=80, entity_rate=0.4, seed=34)
     assert {t.surface for s in held for t in s.tokens} - {t.surface for s in train for t in s.tokens}
-    model = fit(train, quick(l2=0.01, max_iter=15), Mode(kind, 4))  # its index frozen by fit
+    model = fit(train, quick(l2=0.01, max_iter=15), Mode(kind, 4))
     before, after = tmp_path / "before.json", tmp_path / "after.json"
     model.save(before)
-    loaded = Model.load(before)  # its index frozen by Model.load
+    loaded = Model.load(before)
     want = decode_corpus(model, held)
     assert decode_corpus(loaded, held) == want and sum(map(len, want)) > 0
     for size in (1, 7, len(held)):

@@ -58,6 +58,7 @@ from .lattice import (
     Mode,
     SpanLattice,
     average_edges_per_token,
+    block_spans,
     build_lattice,
     coverage,
     edge_count,

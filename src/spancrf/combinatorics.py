@@ -19,12 +19,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .lattice import chain_spans
+import numpy as np
+
+from .lattice import DGM, Mode, _spans
 
 MAX_ENUMERABLE_N = 8  # n^(n-2) trees; 8 -> 262,144 is the desk-scale ceiling
 
@@ -127,36 +130,33 @@ def random_tree(n: int, rng) -> LabeledTree:
 
 
 @lru_cache(maxsize=None)
-def _span_census(n: int) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:
-    """One brute-force pass over all trees on n nodes.
+def _span_census(n: int) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """One brute-force pass over all trees on n nodes, each a sentence of a block for the lattice builder.
 
-    Returns (total spans including singletons, multi-word count by length,
-    count by (u,v) endpoints).
+    Returns (trees, total spans including singletons, multi-word count by (u,v) endpoints).
     """
-    total = 0
-    by_length: dict[int, int] = {}
-    by_endpoints: dict[tuple[int, int], int] = {}
-    for tree in enumerate_trees(n):
-        spans = chain_spans(n, tree.edges, n)
-        total += len(spans)
-        for u, v in spans:
-            if v > u:
-                by_length[v - u + 1] = by_length.get(v - u + 1, 0) + 1
-                by_endpoints[(u, v)] = by_endpoints.get((u, v), 0) + 1
-    return total, by_length, by_endpoints
+    n_trees, total, by_endpoints = 0, 0, Counter()
+    trees = enumerate_trees(n)
+    while batch := list(itertools.islice(trees, 1 << 14)):
+        n_trees += len(batch)
+        arcs = np.array([list(tree.edges) for tree in batch], dtype=np.int64).reshape(-1, 2) - 1
+        arcs += n * np.repeat(np.arange(len(batch)), n - 1)[:, None]  # block-global token indices
+        _, u, v = _spans(np.full(len(batch), n), *arcs.T, Mode(DGM, n))
+        total += len(u)
+        by_endpoints.update(zip(u[v > u].tolist(), v[v > u].tolist()))
+    return n_trees, total, dict(by_endpoints)
 
 
 def total_valid_spans(n: int) -> int:
     """Valid spans (singletons included) summed over every tree on n nodes, by brute force."""
-    return _span_census(n)[0]
+    return _span_census(n)[1]
 
 
 def brute_force_F(n: int, max_len: int) -> int:
     """Multi-word valid spans of length <= max_len summed over all trees on n nodes."""
     if not 1 <= max_len <= n:
         raise ValueError(f"max_len must be in 1..{n}, got {max_len}")
-    by_length = _span_census(n)[1]
-    return sum(count for length, count in by_length.items() if length <= max_len)
+    return sum(count for (u, v), count in _span_census(n)[2].items() if v - u < max_len)
 
 
 def brute_force_f_n(n: int, u: int, v: int) -> int:
@@ -267,7 +267,7 @@ def verify_identities(max_n: int = 7) -> VerificationReport:
     rows: list[tuple[str, bool]] = []
     discrepancies: list[Discrepancy] = []
     for n in range(2, max_n + 1):
-        n_trees = sum(1 for _ in enumerate_trees(n))
+        n_trees = _span_census(n)[0]
         rows.append((f"n={n}: tree count {n_trees} = n^(n-2) = {n ** (n - 2)}", n_trees == n ** (n - 2)))
 
         total = total_valid_spans(n)
@@ -283,42 +283,24 @@ def verify_identities(max_n: int = 7) -> VerificationReport:
             brute = brute_force_F(n, L)
             formula = closed_form_F(n, L)
             if formula != brute:
-                discrepancies.append(
-                    Discrepancy("F", (("n", n), ("L", L)), brute, formula)
-                )
+                discrepancies.append(Discrepancy("F", (("n", n), ("L", L)), brute, formula))
             rows.append((f"n={n} L={L}: F = {brute} (brute force)", True))
-        rows.append(
-            (
-                f"n={n}: F(n,n) = (n+1)^(n-1) - n^(n-1) = {expected_total - n ** (n - 1)}",
-                brute_force_F(n, n) == expected_total - n ** (n - 1),
-            )
-        )
+        top = expected_total - n ** (n - 1)
+        rows.append((f"n={n}: F(n,n) = (n+1)^(n-1) - n^(n-1) = {top}", brute_force_F(n, n) == top))
 
         if n >= 3:
             fn_ok = True
             for u in range(1, n):
                 for v in range(u + 1, n + 1):
                     brute = brute_force_f_n(n, u, v)
-                    formula = Fraction(f_n_count(n, u, v))
-                    binomial = f_n_binomial(n, u, v)
-                    if formula != brute:
-                        discrepancies.append(
-                            Discrepancy("f_n", (("n", n), ("u", u), ("v", v)), brute, formula)
-                        )
-                        fn_ok = False
-                    if binomial != brute:
-                        discrepancies.append(
-                            Discrepancy("f_n_binomial", (("n", n), ("u", u), ("v", v)), brute, binomial)
-                        )
-                        fn_ok = False
+                    for name, formula in (("f_n", Fraction(f_n_count(n, u, v))), ("f_n_binomial", f_n_binomial(n, u, v))):
+                        if formula != brute:
+                            discrepancies.append(Discrepancy(name, (("n", n), ("u", u), ("v", v)), brute, formula))
+                            fn_ok = False
             rows.append((f"n={n}: f_n(u,v) closed forms match brute force for all pairs", fn_ok))
 
             # F is by definition the sum of f_n over admissible endpoints
             for L in range(2, n + 1):
-                summed = sum(
-                    brute_force_f_n(n, u, v)
-                    for u in range(1, n)
-                    for v in range(u + 1, min(n, u + L - 1) + 1)
-                )
+                summed = sum(brute_force_f_n(n, u, v) for u in range(1, n) for v in range(u + 1, min(n, u + L - 1) + 1))
                 rows.append((f"n={n} L={L}: sum of f_n = F", summed == brute_force_F(n, L)))
     return VerificationReport(rows, discrepancies)

@@ -55,13 +55,13 @@ the pair rule in pair_mask (on transition, begin row K included):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .corpus import LabelSet
-from .lattice import LINEAR, Mode, SpanLattice
+from .lattice import LINEAR, Mode
 
 SEGMENT_SCHEME = "segment"
 IOB_SCHEME = "iob"
@@ -132,20 +132,18 @@ def _steps(order: np.ndarray, position: np.ndarray, source: np.ndarray, target: 
 
 
 class _Layout:
-    """Flat rows and per-position steps of a block of lattices (see module doc)."""
+    """Flat rows and per-position steps of a block of sentences (see module doc)."""
 
-    def __init__(self, lattices: tuple[SpanLattice, ...]) -> None:
-        ns = np.array([lat.n for lat in lattices], dtype=np.int64)
+    def __init__(self, lengths: np.ndarray, spans: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        ns = np.asarray(lengths, dtype=np.int64)
         self.first_row = np.concatenate(([0], np.cumsum(ns + 1)[:-1]))
         self.last_row = self.first_row + ns
         self.num_rows = int(self.last_row[-1]) + 1
-        spans = [np.array(lat.sorted_spans(), dtype=np.int64).reshape(-1, 2) for lat in lattices]
-        self.sentence = np.repeat(np.arange(len(lattices)), [len(sp) for sp in spans])
-        self.uv = np.concatenate(spans)  # (S, 2) 1-based (u, v) of every span
-        u, v = self.uv.T
+        self.sentence, u, v = spans
+        self.uv = np.column_stack((u, v))  # (S, 2) 1-based (u, v) of every span
         self.start_row = self.first_row[self.sentence] + u - 1
         self.end_row = self.first_row[self.sentence] + v
-        self.row_sentence = np.repeat(np.arange(len(lattices)), ns + 1)
+        self.row_sentence = np.repeat(np.arange(len(ns)), ns + 1)
         reached = np.zeros(self.num_rows, dtype=bool)
         reached[self.first_row] = reached[self.end_row] = True
         self.gaps = np.flatnonzero(~reached)
@@ -162,9 +160,9 @@ class _Layout:
         u, v = self.uv.T
         return _steps(np.lexsort((v, self.start_row, u)), u, self.end_row, self.start_row)[::-1]
 
-    def rows(self, sentence, u, v) -> np.ndarray:
-        """Rows of spans (u, v) of sentences b of the block, 1-d (scalars broadcast);
-        KeyError if a span is not in its lattice. For 1 <= u <= v <= n the key
+    def find(self, sentence, u, v) -> np.ndarray:
+        """Rows of spans (u, v) of sentences b of the block, 1-d (scalars broadcast), -1
+        for a span not in its lattice. For 1 <= u <= v <= n the key
         start_row * num_rows + end_row is unique, and span order sorts it."""
         sentence, u, v = np.atleast_1d(*np.broadcast_arrays(sentence, u, v))
         first = self.first_row[sentence]
@@ -172,9 +170,14 @@ class _Layout:
         keys = self.start_row * self.num_rows + self.end_row
         at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         miss = (u < 1) | (v < u) | (first + v > self.last_row[sentence]) | (keys[at] != key)
-        if miss.any():
-            k = np.flatnonzero(miss)[0]
-            raise KeyError(f"span ({u[k]}, {v[k]}) not in the lattice of sentence {sentence[k]} of the block")
+        return np.where(miss, -1, at)
+
+    def rows(self, sentence, u, v) -> np.ndarray:
+        """find's rows; KeyError if a span is not in its lattice."""
+        at = self.find(sentence, u, v)
+        if (at < 0).any():
+            b, u, v = (np.broadcast_to(x, at.shape)[np.argmax(at < 0)] for x in (sentence, u, v))
+            raise KeyError(f"span ({u}, {v}) not in the lattice of sentence {b} of the block")
         return at
 
     def check_gaps(self) -> None:
@@ -187,21 +190,23 @@ class _Layout:
 
 @dataclass(eq=False)
 class ScoredBlock:
-    """Span lattices of several sentences plus their factors (see module doc).
+    """A block of sentences, its span lattices and their factors (see module doc).
 
-    Row s of emission is span s of the block: the sentences' spans in
-    sentence order, each sentence's in sorted_spans() order; layout.rows
-    maps a span back to its row. All sentences share one transition table.
+    lengths holds each sentence's n, and spans the (sentence, u, v) int
+    arrays of all the block's spans in lattice.block_spans order: by
+    sentence, then u, then v. Row s of emission is span s; layout.rows maps
+    a span back to its row. All sentences share one transition table.
     """
 
-    lattices: tuple[SpanLattice, ...]
+    lengths: InitVar[np.ndarray]
+    spans: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray]]
     labels: tuple[str, ...]
     emission: np.ndarray
     transition: np.ndarray
     layout: _Layout = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.layout = _Layout(self.lattices)
+    def __post_init__(self, lengths, spans) -> None:
+        self.layout = _Layout(lengths, spans)
         K = len(self.labels)
         for name, want in (("emission", (len(self.layout.sentence), K)), ("transition", (K + 1, K))):
             table = getattr(self, name)

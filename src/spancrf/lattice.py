@@ -4,14 +4,18 @@ LINEAR uses single-word segments only. SEMI allows every span up to the
 length cap L. The dependency-guided lattices prune SEMI's span set using
 the sentence's tree: DGM keeps spans covered by an increasing chain of
 undirected arcs, DGM-S only spans covered by one arc. Single words are
-always valid. A lattice is built on every call and never memoized; the
-corpus statistics reduce the per-sentence records of one ``coverage`` pass.
+always valid. One builder, block_spans, decides this for all four modes,
+for a whole block at once; build_lattice is its per-sentence view. Nothing
+is memoized; the corpus statistics reduce the records of one coverage pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import Sentence
 
@@ -45,59 +49,61 @@ class SpanLattice:
     n: int
     allowed: frozenset[tuple[int, int]]
 
-    def sorted_spans(self) -> tuple[tuple[int, int], ...]:
-        """The allowed spans in sorted order."""
-        return tuple(sorted(self.allowed))
-
     def __len__(self) -> int:
         return len(self.allowed)
 
 
-def chain_spans(n: int, arcs: frozenset[tuple[int, int]], max_len: int) -> frozenset[tuple[int, int]]:
-    """Spans covered by an increasing chain of undirected arcs, plus singletons.
+def _spans(lengths: np.ndarray, lo: np.ndarray, hi: np.ndarray, mode: Mode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """block_spans of a block given as its sentence lengths and its undirected
+    arcs lo < hi, as block-global 0-based token indices.
 
-    (u,v) qualifies iff there are u = u1 < u2 < ... < uk+1 = v with every
-    consecutive pair an arc. One pass over end positions: bit u of the
-    Python int reach[v] is set iff (u, v) qualifies, so reach[v] is bit v
-    OR'd with reach[w] for every arc (w, v) with w < v, cut to the starts
-    within max_len (a chain's prefix spans are shorter, so no cut loses one).
+    SEMI's spans start at every token and reach up to L tokens within the
+    sentence; LINEAR is SEMI with L = 1. DGM-S adds the arcs shorter than L to
+    the singletons. DGM starts from those arcs, and each round extends the
+    last round's spans (u, w) along every arc (w, v) with v - u < L: a tree
+    has one path between two tokens, so each span is reached once.
     """
-    into: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for a, b in arcs:
-        into[max(a, b)].append(min(a, b))
-    reach = [0] * (n + 1)
-    spans = []
-    for v in range(1, n + 1):
-        bits = 1 << v
-        for w in into[v]:
-            bits |= reach[w]
-        reach[v] = bits = bits & -1 << max(v - max_len + 1, 1)
-        while bits:
-            low = bits & -bits
-            spans.append((low.bit_length() - 1, v))
-            bits ^= low
-    return frozenset(spans)
+    max_len = 1 if mode.kind == LINEAR else mode.max_len
+    first = np.cumsum(lengths) - lengths
+    sentence_of = np.repeat(np.arange(len(lengths)), lengths)
+    token = np.arange(len(sentence_of))
+    if mode.kind in (LINEAR, SEMI):
+        reach = np.minimum(max_len, (first + lengths)[sentence_of] - token)
+        u = np.repeat(token, reach)
+        v = u + np.arange(len(u)) - np.repeat(np.cumsum(reach) - reach, reach)
+    else:
+        lo, hi = lo[hi - lo < max_len], hi[hi - lo < max_len]
+        parts = [(token, token), (lo, hi)]
+        order = np.argsort(lo)  # the arcs out of token w are out_end[out_ptr[w] : out_ptr[w + 1]]
+        out_ptr, out_end = np.searchsorted(lo[order], np.arange(len(token) + 1)), hi[order]
+        while mode.kind == DGM and len(parts[-1][0]):
+            u, w = parts[-1]
+            count = out_ptr[w + 1] - out_ptr[w]
+            at = np.arange(count.sum()) + np.repeat(out_ptr[w] - np.cumsum(count) + count, count)
+            u, w = np.repeat(u, count), out_end[at]
+            parts.append((u[w - u < max_len], w[w - u < max_len]))
+        u, v = map(np.concatenate, zip(*parts))
+        order = np.argsort(u * len(token) + v)
+        u, v = u[order], v[order]
+    sentence = sentence_of[u]
+    return sentence, u - first[sentence] + 1, v - first[sentence] + 1
 
 
-def arc_spans(n: int, arcs: frozenset[tuple[int, int]], max_len: int) -> frozenset[tuple[int, int]]:
-    """Spans covered by a single undirected arc, plus singletons."""
-    spans = {(i, i) for i in range(1, n + 1)}
-    spans.update((u, v) for u, v in arcs if v - u + 1 <= max_len)
-    return frozenset(spans)
+def block_spans(sentences: Sequence[Sentence], mode: Mode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The allowed spans of a block of sentences under the mode, as int arrays
+    (sentence, u, v) of 1-based inclusive (u, v) spans of sentence b of the
+    block, sorted by sentence, then u, then v. Single words are always allowed."""
+    lengths = np.array([sentence.n for sentence in sentences], dtype=np.int64)
+    heads = np.fromiter(chain.from_iterable(s.tree.heads for s in sentences), dtype=np.int64, count=int(lengths.sum()))
+    dependent = np.flatnonzero(heads)
+    head = np.repeat(np.cumsum(lengths) - lengths, lengths)[dependent] + heads[dependent] - 1
+    return _spans(lengths, np.minimum(dependent, head), np.maximum(dependent, head), mode)
 
 
 def build_lattice(sentence: Sentence, mode: Mode) -> SpanLattice:
-    """Allowed segments of the sentence under the mode."""
-    n, max_len = sentence.n, mode.max_len
-    if mode.kind == LINEAR:
-        allowed = frozenset((i, i) for i in range(1, n + 1))
-    elif mode.kind == SEMI:
-        allowed = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + max_len - 1) + 1))
-    elif mode.kind == DGM_S:
-        allowed = arc_spans(n, sentence.tree.arcs, max_len)
-    else:
-        allowed = chain_spans(n, sentence.tree.arcs, max_len)
-    return SpanLattice(n, allowed)
+    """Allowed segments of the sentence under the mode: block_spans of a block of one."""
+    _, u, v = block_spans([sentence], mode)
+    return SpanLattice(sentence.n, frozenset(zip(u.tolist(), v.tolist())))
 
 
 def edge_count(lattice: SpanLattice, num_labels: int) -> int:
@@ -108,13 +114,13 @@ def edge_count(lattice: SpanLattice, num_labels: int) -> int:
 
 
 def coverage(sentences: Sequence[Sentence], mode: Mode) -> list[tuple[int, int, int, int]]:
-    """Per sentence, from one lattice build: (n, spans, gold entities, entities whose span is allowed)."""
-    records = []
-    for sent in sentences:
-        allowed = build_lattice(sent, mode).allowed
-        inside = sum((span.start, span.end) in allowed for span in sent.gold)
-        records.append((sent.n, len(allowed), len(sent.gold), inside))
-    return records
+    """Per sentence, from one block_spans call: (n, spans, gold entities, entities whose span is allowed)."""
+    sentence, u, v = block_spans(sentences, mode)
+    gold = np.array([(b, g.start, g.end) for b, s in enumerate(sentences) for g in s.gold], dtype=np.int64).reshape(-1, 3).T
+    width = max((s.n for s in sentences), default=0) + 1  # (b, u, v) -> (b * width + u) * width + v is one-to-one
+    inside = np.isin((gold[0] * width + gold[1]) * width + gold[2], (sentence * width + u) * width + v)
+    counts = [np.bincount(b, minlength=len(sentences)).tolist() for b in (sentence, gold[0], gold[0][inside])]
+    return list(zip([s.n for s in sentences], *counts))
 
 
 def _edges_per_token(records: Sequence[tuple[int, int, int, int]], num_labels: int) -> float:

@@ -25,15 +25,15 @@ The products cost the operators' entries, which grow with the spans, not
 with their total length, and write into a (units, K) buffer kept on the
 block and into the gradient. Blocks are reduced in block order.
 
-_block builds a block in one step: its lattices, its ScoredBlock, whose
-layout is the one span-to-row map (_compile finds gold rows with
-layout.rows), then from the layout's span arrays the (S, K) mask in one
-allowed_mask call and the operators by one features.block_rows call
-over the whole block. Training interns the templates into a growing dict
-of template ids, so each block's units has as many columns as there were
-templates after that block and an early block is narrower than W[:T];
-templates interned later have larger ids, so units @ W[:units.shape[1]]
-is exact. A model keeps its templates as a tuple in id order. Decoding
+_block builds a block in one step: its spans by one lattice.block_spans
+call, its ScoredBlock, whose layout is the one span-to-row map (_compile
+finds gold spans with layout.find and layout.rows), then from the layout's
+span arrays the (S, K) mask in one allowed_mask call and the operators by
+one features.block_rows call over the whole block. Training interns the
+templates into a growing dict of template ids, so each block's units has
+as many columns as there were templates after that block and an early
+block is narrower than W[:T]; templates interned later have larger ids,
+so units @ W[:units.shape[1]] is exact. A model keeps its templates as a tuple in id order. Decoding
 builds its blocks the same way against the model's vocabulary, the tables
 block_rows gathers ids from, built once per model on first use (an unseen
 template is left out), and runs one Viterbi pass per block, which builds
@@ -75,7 +75,8 @@ from .inference import (
     posteriors,
     viterbi,
 )
-from .lattice import Mode, SpanLattice, build_lattice
+# build_lattice stays bound here for perfbench/spantrace.py, which wraps it by name
+from .lattice import Mode, SpanLattice, block_spans, build_lattice
 
 logger = logging.getLogger(__name__)
 
@@ -254,15 +255,16 @@ def _iob_gold(sentence: Sentence) -> Segmentation:
     return Segmentation(tuple(((i, i), tags[i - 1]) for i in range(1, sentence.n + 1)))
 
 
-def _segment_gold(sentence: Sentence, lattice: SpanLattice, split: bool, name: str = "?") -> tuple[Segmentation, int]:
+def _segment_gold(sentence: Sentence, inside: list[bool], split: bool, name: str = "?") -> tuple[Segmentation, int]:
+    """project_gold, given inside[k]: is gold entity k's span in the lattice; without split, ValueError instead."""
     segments: list[tuple[tuple[int, int], str]] = []
     splits = 0
     pos = 1
-    for span in sentence.gold:
+    for span, allowed in zip(sentence.gold, inside):
         while pos < span.start:
             segments.append(((pos, pos), "O"))
             pos += 1
-        if (span.start, span.end) in lattice.allowed:
+        if allowed:
             segments.append(((span.start, span.end), span.etype))
         elif split:
             splits += 1
@@ -283,12 +285,12 @@ def project_gold(sentence: Sentence, lattice: SpanLattice) -> tuple[Segmentation
     that all carry its type; uncovered positions become O singletons.
     Returns the segmentation and the number of entities split.
     """
-    return _segment_gold(sentence, lattice, split=True)
+    return _segment_gold(sentence, [(span.start, span.end) in lattice.allowed for span in sentence.gold], split=True)
 
 
 @dataclass
 class _Block:
-    scored: ScoredBlock  # the block's lattices and its emission and transition factors
+    scored: ScoredBlock  # the block's spans and its emission and transition factors
     label_forbidden: np.ndarray  # (S, K) bool, True where the labeling rule forbids the label on the span
     pair_forbidden: np.ndarray  # (K+1, K) bool, True where label y may not follow p
     units: sparse.csr_matrix  # (units, T') 0/1 templates of each unit; T' <= T, see the module doc
@@ -312,7 +314,7 @@ class _Compiled:
 def _block(
     sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index: dict[str, int] | Vocabulary, dep: bool
 ) -> _Block:
-    """The block of sentences: lattices, labeling-rule masks and template rows.
+    """The block of sentences: spans, labeling-rule masks and template rows.
 
     Every span gets one row of members, in span order; the units' templates
     come from one block_rows call, which interns them into index, a dict,
@@ -320,9 +322,10 @@ def _block(
     out. units has as many columns as index has templates afterwards.
     """
     scheme = label_scheme(mode)
-    lattices = tuple(build_lattice(sentence, mode) for sentence in sentences)
-    S, K = sum(map(len, lattices)), len(labels)
-    scored = ScoredBlock(lattices, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
+    spans = block_spans(sentences, mode)
+    S, K = len(spans[0]), len(labels)
+    lengths = np.array([sentence.n for sentence in sentences])
+    scored = ScoredBlock(lengths, spans, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
     lay = scored.layout
     (unit_ptr, ids), (indptr, members) = block_rows(sentences, lay.sentence, lay.uv, scheme != IOB_SCHEME, dep, index)
     num_units = len(unit_ptr) - 1
@@ -380,22 +383,24 @@ def _compile(
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         block = _block(chunk, mode, labels, index, dep)
+        lay = block.scored.layout
+        entities = [(offset, span.start, span.end) for offset, sentence in enumerate(chunk) for span in sentence.gold]
+        inside = iter((lay.find(*np.array(entities, dtype=np.int64).reshape(-1, 3).T) >= 0).tolist())
         gold = []  # (sentence, u, v, previous label, label) of every gold factor in the block
-        for offset, (sentence, lat) in enumerate(zip(chunk, block.scored.lattices)):
+        for offset, sentence in enumerate(chunk):
             if scheme == IOB_SCHEME:
                 seg = _iob_gold(sentence)
-            elif project:
-                seg, nsplit = project_gold(sentence, lat)
-                splits_total += nsplit
             else:
-                seg, _ = _segment_gold(sentence, lat, split=False, name=str(block_start + offset + 1))
+                allowed = [next(inside) for _ in sentence.gold]
+                seg, nsplit = _segment_gold(sentence, allowed, split=project, name=str(block_start + offset + 1))
+                splits_total += nsplit
             prev = K
             for (u, v), label in seg:
                 gold.append((offset, u, v, prev, label_id[label]))
                 prev = label_id[label]
         sentence, u, v, prev, label = np.array(gold).T
         blocks.append(block)
-        golds.append((block.scored.layout.rows(sentence, u, v), prev, label))
+        golds.append((lay.rows(sentence, u, v), prev, label))
     gold_counts = np.zeros((len(index) + K + 1, K))
     for block, (row, prev, label) in zip(blocks, golds):
         # a span is at most one gold segment, so the (span, label) cells are distinct

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the slow, obvious way: exhaustive enumeration of
-segmentations, a direct increasing-chain search for valid spans, a textbook
+segmentations, each mode's valid spans by definition (a direct
+increasing-chain search for dgm), a textbook
 first-order chain forward pass, small corpus builders over random trees
 and random factors, the feature templates built as strings one span at a
 time, a string-lookup factor scorer for trained models, and the dense
@@ -11,6 +12,8 @@ the factor builder touch package internals, and only for what they score
 Two more read a block's layout: the dense (S, K+1, K) factor marginals,
 from the package's alpha and beta, which the gradient's sums are checked
 against, and the layout's step schedules cut one position at a time.
+scored_block and block_lattices convert between a tuple of per-sentence
+SpanLattice sets and a block's span arrays, in sorted order.
 The optimizer's oracle is scipy's L-BFGS-B run on the package's Objective.
 """
 
@@ -22,11 +25,28 @@ from collections import Counter
 import numpy as np
 import scipy.optimize
 
-from spancrf import DependencyTree, EntitySpan, Sentence, Token, build_lattice
+from spancrf import DependencyTree, EntitySpan, Sentence, SpanLattice, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
 from spancrf.inference import IOB_SCHEME, ScoredBlock, backward, forward, label_scheme, log_partition, pair_mask
 from spancrf.training import Objective
+
+
+def scored_block(lattices, labels, emission, transition) -> ScoredBlock:
+    """A ScoredBlock over the given lattices, hand-made or built: their
+    lengths and their spans as (sentence, u, v) arrays in sorted order."""
+    spans = [(b, u, v) for b, lattice in enumerate(lattices) for u, v in sorted(lattice.allowed)]
+    sentence, u, v = np.array(spans, dtype=np.int64).reshape(-1, 3).T
+    return ScoredBlock(np.array([lattice.n for lattice in lattices]), (sentence, u, v), labels, emission, transition)
+
+
+def block_lattices(scored) -> list[SpanLattice]:
+    """The SpanLattice of each sentence of a block, read off its layout."""
+    lay = scored.layout
+    spans = [set() for _ in lay.first_row]
+    for b, (u, v) in zip(lay.sentence.tolist(), lay.uv.tolist()):
+        spans[b].add((u, v))
+    return [SpanLattice(int(n), frozenset(s)) for n, s in zip(lay.last_row - lay.first_row, spans)]
 
 
 def enumerate_labelings(scored):
@@ -36,8 +56,8 @@ def enumerate_labelings(scored):
     Only factors with finite scores emission[s, y] + transition[p, y] are
     followed; the begin state is previous label K, the transition's last row.
     """
-    lattice = scored.lattices[0]
-    spans = lattice.sorted_spans()
+    [lattice] = block_lattices(scored)
+    spans = sorted(lattice.allowed)
     K = len(scored.labels)
     by_start: dict[int, list[int]] = {}
     for idx, (u, _v) in enumerate(spans):
@@ -148,7 +168,7 @@ def dense_mask(lattice, labels, scheme) -> np.ndarray:
     in the IOB scheme I-X follows only B-X or I-X, otherwise O sits only on
     single-token spans."""
     K = len(labels)
-    spans = lattice.sorted_spans()
+    spans = sorted(lattice.allowed)
     mask = np.zeros((len(spans), K + 1, K), dtype=bool)
     for s, (u, v) in enumerate(spans):
         for p in range(K + 1):
@@ -175,7 +195,7 @@ def brute_viterbi(scored):
     """
     labelings = enumerate_labelings(scored)
     top = max(path_score(scored, lab) for lab in labelings)
-    spans = scored.lattices[0].sorted_spans()
+    spans = sorted(block_lattices(scored)[0].allowed)
 
     def key(lab):
         lengths = [spans[s][1] - spans[s][0] for s, _ in lab]
@@ -206,6 +226,28 @@ def chain_spans_reference(n: int, arcs, max_len: int) -> set[tuple[int, int]]:
                         seen.add(y)
                         stack.append(y)
     return spans
+
+
+def spans_reference(n: int, arcs, kind: str, max_len: int) -> set[tuple[int, int]]:
+    """A mode's valid spans by definition: singletons for linear, every span
+    up to max_len for semi, singletons and the arcs up to max_len for dgm-s,
+    chain_spans_reference for dgm."""
+    singles = {(i, i) for i in range(1, n + 1)}
+    if kind == "linear":
+        return singles
+    if kind == "semi":
+        return {(u, v) for u in range(1, n + 1) for v in range(u, min(n, u + max_len - 1) + 1)}
+    if kind == "dgm-s":
+        return singles | {(min(a, b), max(a, b)) for a, b in arcs if abs(a - b) < max_len}
+    return chain_spans_reference(n, arcs, max_len)
+
+
+def tree_sentence(n: int, edges, root: int = 1) -> Sentence:
+    """A sentence of n tokens whose dependency tree is the undirected tree
+    edges, with its arcs pointing away from root."""
+    heads = orient_edges(n, edges, root)
+    tokens = tuple(Token(f"w{i}", "NN") for i in range(1, n + 1))
+    return Sentence(tokens, DependencyTree(heads, tuple("root" if h == 0 else "dep" for h in heads)))
 
 
 def chain_forward_logz(emit: np.ndarray, trans: np.ndarray, begin: np.ndarray) -> float:
@@ -358,7 +400,7 @@ def reference_rows(sentences, lattices, segments: bool, dep: bool, template_id):
     occurrence and mapped through template_id, None templates left out."""
     indptr, indices, data = [0], [], []
     for sentence, lattice in zip(sentences, lattices):
-        for span in lattice.sorted_spans():
+        for span in sorted(lattice.allowed):
             if segments:
                 counts = Counter(segment_templates(sentence, span, dep))
             else:
@@ -390,7 +432,7 @@ def reference_scores(model, sentence) -> ScoredBlock:
 
     tw = np.array([[model.weights[T + p, y] for y in range(K)] for p in range(K + 1)])
     e_sy = np.full((len(lattice), K), -np.inf)
-    for s, span in enumerate(lattice.sorted_spans()):
+    for s, span in enumerate(sorted(lattice.allowed)):
         if scheme == IOB_SCHEME:
             templates = position_templates(sentence, span[0], model.dep_features)
         else:
@@ -404,7 +446,7 @@ def reference_scores(model, sentence) -> ScoredBlock:
                 for template, c in counts.items():
                     total += weight(template, y) * c
                 e_sy[s, y] = total
-    return ScoredBlock((lattice,), model.labels, e_sy, np.where(pair_mask(model.labels, scheme), tw, -np.inf))
+    return scored_block([lattice], model.labels, e_sy, np.where(pair_mask(model.labels, scheme), tw, -np.inf))
 
 
 def segmentation_entities(seg, scheme: str) -> tuple[EntitySpan, ...]:

@@ -25,14 +25,12 @@ from spancrf.combinatorics import (
 )
 from spancrf.corpus import LabelSet
 from spancrf.evaluation import score
-from spancrf.inference import ScoredBlock, label_scheme, log_partition, mode_labels, viterbi
+from spancrf.inference import label_scheme, log_partition, mode_labels, viterbi
 from spancrf.lattice import (
     MODE_KINDS,
     Mode,
-    arc_spans,
     average_edges_per_token,
     build_lattice,
-    chain_spans,
 )
 from spancrf.synth import synthesize
 from spancrf.training import Objective, TrainConfig, _compile, decode_corpus, fit
@@ -45,6 +43,8 @@ from oracles import (
     draw_factors,
     marginals,
     random_sentence,
+    scored_block,
+    tree_sentence,
 )
 
 
@@ -91,7 +91,7 @@ def _random_instance(rng, i):
     assert len(labels) <= 3 or kind == "linear"
     lattice = build_lattice(sent, mode)
     (emission,), transition = draw_factors([lattice], labels, label_scheme(mode), lambda shape: rng.normal(scale=2.0, size=shape))
-    return ScoredBlock((lattice,), labels, emission, transition)
+    return scored_block([lattice], labels, emission, transition)
 
 
 def test_criterion_04_dp_matches_enumeration():
@@ -140,15 +140,17 @@ def test_criterion_06_lattice_containment():
     rng = np.random.default_rng(106)
     for _ in range(1000):
         n = int(rng.integers(1, 31))
-        tree = random_tree(n, rng)
+        sent = tree_sentence(n, random_tree(n, rng).edges)
         L = int(rng.integers(1, 11))
+
+        def spans(kind, cap=L):
+            return build_lattice(sent, Mode(kind, cap)).allowed
+
         singles = frozenset((i, i) for i in range(1, n + 1))
-        dgm_s = arc_spans(n, tree.edges, L)
-        dgm = chain_spans(n, tree.edges, L)
         semi = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + L - 1) + 1))
-        assert singles <= dgm_s <= dgm <= semi
-        assert chain_spans(n, tree.edges, L) <= chain_spans(n, tree.edges, L + 1)
-        assert arc_spans(n, tree.edges, L) <= arc_spans(n, tree.edges, L + 1)
+        assert singles <= spans("dgm-s") <= spans("dgm") <= semi == spans("semi")
+        assert spans("dgm") <= spans("dgm", L + 1)
+        assert spans("dgm-s") <= spans("dgm-s", L + 1)
     print("criterion 6: PASS - 1000 trees (n<=30): containment, singletons, L-monotonicity")
 
 

@@ -17,7 +17,6 @@ from spancrf.inference import (
     IOB_SCHEME,
     SEGMENT_SCHEME,
     InvariantViolation,
-    ScoredBlock,
     allowed_mask,
     backward,
     forward,
@@ -31,6 +30,7 @@ from spancrf.inference import (
 from spancrf.lattice import MODE_KINDS, Mode, SpanLattice, build_lattice
 
 from oracles import (
+    block_lattices,
     brute_log_partition,
     brute_marginals,
     brute_viterbi,
@@ -40,6 +40,7 @@ from oracles import (
     path_score,
     random_sentence,
     reference_steps,
+    scored_block,
 )
 
 
@@ -63,12 +64,12 @@ def scored_sentences(draw):
 
     lattices = [build_lattice(random_sentence(rng, n=n), mode) for n in lengths]
     emissions, transition = draw_factors(lattices, labels, label_scheme(mode), values)
-    return [ScoredBlock((lat,), labels, emission, transition) for lat, emission in zip(lattices, emissions)]
+    return [scored_block([lat], labels, emission, transition) for lat, emission in zip(lattices, emissions)]
 
 
 def as_block(singles):
-    return ScoredBlock(
-        tuple(s.lattices[0] for s in singles),
+    return scored_block(
+        [block_lattices(s)[0] for s in singles],
         singles[0].labels,
         np.concatenate([s.emission for s in singles]),
         singles[0].transition,
@@ -107,7 +108,7 @@ def test_factors_and_gradient_reductions(singles):
     block = as_block(singles)
     labels, K = block.labels, len(block.labels)
     scheme = scheme_of(labels)
-    dense = np.concatenate([dense_mask(s.lattices[0], labels, scheme) for s in singles])
+    dense = np.concatenate([dense_mask(block_lattices(s)[0], labels, scheme) for s in singles])
     # span mask, pair mask and begin rule reproduce the dense mask cell for cell
     u = block.layout.uv[:, 0]
     begin = (u == 1)[:, None] == (np.arange(K + 1) == K)[None, :]
@@ -122,9 +123,9 @@ def test_factors_and_gradient_reductions(singles):
     np.testing.assert_allclose(pair, m.sum(axis=0), rtol=0, atol=1e-12)
     # exactly one labeled span covers each position
     for scored, label_b in zip(singles, per_sentence(label, singles)):
-        lattice = scored.lattices[0]
+        lattice = block_lattices(scored)[0]
         for j in range(1, lattice.n + 1):
-            covering = [s for s, (u, v) in enumerate(lattice.sorted_spans()) if u <= j <= v]
+            covering = [s for s, (u, v) in enumerate(sorted(lattice.allowed)) if u <= j <= v]
             assert label_b[covering].sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -135,18 +136,18 @@ def test_layout_rows_are_the_span_map(singles, data):
     lay = block.layout
     # every span of every sentence maps to its row, in block order
     sentence = np.repeat(np.arange(len(singles)), [len(s.emission) for s in singles])
-    u, v = np.array([span for s in singles for span in s.lattices[0].sorted_spans()]).T
+    u, v = np.array([span for s in singles for span in sorted(block_lattices(s)[0].allowed)]).T
     assert np.array_equal(lay.rows(sentence, u, v), np.arange(len(u)))
     # a span missing from its lattice: a gap in it, past the sentence's n, or not 1 <= u <= v
     b = data.draw(st.integers(0, len(singles) - 1), label="sentence")
-    lattice = singles[b].lattices[0]
+    lattice = block_lattices(singles[b])[0]
     missing = [(i, j) for i in range(lattice.n + 2) for j in range(-1, lattice.n + 2) if (i, j) not in lattice.allowed]
     for span in missing:
         with pytest.raises(KeyError, match=f"sentence {b} "):
             lay.rows(b, *span)
     # the (S, K) span mask covers the dense mask's projection, in either scheme
     scheme = scheme_of(block.labels)
-    dense = np.concatenate([dense_mask(s.lattices[0], block.labels, scheme) for s in singles])
+    dense = np.concatenate([dense_mask(block_lattices(s)[0], block.labels, scheme) for s in singles])
     assert (allowed_mask(lay.uv, len(block.labels)) >= dense.any(axis=1)).all()
 
 
@@ -157,7 +158,7 @@ def test_block_viterbi_matches_enumeration_with_tie_rule(singles):
     assert len(decoded) == len(singles)
     for scored, (seg, best) in zip(singles, decoded):
         want = brute_viterbi(scored)
-        spans = scored.lattices[0].sorted_spans()
+        spans = sorted(block_lattices(scored)[0].allowed)
         assert list(seg) == [(spans[s], scored.labels[y]) for s, y in want]
         assert best == pytest.approx(path_score(scored, want), abs=1e-9)
         assert viterbi(scored) == [(seg, best)]
@@ -170,7 +171,7 @@ def test_gapped_lattice_inside_a_block_raises(singles, n, data):
     where = data.draw(st.integers(0, len(singles)), label="where")
     labels = singles[0].labels
     spans = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + 1) + 1) if v != gap)
-    gapped = ScoredBlock((SpanLattice(n, spans),), labels, np.zeros((len(spans), len(labels))), singles[0].transition)
+    gapped = scored_block([SpanLattice(n, spans)], labels, np.zeros((len(spans), len(labels))), singles[0].transition)
     block = as_block(singles[:where] + [gapped] + singles[where:])
     for dp in (forward, marginals, viterbi):
         with pytest.raises(InvariantViolation, match=f"position {gap} .sentence {where} "):

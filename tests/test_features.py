@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import orient_edges, reference_rows
+from oracles import block_lattices, orient_edges, reference_rows
 from spancrf import DependencyTree, EntitySpan, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
 from spancrf.features import BOS, EOS, ROOT, Vocabulary, word_shape
@@ -78,7 +78,7 @@ def template_counts(sentence, span, kind="semi", dep=True, templates=None):
     compiled, templates = _compiled(sentence, kind, dep, templates)
     block = compiled.blocks[0]
     # the block holds one sentence; its rows are its spans in sorted order
-    row = sorted(block.scored.lattices[0].allowed).index(span)
+    row = sorted(block_lattices(block.scored)[0].allowed).index(span)
     return row_counts(implied_rows(block)[row], templates)[0]
 
 
@@ -203,7 +203,7 @@ def test_labels_share_one_row_per_span(womack):
     # every span has one row; a gold segment's counts sit in its label's column
     compiled, index = _compiled(womack, "semi")
     block = compiled.blocks[0]
-    spans = sorted(block.scored.lattices[0].allowed)
+    spans = sorted(block_lattices(block.scored)[0].allowed)
     rows = implied_rows(block)
     assert rows.shape == (len(spans), len(index))
     per, misc = compiled.labels.index("PER"), compiled.labels.index("MISC")
@@ -262,7 +262,7 @@ def _gold_rows(sentences, lattices, scheme):
     """(row, label name) of every gold segment of the block, rows in span order."""
     out, first = [], 0
     for sentence, lattice in zip(sentences, lattices):
-        spans = lattice.sorted_spans()
+        spans = sorted(lattice.allowed)
         seg = _iob_gold(sentence) if scheme == IOB_SCHEME else project_gold(sentence, lattice)[0]
         out.extend((first + spans.index(span), label) for span, label in seg)
         first += len(spans)
@@ -335,9 +335,9 @@ def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
     reference = reference_rows(sentences, lattices, True, True, {t: i for i, t in enumerate(templates)}.get)
     _assert_rows_equal(block, templates, reference, templates)
     rows = implied_rows(block).toarray()
-    spans = lattices[0].sorted_spans()
+    spans = sorted(lattices[0].allowed)
     assert rows[spans.index((1, 2)), -1] == rows[spans.index((1, 3)), -1] == 1
-    assert not rows[len(spans) + lattices[1].sorted_spans().index((1, 2))].any()
+    assert not rows[len(spans) + sorted(lattices[1].allowed).index((1, 2))].any()
 
 
 def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds():
@@ -357,7 +357,7 @@ def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds(
     reference = reference_rows(sentences, lattices, True, True, ids.get)
     _assert_rows_equal(block, templates, reference, templates)
     rows = implied_rows(block).toarray()
-    spans = lattices[0].sorted_spans()
+    spans = sorted(lattices[0].allowed)
     for span, template in (((1, 2), "seg:zz q"), ((3, 3), "seg:a:b"), ((1, 2), "iw:2:q"), ((2, 2), "dw:q+zz")):
         assert rows[spans.index(span), ids[template]] == 1, template
     assert not rows[len(spans) :, ids["seg:zz q"]].any()

@@ -15,7 +15,6 @@ from spancrf.inference import (
     IOB_SCHEME,
     SEGMENT_SCHEME,
     InvariantViolation,
-    ScoredBlock,
     Segmentation,
     _RowStep,
     allowed_mask,
@@ -33,6 +32,7 @@ from spancrf.inference import (
 from spancrf.lattice import MODE_KINDS, Mode, SpanLattice, build_lattice
 
 from oracles import (
+    block_lattices,
     brute_best_score,
     brute_log_partition,
     brute_marginals,
@@ -43,6 +43,7 @@ from oracles import (
     marginals,
     path_score,
     random_sentence,
+    scored_block,
 )
 
 
@@ -51,7 +52,7 @@ def scored_from(lattice, labels, scheme, rng=None, fill=0.0):
         (emission,), transition = draw_factors([lattice], labels, scheme, lambda shape: np.full(shape, fill))
     else:
         (emission,), transition = draw_factors([lattice], labels, scheme, lambda shape: rng.normal(scale=1.5, size=shape))
-    return ScoredBlock((lattice,), labels, emission, transition)
+    return scored_block([lattice], labels, emission, transition)
 
 
 def singleton_lattice(n):
@@ -82,9 +83,9 @@ def test_label_schemes():
 def test_segment_mask_rules(womack):
     labels = ("O", "PER", "MISC")
     lattice = build_lattice(womack, Mode("dgm", 8))
-    mask = allowed_mask(np.array(lattice.sorted_spans()), len(labels))
+    mask = allowed_mask(np.array(sorted(lattice.allowed)), len(labels))
     assert mask.shape == (len(lattice), len(labels))
-    for s, (u, v) in enumerate(lattice.sorted_spans()):
+    for s, (u, v) in enumerate(sorted(lattice.allowed)):
         # O rides only on single words, entity types on every span
         assert mask[s, 0] == (u == v)
         assert mask[s, 1:].all()
@@ -93,7 +94,7 @@ def test_segment_mask_rules(womack):
 def test_iob_mask_blocks_dangling_inside():
     labels = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
     K = len(labels)
-    mask = allowed_mask(np.array(singleton_lattice(3).sorted_spans()), K)
+    mask = allowed_mask(np.array(sorted(singleton_lattice(3).allowed)), K)
     pair = pair_mask(labels, IOB_SCHEME)
     # single tokens take every tag; the first token follows only the begin
     # sentinel, and the begin row of the pair rule keeps inside tags off it
@@ -119,21 +120,22 @@ def test_scored_lattice_validation():
     lat = singleton_lattice(2)
     labels = ("O", "A")
     with pytest.raises(ValueError, match="emission shape"):
-        ScoredBlock((lat,), labels, np.zeros((2, 3)), np.zeros((3, 2)))
+        scored_block([lat], labels, np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="transition shape"):
-        ScoredBlock((lat,), labels, np.zeros((2, 2)), np.zeros((2, 2)))
+        scored_block([lat], labels, np.zeros((2, 2)), np.zeros((2, 2)))
     for bad_value in (np.nan, np.inf):
         bad = np.zeros((2, 2))
         bad[0, 0] = bad_value
         with pytest.raises(ValueError, match="emission scores must be finite"):
-            ScoredBlock((lat,), labels, bad, np.zeros((3, 2)))
+            scored_block([lat], labels, bad, np.zeros((3, 2)))
         bad = np.zeros((3, 2))
         bad[0, 0] = bad_value
         with pytest.raises(ValueError, match="transition scores must be finite"):
-            ScoredBlock((lat,), labels, np.zeros((2, 2)), bad)
+            scored_block([lat], labels, np.zeros((2, 2)), bad)
 
-    scored = ScoredBlock((lat,), labels, np.zeros((2, 2)), np.zeros((3, 2)))
+    scored = scored_block([lat], labels, np.zeros((2, 2)), np.zeros((3, 2)))
     assert scored.layout.rows(0, 2, 2).tolist() == [1]
+    assert scored.layout.find(0, [2, 1, 2, 2, 0], [2, 2, 3, 1, 1]).tolist() == [1, -1, -1, -1, -1]
     for missing in ((1, 2), (2, 3), (2, 1), (0, 1)):
         with pytest.raises(KeyError):
             scored.layout.rows(0, *missing)
@@ -166,7 +168,7 @@ def test_log_partition_two_squared_paths():
     scored = scored_from(singleton_lattice(2), ("O", "A"), IOB_SCHEME)
     assert log_partition(scored)[0] == pytest.approx(math.log(4), abs=1e-12)
     # a block of a 1-token and a 2-token sentence: log 2 and log 4, one per sentence
-    block = ScoredBlock((singleton_lattice(1), singleton_lattice(2)), ("O", "A"), np.zeros((3, 2)), np.zeros((3, 2)))
+    block = scored_block([singleton_lattice(1), singleton_lattice(2)], ("O", "A"), np.zeros((3, 2)), np.zeros((3, 2)))
     np.testing.assert_allclose(log_partition(block), [math.log(2), math.log(4)], rtol=0, atol=1e-12)
 
 
@@ -181,7 +183,7 @@ def test_uniform_marginals_are_half():
 def test_viterbi_prefers_scored_label():
     lat = singleton_lattice(1)
     labels = ("O", "PER")
-    [(seg, best)] = viterbi(ScoredBlock((lat,), labels, np.array([[0.0, 1.0]]), np.zeros((3, 2))))
+    [(seg, best)] = viterbi(scored_block([lat], labels, np.array([[0.0, 1.0]]), np.zeros((3, 2))))
     assert seg.segments == (((1, 1), "PER"),)
     assert best == 1.0
 
@@ -200,11 +202,11 @@ def test_viterbi_tie_prefers_shorter_last_segment():
     lat = SpanLattice(2, frozenset({(1, 1), (2, 2), (1, 2)}))
     labels = ("O", "A")
     emission = np.full((3, 2), -np.inf)
-    idx = {span: i for i, span in enumerate(lat.sorted_spans())}
+    idx = {span: i for i, span in enumerate(sorted(lat.allowed))}
     emission[idx[(1, 1)], 1] = 0.5
     emission[idx[(2, 2)], 1] = 0.5
     emission[idx[(1, 2)], 1] = 1.0
-    [(seg, best)] = viterbi(ScoredBlock((lat,), labels, emission, np.zeros((3, 2))))
+    [(seg, best)] = viterbi(scored_block([lat], labels, emission, np.zeros((3, 2))))
     assert best == pytest.approx(1.0)
     assert seg.segments == (((1, 1), "A"), ((2, 2), "A"))
 
@@ -230,9 +232,9 @@ def test_marginals_normalize_at_every_position():
     for _ in range(25):
         scored = random_scored(rng)
         m = marginals(scored)
-        lattice = scored.lattices[0]
+        lattice = block_lattices(scored)[0]
         for p in range(1, lattice.n + 1):
-            covering = [s for s, (u, v) in enumerate(lattice.sorted_spans()) if u <= p <= v]
+            covering = [s for s, (u, v) in enumerate(sorted(lattice.allowed)) if u <= p <= v]
             assert sum(m[s].sum() for s in covering) == pytest.approx(1.0, abs=1e-9)
         # forbidden factors carry no mass
         scheme = IOB_SCHEME if any(y.startswith("B-") for y in scored.labels) else SEGMENT_SCHEME
@@ -250,7 +252,7 @@ def test_linear_mode_is_a_textbook_chain_crf():
         emit = rng.normal(size=(n, K))
         trans = rng.normal(size=(K + 1, K))
         emission = np.where(mask.any(axis=1), emit, -np.inf)
-        [logz] = log_partition(ScoredBlock((lat,), labels, emission, np.where(pair_mask(labels, IOB_SCHEME), trans, -np.inf)))
+        [logz] = log_partition(scored_block([lat], labels, emission, np.where(pair_mask(labels, IOB_SCHEME), trans, -np.inf)))
 
         chain_trans = np.where(mask[1] if n > 1 else True, trans, -np.inf)[:K]
         begin = np.where(mask[0][K], trans[K] + 0.0, -np.inf)
@@ -265,14 +267,14 @@ def test_shrinking_the_lattice_never_raises_logz():
         lattice = build_lattice(sent, Mode("semi", 4))
         labels = ("O", "A")
         scored = scored_from(lattice, labels, SEGMENT_SCHEME, rng=rng)
-        spans = lattice.sorted_spans()
+        spans = sorted(lattice.allowed)
         multi = [span for span in spans if span[1] > span[0]]
         if not multi:
             continue
         drop = multi[int(rng.integers(len(multi)))]
         keep = [s for s, span in enumerate(spans) if span != drop]
-        smaller = ScoredBlock(
-            (SpanLattice(lattice.n, frozenset(span for span in spans if span != drop)),),
+        smaller = scored_block(
+            [SpanLattice(lattice.n, frozenset(span for span in spans if span != drop))],
             labels,
             scored.emission[keep],
             scored.transition,
@@ -290,9 +292,9 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
     # boost one full path far above the rest: the bound becomes tight
     lat = singleton_lattice(4)
     labels = ("O", "A")
-    emission = np.where(allowed_mask(np.array(lat.sorted_spans()), len(labels)), 0.0, -np.inf)
+    emission = np.where(allowed_mask(np.array(sorted(lat.allowed)), len(labels)), 0.0, -np.inf)
     emission[:, 1] = 60.0
-    scored = ScoredBlock((lat,), labels, emission, np.zeros((3, 2)))
+    scored = scored_block([lat], labels, emission, np.zeros((3, 2)))
     [(seg, best)] = viterbi(scored)
     assert best == pytest.approx(240.0)
     assert seg.labels() == ("A", "A", "A", "A")
@@ -302,7 +304,7 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
 def test_gapped_lattice_raises_invariant_violation():
     lat = SpanLattice(3, frozenset({(1, 1), (3, 3)}))
     labels = ("O", "A")
-    scored = ScoredBlock((lat,), labels, np.zeros((2, 2)), np.zeros((3, 2)))
+    scored = scored_block([lat], labels, np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(InvariantViolation, match="position 2"):
         forward(scored)
     with pytest.raises(InvariantViolation):
@@ -319,12 +321,12 @@ def test_extreme_scores_stay_finite():
         for fill in (-1e4, 1e4):
             # every labeling scores fill per segment; transitions add 0
             (emission,), _ = draw_factors([lat], labels, SEGMENT_SCHEME, lambda shape: np.full(shape, fill))
-            scored = ScoredBlock((lat,), labels, emission, np.zeros((4, 3)))
+            scored = scored_block([lat], labels, emission, np.zeros((4, 3)))
             [logz] = log_partition(scored)
             assert math.isfinite(logz)
             assert logz == pytest.approx(6 * fill + math.log(3 ** 6), rel=1e-12)
         (emission,), transition = draw_factors([lat], labels, SEGMENT_SCHEME, lambda shape: rng.uniform(-1e4, 1e4, size=shape))
-        scored = ScoredBlock((lat,), labels, emission, transition)
+        scored = scored_block([lat], labels, emission, transition)
         m = marginals(scored)
         assert np.isfinite(log_partition(scored)).all()
         # exponent arithmetic at 1e4 scale leaves ~1e-12 relative slack
@@ -378,9 +380,9 @@ def test_underflowing_row_sums_match_enumeration():
     labels = ("O", "X")
     score = {(1, 1): [0, -2000], (2, 2): [0, 5000], (3, 3): [0, -2000], (4, 4): [0, 5000]}
     score.update({(1, 2): [-np.inf, 2999.5], (3, 4): [-np.inf, 2999.5]})
-    emission = np.array([score[span] for span in lattice.sorted_spans()], dtype=float)
+    emission = np.array([score[span] for span in sorted(lattice.allowed)], dtype=float)
     transition = np.array([[0.0, -1e4], [-1e4, 0.0], [0.0, 0.0]])
-    scored = ScoredBlock((lattice,), labels, emission, transition)
+    scored = scored_block([lattice], labels, emission, transition)
     K = len(labels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -408,7 +410,7 @@ def test_forward_backward_agree_on_logz():
     rng = np.random.default_rng(26)
     for _ in range(20):
         scored = random_scored(rng)
-        K, n = len(scored.labels), scored.lattices[0].n
+        K, n = len(scored.labels), block_lattices(scored)[0].n
         alpha, G = forward(scored)
         beta, H = backward(scored)
         assert np.logaddexp.reduce(alpha[n, :K]) == pytest.approx(beta[0, K], abs=1e-10)

@@ -41,6 +41,7 @@ from spancrf.inference import IOB_SCHEME, label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
 from oracles import (
+    block_lattices,
     brute_log_partition,
     brute_marginals,
     dense_mask,
@@ -612,10 +613,10 @@ def test_objective_matches_enumeration_at_large_weights(kind):
                 tags = spans_to_iob(sentence.gold, sentence.n)
                 gold = [((i, i), tags[i - 1]) for i in range(1, sentence.n + 1)]
             else:
-                gold = list(project_gold(sentence, scored.lattices[0])[0])
+                gold = list(project_gold(sentence, block_lattices(scored)[0])[0])
             gold = [(int(scored.layout.rows(0, *span)[0]), model.labels.index(label)) for span, label in gold]
             want_value += brute_log_partition(scored) - path_score(scored, gold)
-            indptr, indices, data = reference_rows([sentence], scored.lattices, scheme != IOB_SCHEME, True, ids.get)
+            indptr, indices, data = reference_rows([sentence], block_lattices(scored), scheme != IOB_SCHEME, True, ids.get)
             S = len(scored.emission)
             X = sparse.csr_matrix((data, indices, indptr), shape=(S, T))
             m = brute_marginals(scored)
@@ -655,7 +656,7 @@ def test_never_live_weights_stay_zero(kind):
         live_cells = np.zeros((T, len(model.labels)))
         live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
         for block in compiled.blocks:
-            allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block.scored.lattices])
+            allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block_lattices(block.scored)])
             live_cells[: block.units.shape[1]] += (block.members @ block.units).T @ allowed.any(axis=1)
             live_pairs |= allowed.any(axis=0)
         never = np.vstack([live_cells == 0, ~live_pairs])

@@ -33,17 +33,25 @@ through each row once, and a span costs O(K):
   gradient  posteriors gives m.sum(axis=1) = exp(G[start] + emission +
             beta[end] - log Z) and m.sum(axis=0) = sum_r exp(alpha[r, :, None]
             + transition + H[r] - log Z) without building the marginals m
-  Viterbi   the forward step in max-product; each row keeps max_p and the
-            first (smallest) argmax p per label, which the backtrace reads
-            as the previous label of a segment starting at that row
+  Viterbi   the forward step in max-product, with rows numbered in step
+            order so that a step writes contiguous slices: each written row
+            keeps max_p and the first (smallest) argmax p per label, and the
+            first (shortest) best span per label of the spans writing it,
+            padded with -inf to the step's widest row; one predecessor
+            table then maps each (row, label) to the (row, label) its best
+            segment comes from, and the backtrace follows it for all
+            sentences at once
 
 Forward and Viterbi loop over end positions, backward over start
 positions, so the Python loop runs per position, not per span. The layout
-cuts each direction's steps from one sort of the spans when a pass first
-needs them, so decoding never builds the backward steps. Viterbi
+cuts the backward steps from one sort of the spans and the forward steps,
+and Viterbi's padded view of them, from another, each when a pass first
+needs it, so decoding never builds the backward steps. Viterbi
 ties go to the smaller previous label within a row, then to the shorter of
 the spans that write one row, and at the end boundary to the shorter last
-segment, then the smaller label.
+segment, then the smaller label. The two maxima stay apart: one max over
+(span, p) of (vit[p] + transition[p, y]) + emission could round two
+distinct sums over p to one value and so pick another previous label.
 
 Labeling rules (per scheme), the span rule in allowed_mask (on emission),
 the pair rule in pair_mask (on transition, begin row K included):
@@ -57,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,17 +116,33 @@ def allowed_mask(uv: np.ndarray, num_labels: int) -> np.ndarray:
     return mask
 
 
-def _steps(order: np.ndarray, position: np.ndarray, source: np.ndarray, target: np.ndarray) -> list[tuple]:
-    """Cut spans, taken in the given order, into one step per position: (span
-    ids, rows they read, distinct rows they write, reduceat offsets, group of
-    each span). The cuts are computed over all spans at once, then sliced."""
+class _Cut(NamedTuple):
+    """Spans taken in some order, cut where the position (a step) and the
+    written row (a group) change; step and group count over the whole block."""
+
+    order: np.ndarray  # span ids
+    rows: np.ndarray  # the row each span writes
+    step: np.ndarray  # the step of each span
+    group: np.ndarray  # the group of each span
+    step_at: np.ndarray  # the first span of each step
+    row_at: np.ndarray  # the first span of each group
+
+
+def _cut(order: np.ndarray, position: np.ndarray, target: np.ndarray) -> _Cut:
     rows = target[order]
     new_step = np.ones(len(order), dtype=bool)
     new_step[1:] = position[order[1:]] != position[order[:-1]]
     new_row = new_step.copy()
     new_row[1:] |= rows[1:] != rows[:-1]
     step, group = np.cumsum(new_step) - 1, np.cumsum(new_row) - 1
-    step_at, row_at = np.flatnonzero(new_step), np.flatnonzero(new_row)
+    return _Cut(order, rows, step, group, np.flatnonzero(new_step), np.flatnonzero(new_row))
+
+
+def _steps(cut: _Cut, source: np.ndarray) -> list[tuple]:
+    """One step per position: (span ids, rows they read, distinct rows they
+    write, reduceat offsets, group of each span). The cuts are computed over
+    all spans at once, then sliced."""
+    order, rows, step, group, step_at, row_at = cut
     first_group = group[step_at]
     # offsets and groups counted from the first span and group of their step
     starts = row_at - step_at[step[row_at]]
@@ -129,6 +154,19 @@ def _steps(order: np.ndarray, position: np.ndarray, source: np.ndarray, target: 
         (order[a:b], source[a:b], dst[g:h], starts[g:h], group[a:b])
         for a, b, g, h in zip(span_cuts, span_cuts[1:], group_cuts, group_cuts[1:])
     ]
+
+
+class _Padded(NamedTuple):
+    """Viterbi's view of the forward steps of a block of B sentences whose G
+    groups each write one row. A slot numbers a row: slot g is the row group g
+    writes, slot G + b sentence b's first row, and slot G + B a pad that no
+    span writes."""
+
+    span: np.ndarray  # span ids, each group's shorter first, padded with span 0 to its step's widest group
+    source: np.ndarray  # the slot each of them reads; pads read the pad slot
+    offset: np.ndarray  # where the padded spans of each group start
+    slot: np.ndarray  # the slot of each row; a gap (see check_gaps) maps to the pad slot
+    steps: list[tuple]  # per step: its groups g:h, their padded spans a:b, and source[a:b] as (h - g, width)
 
 
 class _Layout:
@@ -149,16 +187,44 @@ class _Layout:
         self.gaps = np.flatnonzero(~reached)
 
     @cached_property
-    def forward_steps(self) -> list[tuple]:
+    def _forward_order(self) -> np.ndarray:
         """By end position, then written row, then shorter span first."""
         u, v = self.uv.T
-        return _steps(np.lexsort((-u, self.end_row, v)), v, self.start_row, self.end_row)
+        return np.lexsort((-u, self.end_row, v))
+
+    @cached_property
+    def forward_steps(self) -> list[tuple]:
+        return _steps(_cut(self._forward_order, self.uv[:, 1], self.end_row), self.start_row)
 
     @cached_property
     def backward_steps(self) -> list[tuple]:
         """Last start position first; by written row, then shorter span first."""
         u, v = self.uv.T
-        return _steps(np.lexsort((v, self.start_row, u)), u, self.end_row, self.start_row)[::-1]
+        return _steps(_cut(np.lexsort((v, self.start_row, u)), u, self.start_row), self.end_row)[::-1]
+
+    @cached_property
+    def padded_steps(self) -> _Padded:
+        """The forward steps with each group's spans padded to its step's
+        widest group, and rows numbered as slots (see _Padded)."""
+        cut = _cut(self._forward_order, self.uv[:, 1], self.end_row)
+        S, G, B = len(cut.order), len(cut.row_at), len(self.first_row)
+        first_group = cut.group[cut.step_at]
+        size = np.diff(np.append(cut.row_at, S))
+        width = np.maximum.reduceat(size, first_group)[cut.step[cut.row_at]]  # its step's widest group
+        end = np.cumsum(width)
+        offset = end - width
+        at = offset[cut.group] + np.arange(S) - cut.row_at[cut.group]
+        slot = np.full(self.num_rows, G + B)
+        slot[cut.rows[cut.row_at]] = np.arange(G)
+        slot[self.first_row] = G + np.arange(B)
+        span = np.zeros(int(width.sum()), dtype=np.int64)
+        span[at] = cut.order
+        source = np.full(len(span), G + B)
+        source[at] = slot[self.start_row[cut.order]]
+        bounds = np.append(first_group, G)
+        cuts = zip(bounds[:-1].tolist(), bounds[1:].tolist(), offset[bounds[:-1]].tolist(), end[bounds[1:] - 1].tolist())
+        steps = [(g, h, a, b, source[a:b].reshape(h - g, -1)) for g, h, a, b in cuts]
+        return _Padded(span, source, offset, slot, steps)
 
     def find(self, sentence, u, v) -> np.ndarray:
         """Rows of spans (u, v) of sentences b of the block, 1-d (scalars broadcast), -1
@@ -214,6 +280,17 @@ class ScoredBlock:
                 raise ValueError(f"{name} shape {table.shape}, expected {want}")
             if np.isnan(table).any() or np.isposinf(table).any():
                 raise ValueError(f"{name} scores must be finite or -inf")
+
+    def _repr_pretty_(self, p, cycle) -> None:
+        """Print the call that builds the block. Pretty printers that walk a
+        dataclass's init fields (hypothesis') would look up the InitVars,
+        which are not attributes."""
+        lay = self.layout
+        spans = (lay.sentence, *lay.uv.T)
+        p.text(
+            f"ScoredBlock(lengths={lay.last_row - lay.first_row!r}, spans={spans!r}, labels={self.labels!r}, "
+            f"emission={self.emission!r}, transition={self.transition!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -372,49 +449,53 @@ def viterbi(scored: ScoredBlock) -> list[tuple[Segmentation, float]]:
     """
     lay, K, trans = scored.layout, len(scored.labels), scored.transition
     lay.check_gaps()
-    vit = np.full((lay.num_rows, K), -np.inf)
-    # per row and next label y: the best max_p(vit[r, p] + transition[p, y]) and its first p
-    enter = np.full((lay.num_rows, K), -np.inf)
-    enter[lay.first_row] = trans[K]
-    enter_prev = np.zeros((lay.num_rows, K), dtype=np.int64)
-    enter_prev[lay.first_row] = K
-    back_span = np.zeros((lay.num_rows, K), dtype=np.int64)
-    at, labels, push = np.arange(len(lay.uv))[:, None], np.arange(K), trans[:K]
-    for idx, src, dst, starts, group in lay.forward_steps:
-        val = enter[src]
-        val += scored.emission[idx]
-        best = np.maximum.reduceat(val, starts, axis=0)
-        # the first span of a group that reaches the group's best is the shortest
-        first = np.minimum.reduceat(np.where(val == best[group], at[: len(idx)], len(idx)), starts, axis=0)
-        vit[dst] = best
-        back_span[dst] = idx[first]
-        cand = best[:, :, None] + push
-        prev = cand.argmax(axis=1)
-        enter_prev[dst] = prev
-        enter[dst] = cand[at[: len(dst)], prev, labels]
-    last = vit[lay.last_row]
-    top = last.max(axis=1)
+    pad = lay.padded_steps
+    G, B = len(pad.offset), len(lay.first_row)
+    emission = scored.emission[pad.span]
+    # per slot: vit, and per next label y the best max_p(vit[r, p] + transition[p, y])
+    # (enter) and its first p (prev); choice[g, y] is the place of the best span in group g
+    vit = np.full((G + B + 1, K), -np.inf)
+    enter = np.full((G + B + 1, K), -np.inf)
+    enter[G : G + B] = trans[K]
+    prev = np.full((G + B + 1, K), K)
+    choice = np.empty((G, K), dtype=np.intp)
+    cand = np.empty((max(h - g for g, h, *_ in pad.steps), K, K))
+    push = trans[:K]
+    for g, h, a, b, source in pad.steps:
+        val = enter[source]
+        val += emission[a:b].reshape(val.shape)
+        # argmax takes the first best, so the shorter span; the pads come last
+        val.argmax(axis=1, out=choice[g:h])
+        best = np.maximum.reduce(val, axis=1, out=vit[g:h])
+        step = np.add(best[:, :, None], push, out=cand[: h - g])
+        step.argmax(axis=1, out=prev[g:h])
+        np.maximum.reduce(step, axis=1, out=enter[g:h])
+    # state slot * (K + 1) + label, label K the begin sentinel: the best segment
+    # ending at slot g with label y starts at slot r, after label prev[r, y];
+    # first-row and pad states are their own predecessors
+    pick = pad.offset[:, None] + choice
+    start, seg = pad.source[pick], pad.span[pick]
+    pred = np.arange((G + B + 1) * (K + 1)).reshape(G + B + 1, K + 1)
+    pred[:G, :K] = start * (K + 1) + prev[start, np.arange(K)]
+    pred = pred.ravel()
+    last = pad.slot[lay.last_row]
+    top = vit[last].max(axis=1)
     if not np.isfinite(top).all():
         raise InvariantViolation("no complete segmentation")
-    last_len = (lay.end_row - lay.start_row)[back_span[lay.last_row]]
-    y = np.where(last == top[:, None], last_len * K + np.arange(K), np.iinfo(np.int64).max).argmin(axis=1)
-    # backtrace every sentence at once, one segment per round; span ids run
-    # in sentence order, so sorting them orders every segment
-    sent, row, path_span, path_label = np.arange(len(top)), lay.last_row, [], []
-    while len(sent):
-        s = back_span[row, y]
-        path_span.append(s)
-        path_label.append(y)
-        row = lay.start_row[s]
-        # the previous label of the segment s is the best entry into its start row
-        p = enter_prev[row, y]
-        done = row == lay.first_row[sent]
-        if (p[done] != K).any():
-            raise InvariantViolation("backtrace did not reach the begin sentinel")
-        sent, row, y = sent[~done], row[~done], p[~done]
-    span, label = np.concatenate(path_span), np.concatenate(path_label)
-    order = np.argsort(span)
-    span, label = span[order], label[order]
+    last_len = (lay.end_row - lay.start_row)[seg[last]]
+    y = np.where(vit[last] == top[:, None], last_len * K + np.arange(K), np.iinfo(np.int64).max).argmin(axis=1)
+    # backtrace every sentence at once, one segment per round
+    state, stop, path = last * (K + 1) + y, G * (K + 1), []
+    while (state < stop).any():
+        path.append(state)
+        state = pred[state]
+    if (state != (G + np.arange(B)) * (K + 1) + K).any():
+        raise InvariantViolation("backtrace did not reach the begin sentinel")
+    # per sentence, its segments from the first; a finished sentence's rounds hold its begin state
+    path = np.stack(path[::-1], axis=1)
+    keep = path < stop
+    slot, label = np.divmod(path[keep], K + 1)
+    span = seg[slot, label]
     segments = list(zip(map(tuple, lay.uv[span].tolist()), [scored.labels[k] for k in label.tolist()]))
-    cuts = np.cumsum(np.bincount(lay.sentence[span], minlength=len(top))).tolist()
+    cuts = np.cumsum(keep.sum(axis=1)).tolist()
     return [(Segmentation(tuple(segments[lo:hi])), t) for lo, hi, t in zip([0] + cuts, cuts, top.tolist())]

@@ -37,7 +37,7 @@ so units @ W[:units.shape[1]] is exact. A model keeps its templates as a tuple i
 builds its blocks the same way against the model's vocabulary, the tables
 block_rows gathers ids from, built once per model on first use (an unseen
 template is left out), and runs one Viterbi pass per block, which builds
-only the layout's forward steps.
+the layout's padded view of its forward steps, not the backward steps.
 
 fit logs a compile summary, minimizes with _lbfgs (L-BFGS-B's steps, by
 the two-loop recursion) and can hand the summary and each iteration to a
@@ -230,11 +230,11 @@ class Model:
                 raise TypeError("optimizer_message must be a string or null")
             if not isinstance(doc["lambda"], (int, float)) or isinstance(doc["lambda"], bool):
                 raise TypeError(f"lambda must be a number, got {doc['lambda']!r}")
-            if len(set(templates)) != len(templates):  # checked first: it throws the byte count off
-                raise ValueError("repeated template strings")
             shape = (len(templates) + len(labels) + 1, len(labels))
             raw = base64.b64decode(weights, validate=True)
             if len(raw) != 8 * shape[0] * shape[1]:
+                if len(set(templates)) != len(templates):  # Model checks repeats; name one that throws the count off
+                    raise ValueError("repeated template strings")
                 raise ValueError(f"weights hold {len(raw)} bytes, not the float64 of a {shape[0]} x {shape[1]} matrix")
             return cls(
                 mode=Mode(doc["mode"], doc["L"]),

@@ -12,6 +12,8 @@ the factor builder touch package internals, and only for what they score
 Two more read a block's layout: the dense (S, K+1, K) factor marginals,
 from the package's alpha and beta, which the gradient's sums are checked
 against, and the layout's step schedules cut one position at a time.
+position_viterbi is Viterbi in scalars, one sentence and position at a
+time, for sentences too long to enumerate.
 scored_block and block_lattices convert between a tuple of per-sentence
 SpanLattice sets and a block's span arrays, in sorted order.
 The optimizer's oracle is scipy's L-BFGS-B run on the package's Objective.
@@ -28,7 +30,7 @@ import scipy.optimize
 from spancrf import DependencyTree, EntitySpan, Sentence, SpanLattice, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
-from spancrf.inference import IOB_SCHEME, ScoredBlock, backward, forward, label_scheme, log_partition, pair_mask
+from spancrf.inference import IOB_SCHEME, ScoredBlock, Segmentation, backward, forward, label_scheme, log_partition, pair_mask
 from spancrf.training import Objective
 
 
@@ -205,6 +207,58 @@ def brute_viterbi(scored):
         return out
 
     return min((lab for lab in labelings if path_score(scored, lab) == top), key=key)
+
+
+def position_viterbi(scored):
+    """Viterbi of each sentence of a block, one position at a time, in
+    Python floats: per sentence, its best (Segmentation, score).
+
+    Sums are added in the block DP's order, (vit[p] + transition[p, y]) +
+    emission[s, y], and ties follow the rule viterbi documents: into each
+    start position the first best previous label, then among the spans
+    ending at a position the first best in shorter-first order; at the end
+    the shorter last segment, then the smaller label.
+    """
+    K, inf = len(scored.labels), float("inf")
+    emission, transition = scored.emission.tolist(), scored.transition.tolist()
+    out, base = [], 0
+    for lattice in block_lattices(scored):
+        spans, n = sorted(lattice.allowed), lattice.n
+        ending = {}  # end position -> [(emission row, start u)], shorter span first
+        for row, (u, v) in sorted(enumerate(spans, base), key=lambda item: (item[1][1], -item[1][0])):
+            ending.setdefault(v, []).append((row, u))
+        base += len(spans)
+        vit = [[-inf] * K for _ in range(n + 1)]
+        back = [[None] * K for _ in range(n + 1)]  # (start u, previous label) of the best segment
+
+        def enter(j, y):
+            if j == 0:
+                return transition[K][y], K
+            best = None
+            for p in range(K):
+                score = vit[j][p] + transition[p][y]
+                if best is None or score > best[0]:
+                    best = (score, p)
+            return best
+
+        for v in range(1, n + 1):
+            for y in range(K):
+                best = None
+                for row, u in ending[v]:
+                    into, p = enter(u - 1, y)
+                    score = into + emission[row][y]
+                    if best is None or score > best[0]:
+                        best = (score, u, p)
+                vit[v][y], back[v][y] = best[0], best[1:]
+        top = max(vit[n])
+        y = min((y for y in range(K) if vit[n][y] == top), key=lambda y: (n - back[n][y][0], y))
+        segments, v = [], n
+        while v:
+            u, p = back[v][y]
+            segments.append(((u, v), scored.labels[y]))
+            v, y = u - 1, p
+        out.append((Segmentation(tuple(reversed(segments))), top))
+    return out
 
 
 def chain_spans_reference(n: int, arcs, max_len: int) -> set[tuple[int, int]]:

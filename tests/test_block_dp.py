@@ -2,7 +2,8 @@
 
 A block concatenates scored sentences of mixed lengths under one mode;
 every per-sentence quantity read off the block must equal brute force, and
-equal what the same sentence gives as a block of one, bit for bit.
+equal what the same sentence gives as a block of one, bit for bit. Blocks of
+sentences too long to enumerate are decoded against a scalar Viterbi.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from oracles import (
     draw_factors,
     marginals,
     path_score,
+    position_viterbi,
     random_sentence,
     reference_steps,
     scored_block,
@@ -164,6 +166,25 @@ def test_block_viterbi_matches_enumeration_with_tie_rule(singles):
         assert viterbi(scored) == [(seg, best)]
 
 
+@pytest.mark.parametrize("ties", [False, True], ids=["float", "ties"])
+@pytest.mark.parametrize("kind", MODE_KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_block_viterbi_matches_scalar_viterbi_on_long_sentences(kind, ties, seed):
+    rng = np.random.default_rng([seed, MODE_KINDS.index(kind), int(ties)])
+    mode = Mode(kind, max_len=8)
+    labels = mode_labels(LabelSet(["A", "B"]), mode)
+
+    def values(shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if ties else rng.normal(scale=1.5, size=shape)
+
+    lengths = [80, *rng.integers(1, 81, size=5)]
+    lattices = [build_lattice(random_sentence(rng, n=int(n)), mode) for n in rng.permutation(lengths)]
+    emissions, transition = draw_factors(lattices, labels, label_scheme(mode), values)
+    block = scored_block(lattices, labels, np.concatenate(emissions), transition)
+    got, want = viterbi(block), position_viterbi(block)
+    assert [(seg, best.hex()) for seg, best in got] == [(seg, best.hex()) for seg, best in want]
+
+
 @settings(max_examples=50, deadline=None)
 @given(scored_sentences(), st.integers(2, 5), st.data())
 def test_gapped_lattice_inside_a_block_raises(singles, n, data):
@@ -182,12 +203,28 @@ def test_gapped_lattice_inside_a_block_raises(singles, n, data):
 @given(scored_sentences())
 def test_step_schedules_match_per_position_cut(singles):
     block = as_block(singles)
-    # decoding builds only the forward schedule
+    # decoding builds no backward schedule
     viterbi(block)
-    assert "forward_steps" in vars(block.layout) and "backward_steps" not in vars(block.layout)
+    assert "backward_steps" not in vars(block.layout)
     for got, want in zip((block.layout.forward_steps, block.layout.backward_steps), reference_steps(block.layout)):
         assert len(got) == len(want)
         for got_step, want_step in zip(got, want):
             assert len(got_step) == len(want_step) == 5
             for a, b in zip(got_step, want_step):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+    # Viterbi's padded view: per step, the spans of each written row in the
+    # same order, then pads, which read the pad slot; slots number the rows
+    lay, pad = block.layout, block.layout.padded_steps
+    forward_steps = reference_steps(lay)[0]
+    G, B = len(pad.offset), len(lay.first_row)
+    assert np.array_equal(pad.slot[lay.first_row], G + np.arange(B))
+    assert len(pad.steps) == len(forward_steps)
+    for (g, h, a, b, source), (idx, _, dst, starts, _) in zip(pad.steps, forward_steps):
+        assert np.array_equal(pad.slot[dst], np.arange(g, h))
+        spans, real = pad.span[a:b].reshape(source.shape), source != G + B
+        # each row's spans come first, and the widest row has no pads
+        width = real.sum(axis=1)
+        assert np.array_equal(real, np.arange(real.shape[1]) < width[:, None]) and width.max() == real.shape[1]
+        for row, row_real, group in zip(spans, real, np.split(idx, starts[1:])):
+            assert np.array_equal(row[row_real], group)
+        assert np.array_equal(source[real], pad.slot[lay.start_row[spans[real]]])

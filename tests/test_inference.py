@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from spancrf.corpus import LabelSet
 from spancrf.inference import (
     IOB_SCHEME,
     SEGMENT_SCHEME,
     InvariantViolation,
+    ScoredBlock,
     Segmentation,
     _RowStep,
     allowed_mask,
@@ -180,6 +182,18 @@ def test_uniform_marginals_are_half():
     assert m[0, :2].sum() == 0.0
 
 
+def test_scored_block_pretty_prints_as_the_call_that_builds_it():
+    # hypothesis prints falsifying ScoredBlocks this way; the InitVars are not attributes
+    lattices = [SpanLattice(2, frozenset({(1, 1), (2, 2), (1, 2)})), SpanLattice(1, frozenset({(1, 1)}))]
+    emission = np.array([[0.5, -np.inf], [1.0, 2.0], [-1.0, 0.0], [0.25, -0.5]])
+    block = scored_block(lattices, ("O", "A"), emission, np.zeros((3, 2)))
+    text = pretty(block)
+    assert text.startswith("ScoredBlock(lengths=array([2, 1]), spans=(array([0, 0, 0, 1]), array([1, 1, 2, 1]), array([1, 2, 2, 1])),")
+    again = eval(text, {"ScoredBlock": ScoredBlock, "array": np.array, "inf": np.inf})
+    assert block_lattices(again) == block_lattices(block) and again.labels == block.labels
+    assert np.array_equal(again.emission, emission) and np.array_equal(again.transition, block.transition)
+
+
 def test_viterbi_prefers_scored_label():
     lat = singleton_lattice(1)
     labels = ("O", "PER")
@@ -209,6 +223,20 @@ def test_viterbi_tie_prefers_shorter_last_segment():
     [(seg, best)] = viterbi(scored_block([lat], labels, emission, np.zeros((3, 2))))
     assert best == pytest.approx(1.0)
     assert seg.segments == (((1, 1), "A"), ((2, 2), "A"))
+
+
+def test_viterbi_end_tie_prefers_shorter_last_segment_over_smaller_label():
+    # A on (1,2) and O, B on the singletons both score 1.0: at the end boundary
+    # the shorter last segment wins over the smaller label
+    lat = SpanLattice(2, frozenset({(1, 1), (2, 2), (1, 2)}))
+    emission = np.full((3, 3), -np.inf)
+    idx = {span: i for i, span in enumerate(sorted(lat.allowed))}
+    emission[idx[(1, 2)], 1] = 1.0
+    emission[idx[(1, 1)], 0] = 0.5
+    emission[idx[(2, 2)], 2] = 0.5
+    [(seg, best)] = viterbi(scored_block([lat], ("O", "A", "B"), emission, np.zeros((4, 3))))
+    assert best == 1.0
+    assert seg.segments == (((1, 1), "O"), ((2, 2), "B"))
 
 
 def test_dp_matches_enumeration_oracles():
@@ -311,6 +339,15 @@ def test_gapped_lattice_raises_invariant_violation():
         log_partition(scored)
     with pytest.raises(InvariantViolation):
         viterbi(scored)
+
+
+def test_viterbi_without_a_complete_segmentation_raises():
+    # the second sentence's position 2 has no span with a finite score
+    lattices = [SpanLattice(1, frozenset({(1, 1)})), SpanLattice(2, frozenset({(1, 1), (2, 2)}))]
+    emission = np.zeros((3, 2))
+    emission[2] = -np.inf
+    with pytest.raises(InvariantViolation, match="no complete segmentation"):
+        viterbi(scored_block(lattices, ("O", "A"), emission, np.zeros((3, 2))))
 
 
 def test_extreme_scores_stay_finite():

@@ -361,6 +361,7 @@ _GOOD_BYTES = base64.b64decode(_GOOD_MODEL["weights"])
         ("[1, 2]", "JSON object"),
         ('{"version": 1, "mode": ', "not JSON"),
         (json.dumps({**_GOOD_MODEL, "templates": ["w:a", "w:a"]}), "repeated"),
+        (json.dumps({**_GOOD_MODEL, "templates": ["w:a", "w:a"], "weights": _weights(np.vstack([_GOOD_W[:1], _GOOD_W]))}), "repeated"),
         (json.dumps({**_GOOD_MODEL, "weights": _weights(np.vstack([[np.nan, 0.0], _GOOD_W[1:]]))}), "finite"),
         (json.dumps({**_GOOD_MODEL, "weights": _weights(np.vstack([[np.inf, 0.0], _GOOD_W[1:]]))}), "finite"),
         (json.dumps({**_GOOD_MODEL, "weights": _weights(np.vstack([[-np.inf, 0.0], _GOOD_W[1:]]))}), "finite"),
@@ -390,6 +391,7 @@ _GOOD_BYTES = base64.b64decode(_GOOD_MODEL["weights"])
         "top-level-list",
         "invalid-json",
         "repeated-feature",
+        "repeated-feature-with-its-weights",
         "nan-weight",
         "inf-weight",
         "minus-inf-weight",

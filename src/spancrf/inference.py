@@ -140,18 +140,15 @@ def _cut(order: np.ndarray, position: np.ndarray, target: np.ndarray) -> _Cut:
 
 def _steps(cut: _Cut, source: np.ndarray) -> list[tuple]:
     """One step per position: (span ids, rows they read, distinct rows they
-    write, reduceat offsets, group of each span). The cuts are computed over
-    all spans at once, then sliced."""
+    write, reduceat offsets). The cuts are computed over all spans at once,
+    then sliced."""
     order, rows, step, group, step_at, row_at = cut
-    first_group = group[step_at]
-    # offsets and groups counted from the first span and group of their step
-    starts = row_at - step_at[step[row_at]]
-    group -= first_group[step]
+    starts = row_at - step_at[step[row_at]]  # offsets counted from the first span of their step
     span_cuts = np.append(step_at, len(order)).tolist()
-    group_cuts = np.append(first_group, len(row_at)).tolist()
+    group_cuts = np.append(group[step_at], len(row_at)).tolist()
     source, dst = source[order], rows[row_at]
     return [
-        (order[a:b], source[a:b], dst[g:h], starts[g:h], group[a:b])
+        (order[a:b], source[a:b], dst[g:h], starts[g:h])
         for a, b, g, h in zip(span_cuts, span_cuts[1:], group_cuts, group_cuts[1:])
     ]
 
@@ -375,7 +372,7 @@ def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     G = np.full((lay.num_rows, K), -np.inf)
     G[lay.first_row] = trans[K]
     push = _RowStep(trans[:K])
-    for idx, src, dst, starts, _ in lay.forward_steps:
+    for idx, src, dst, starts in lay.forward_steps:
         rows = np.logaddexp.reduceat(G[src] + scored.emission[idx], starts, axis=0)
         alpha[dst, :K] = rows
         G[dst] = push(rows)
@@ -395,7 +392,7 @@ def backward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     beta[lay.last_row, :K] = 0.0
     H = np.full((lay.num_rows, K), -np.inf)
     pull = _RowStep(trans[:K].T)  # sums over the next label y: T[y, p] = transition[p, y]
-    for idx, src, dst, starts, _ in lay.backward_steps:
+    for idx, src, dst, starts in lay.backward_steps:
         rows = np.logaddexp.reduceat(scored.emission[idx] + beta[src, :K], starts, axis=0)
         H[dst] = rows
         beta[dst, :K] = pull(rows)

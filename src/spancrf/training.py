@@ -39,9 +39,10 @@ block_rows gathers ids from, built once per model on first use (an unseen
 template is left out), and runs one Viterbi pass per block, which builds
 the layout's padded view of its forward steps, not the backward steps.
 
-fit logs a compile summary, minimizes with _lbfgs (L-BFGS-B's steps, by
-the two-loop recursion) and can hand the summary and each iteration to a
-trace callback; `spancrf train --trace` writes them as JSON lines.
+fit is a compile (_prepare), whose summary it logs, then a solve (_solve)
+by _lbfgs (L-BFGS-B's steps, by the two-loop recursion), and can hand the
+summary and each accepted step to a trace callback; `spancrf train
+--trace` writes them as JSON lines.
 """
 
 from __future__ import annotations
@@ -439,9 +440,6 @@ class Objective:
     def __init__(self, compiled: _Compiled, l2: float):
         self.compiled = compiled
         self.l2 = float(l2)
-        self.evals = 0
-        self.last_value: float | None = None
-        self.last_grad: np.ndarray | None = None
         self._buf = np.empty(compiled.gold.shape)  # the regularizer's and gold score's products
 
     def __call__(self, w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -463,9 +461,6 @@ class Objective:
         grad += np.multiply(2.0 * self.l2, W, out=self._buf)
         if not np.isfinite(value):
             raise TrainingError("non-finite objective value")
-        self.evals += 1
-        self.last_value = value
-        self.last_grad = grad
         return value, grad.reshape(w.shape)
 
 
@@ -521,22 +516,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
+def _lbfgs(fun, x0, callback, maxiter, maxcor, ftol, gtol, **_):
     """L-BFGS-B's unconstrained path as a scipy.optimize.minimize method, step for step.
 
+    fun(x) returns (f, g), as minimize passes it on when called without jac.
     The direction is the two-loop recursion (Nocedal 1980) over the newest
     maxcor (s, y) pairs with H0 = s'y / y'y of the newest, which equals
     L-BFGS-B's compact form; the line search is its MINPACK-2 dcsrch, with its
     constants, first trial step and cap of 20 evaluations. A failed search clears
     the pairs and retries from -g, or stops with status 2 if there were none.
-    Stopping tests, their order and the messages are L-BFGS-B's.
+    A trial at the latest evaluated point reuses its (f, g), which nfev, as in
+    L-BFGS-B, does not count again. callback gets OptimizeResult(x, fun, jac,
+    nit, nfev) at each accepted point, x being a buffer that a later step
+    overwrites. Stopping tests, their order and the messages are L-BFGS-B's.
     """
     x = np.ravel(x0).astype(np.float64)
     n, eps = x.size, np.finfo(float).eps
     S, Y, (sy, yy, alpha) = np.zeros((maxcor, n)), np.zeros((maxcor, n)), np.zeros((3, maxcor))
     d, xt, tmp = np.empty(n), np.empty(n), np.empty(n)
-    f, g = fun(x, *args), jac(x, *args)
-    last = x.copy()  # the point of the latest call
+    f, g = latest = fun(x)
+    last = x.copy()  # the latest evaluated point; latest is its (f, g)
     nfev, nit, stored, newest, status = 1, 0, 0, 0, None
     if np.abs(g).max() <= gtol:
         status, message = 0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
@@ -561,13 +560,12 @@ def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
                     break
                 np.multiply(d, stp, out=xt)
                 xt += x
-                ft, gt = fun(xt, *args), jac(xt, *args)
-                gdt = _dot(gt, d)
-                # minimize's MemoizeJac answers a call at the latest point from its
-                # cache, and L-BFGS-B does not count it: count only calls that evaluate
                 if not np.array_equal(xt, last):
+                    latest = fun(xt)
                     nfev += 1
                     np.copyto(last, xt)
+                ft, gt = latest
+                gdt = _dot(gt, d)
         if task[:4] not in (b"CONV", b"WARN"):
             if not stored:
                 status, message = 2, "ABNORMAL: "
@@ -576,7 +574,7 @@ def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
         x, xt, f_old, f, g_old, g = xt, x, f, ft, g, gt
         nit += 1
         if callback is not None:
-            callback(x)
+            callback(scipy.optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev))
         if nit >= maxiter:
             status, message = 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
         elif np.abs(g).max() <= gtol:
@@ -595,7 +593,7 @@ def _lbfgs(fun, x0, args, jac, callback, maxiter, maxcor, ftol, gtol, **_):
 
 
 def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, trace=None) -> Model:
-    """Train by L-BFGS (history 10, _lbfgs) from w = 0.
+    """Train by L-BFGS (history 10, _lbfgs) from w = 0: _prepare, then _solve.
 
     Unrepresentable gold entities are first split into typed singletons.
     trace(record), if given, first receives {"compile": summary}, the
@@ -612,31 +610,26 @@ def fit(corpus: list[Sentence], config: TrainConfig, mode: Mode, trace=None) -> 
     summary = _summary(corpus, index, compiled, time.perf_counter() - start)
     if trace is not None:
         trace({"compile": summary})
-    objective = Objective(compiled, config.l2)
-    iteration = 0
-    step_start, step_evals = time.perf_counter(), 0
+    return _solve(compiled, index, mode, config, trace)
 
-    def callback(_xk) -> None:
-        nonlocal iteration, step_start, step_evals
-        iteration += 1
+
+def _solve(compiled: _Compiled, index: tuple[str, ...], mode: Mode, config: TrainConfig, trace=None) -> Model:
+    """fit's model of a compiled corpus, minimized from w = 0; trace gets fit's step records."""
+    step_start, step_nfev = time.perf_counter(), 0
+
+    def record(result: scipy.optimize.OptimizeResult) -> None:
+        nonlocal step_start, step_nfev
         now = time.perf_counter()
-        trace(
-            {
-                "iteration": iteration,
-                "objective": float(objective.last_value),
-                "grad_inf_norm": float(np.abs(objective.last_grad).max()),
-                "step_s": now - step_start,
-                "fevals": objective.evals - step_evals,
-            }
-        )
-        step_start, step_evals = now, objective.evals
+        grad_inf_norm = float(np.abs(result.jac).max())
+        step = {"iteration": result.nit, "objective": float(result.fun), "grad_inf_norm": grad_inf_norm}
+        trace({**step, "step_s": now - step_start, "fevals": result.nfev - step_nfev})
+        step_start, step_nfev = now, result.nfev
 
     result = scipy.optimize.minimize(
-        objective,
+        Objective(compiled, config.l2),
         np.zeros(compiled.num_weights),
-        jac=True,
         method=_lbfgs,
-        callback=None if trace is None else callback,
+        callback=None if trace is None else record,
         options={"maxiter": config.max_iter, "maxcor": 10, "ftol": config.ftol, "gtol": config.gtol},
     )
     if result.success:
@@ -682,7 +675,10 @@ def cross_validate(corpus: list[Sentence], config: TrainConfig, mode: Mode) -> t
     """Pick the regularizer by k-fold span F1; ties go to the smaller value.
 
     Folds are contiguous chunks of a seeded shuffle, identical across
-    candidate values.
+    candidate values. One fold at a time, its training part is compiled
+    once (logging fit's compile summary), then fit from w = 0 and scored
+    on the held-out part for each value; the mean F1 of each value is
+    logged after the last fold.
     """
     from .evaluation import score
 
@@ -692,18 +688,19 @@ def cross_validate(corpus: list[Sentence], config: TrainConfig, mode: Mode) -> t
         raise ValueError(f"{config.folds} folds for {len(corpus)} sentences")
     rng = np.random.default_rng(config.seed)
     folds = np.array_split(rng.permutation(len(corpus)), config.folds)
-    means: dict[float, float] = {}
-    for lam in config.lambda_grid:
-        cfg = replace(config, l2=lam)
-        fold_f1 = []
-        for k in range(config.folds):
-            held = folds[k]
-            train = [corpus[i] for j, fold in enumerate(folds) if j != k for i in fold]
-            model = fit(train, cfg, mode)
-            preds = decode_corpus(model, [corpus[i] for i in held])
-            fold_f1.append(score([corpus[i].gold for i in held], preds).f1)
-        means[float(lam)] = float(np.mean(fold_f1))
-        logger.info("lambda %g: mean F1 %.2f", lam, means[float(lam)])
+    fold_f1: list[list[float]] = [[] for _ in config.lambda_grid]  # per value, in fold order
+    for k, held_ids in enumerate(folds):
+        train = [corpus[i] for j, fold in enumerate(folds) if j != k for i in fold]
+        held = [corpus[i] for i in held_ids]
+        start = time.perf_counter()
+        index, compiled = _prepare(train, mode, config.dep_features)
+        _summary(train, index, compiled, time.perf_counter() - start)
+        for lam, f1s in zip(config.lambda_grid, fold_f1):
+            model = _solve(compiled, index, mode, replace(config, l2=lam))
+            f1s.append(score([sentence.gold for sentence in held], decode_corpus(model, held)).f1)
+    means = {float(lam): float(np.mean(f1s)) for lam, f1s in zip(config.lambda_grid, fold_f1)}
+    for lam, f1 in means.items():
+        logger.info("lambda %g: mean F1 %.2f", lam, f1)
     best_f1 = max(means.values())
     best = min(lam for lam, f1 in means.items() if f1 == best_f1)
     return best, means

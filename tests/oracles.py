@@ -143,7 +143,7 @@ def marginals(scored) -> np.ndarray:
 def reference_steps(layout):
     """The layout's forward and backward step schedules, cut one position
     at a time with np.split: per step (span ids, rows they read, distinct
-    rows they write, reduceat offsets, group of each span)."""
+    rows they write, reduceat offsets)."""
 
     def cut(order, position, source, target):
         out = []
@@ -151,7 +151,7 @@ def reference_steps(layout):
             rows = target[idx]
             new_row = np.concatenate(([True], rows[1:] != rows[:-1]))
             starts = np.flatnonzero(new_row)
-            out.append((idx, source[idx], rows[starts], starts, np.cumsum(new_row) - 1))
+            out.append((idx, source[idx], rows[starts], starts))
         return out
 
     u, v = layout.uv.T

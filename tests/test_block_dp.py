@@ -209,7 +209,7 @@ def test_step_schedules_match_per_position_cut(singles):
     for got, want in zip((block.layout.forward_steps, block.layout.backward_steps), reference_steps(block.layout)):
         assert len(got) == len(want)
         for got_step, want_step in zip(got, want):
-            assert len(got_step) == len(want_step) == 5
+            assert len(got_step) == len(want_step) == 4
             for a, b in zip(got_step, want_step):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
     # Viterbi's padded view: per step, the spans of each written row in the
@@ -219,7 +219,7 @@ def test_step_schedules_match_per_position_cut(singles):
     G, B = len(pad.offset), len(lay.first_row)
     assert np.array_equal(pad.slot[lay.first_row], G + np.arange(B))
     assert len(pad.steps) == len(forward_steps)
-    for (g, h, a, b, source), (idx, _, dst, starts, _) in zip(pad.steps, forward_steps):
+    for (g, h, a, b, source), (idx, _, dst, starts) in zip(pad.steps, forward_steps):
         assert np.array_equal(pad.slot[dst], np.arange(g, h))
         spans, real = pad.span[a:b].reshape(source.shape), source != G + B
         # each row's spans come first, and the widest row has no pads

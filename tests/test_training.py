@@ -33,6 +33,7 @@ from spancrf import (
     objective_and_gradient,
     project_gold,
     representability_stats,
+    score,
     spans_to_iob,
     synthesize,
 )
@@ -441,7 +442,7 @@ def test_fit_warns_when_the_optimizer_stops_early(caplog):
     assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
-def fit_with_result(corpus, config, mode):
+def fit_with_result(corpus, config, mode, trace=None):
     """fit's model and the OptimizeResult of the optimizer run it made."""
     results = []
     original = scipy.optimize.minimize
@@ -451,7 +452,7 @@ def fit_with_result(corpus, config, mode):
         return results[-1]
 
     with mock.patch.object(scipy.optimize, "minimize", minimize):
-        model = fit(corpus, config, mode)
+        model = fit(corpus, config, mode, trace)
     (result,) = results
     return model, result
 
@@ -493,8 +494,8 @@ def test_optimizer_restarts_and_stops_as_lbfgsb_after_failed_searches():
         return float(np.abs(x).sum()), np.sign(x) * 0.001 + 1.0
 
     options = {"maxiter": 100, "maxcor": 10, "ftol": 1e-9, "gtol": 1e-5}
-    runs = [scipy.optimize.minimize(fun, np.ones(3), jac=True, method=m, options=options) for m in ("L-BFGS-B", training._lbfgs)]
-    want, got = runs
+    want = scipy.optimize.minimize(fun, np.ones(3), jac=True, method="L-BFGS-B", options=options)
+    got = scipy.optimize.minimize(fun, np.ones(3), method=training._lbfgs, options=options)
     assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status) == (1, 48, 2)
     assert got.message == lbfgsb_message(want.message) and got.message.startswith("ABNORMAL")
     assert not got.success
@@ -502,7 +503,8 @@ def test_optimizer_restarts_and_stops_as_lbfgsb_after_failed_searches():
 
 def test_optimizer_counts_evaluations_as_lbfgsb_when_a_search_stalls():
     # the gradient -2x of x.x points uphill: the searches stall and try one
-    # point twice in a row, which minimize's MemoizeJac answers from its cache
+    # point twice in a row; L-BFGS-B (through minimize's MemoizeJac) and
+    # _lbfgs (itself) answer the repeat from the latest evaluation
     calls = []
 
     def fun(x):
@@ -510,11 +512,9 @@ def test_optimizer_counts_evaluations_as_lbfgsb_when_a_search_stalls():
         return float(x @ x), -2.0 * x
 
     options = {"maxiter": 100, "maxcor": 10, "ftol": 1e-9, "gtol": 1e-5}
-    runs = []
-    for method in ("L-BFGS-B", training._lbfgs):
-        calls.clear()
-        runs.append(scipy.optimize.minimize(fun, np.ones(3), jac=True, method=method, options=options))
-    want, got = runs
+    want = scipy.optimize.minimize(fun, np.ones(3), jac=True, method="L-BFGS-B", options=options)
+    calls.clear()
+    got = scipy.optimize.minimize(fun, np.ones(3), method=training._lbfgs, options=options)
     assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status)
     assert got.status == 2 and got.nfev == len(calls) == 18
     assert len({x.tobytes() for x in calls}) < len(calls)
@@ -523,7 +523,7 @@ def test_optimizer_counts_evaluations_as_lbfgsb_when_a_search_stalls():
 
 def _minimize(fun, x0, callback=None):
     options = {"maxiter": 1000, "maxcor": 10, "ftol": 1e-20, "gtol": 1e-9}
-    return scipy.optimize.minimize(fun, x0, jac=True, method=training._lbfgs, callback=callback, options=options)
+    return scipy.optimize.minimize(fun, x0, method=training._lbfgs, callback=callback, options=options)
 
 
 def test_optimizer_reaches_the_minimum_of_an_ill_conditioned_quadratic():
@@ -541,13 +541,22 @@ def test_optimizer_reaches_the_minimum_of_an_ill_conditioned_quadratic():
 
 
 def test_optimizer_solves_rosenbrock():
-    seen = []
-    result = _minimize(lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)), [-1.2, 1.0], callback=seen.append)
+    # also pins how minimize dispatches a callable method: it hands over fun
+    # as given (no jac) and the callback unwrapped
+    calls, seen = [], []
+
+    def fun(x):
+        calls.append(x.copy())
+        return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
+
+    result = _minimize(fun, [-1.2, 1.0], callback=lambda step: seen.append((step.nit, step.nfev, step.fun)))
     assert result.success
     np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=0, atol=1e-4)
     # non-convex: some line searches need more than their first trial step
     assert result.nfev > result.nit + 1
-    assert len(seen) == result.nit
+    assert [nit for nit, _, _ in seen] == list(range(1, result.nit + 1))
+    assert seen[-1][1:] == (result.nfev, result.fun)
+    assert len(calls) == result.nfev
 
 
 def test_optimizer_result_owns_its_arrays():
@@ -826,6 +835,31 @@ def test_cross_validate_breaks_ties_toward_smaller_lambda():
     assert best == 0.001
 
 
+@pytest.mark.parametrize("kind", ["linear", "dgm"])
+def test_cross_validate_compiles_each_fold_once_and_matches_a_plain_loop(kind):
+    corpus = synthesize(24, mean_len=5.0, num_types=2, vocab=30, entity_rate=0.5, seed=25)
+    config = quick(lambda_grid=(0.01, 0.1, 1.0), folds=3, max_iter=30)
+    mode = Mode(kind, 4)
+    prepare = mock.Mock(wraps=training._prepare)
+    with mock.patch.object(training, "_prepare", prepare):
+        best, means = cross_validate(corpus, config, mode)
+    assert prepare.call_count == config.folds
+    # every (value, fold) pair fit from scratch, value-major
+    folds = np.array_split(np.random.default_rng(config.seed).permutation(len(corpus)), config.folds)
+    want = {}
+    for lam in config.lambda_grid:
+        fold_f1 = []
+        for k, held_ids in enumerate(folds):
+            train = [corpus[i] for j, fold in enumerate(folds) if j != k for i in fold]
+            held = [corpus[i] for i in held_ids]
+            model = fit(train, replace(config, l2=lam), mode)
+            fold_f1.append(score([sentence.gold for sentence in held], decode_corpus(model, held)).f1)
+        want[lam] = float(np.mean(fold_f1))
+    assert list(means) == list(want)
+    assert [np.float64(means[lam]).tobytes() for lam in want] == [np.float64(f1).tobytes() for f1 in want.values()]
+    assert best == min(lam for lam, f1 in want.items() if f1 == max(want.values()))
+
+
 def test_cross_validate_validation():
     corpus = synthesize(4, mean_len=4.0, seed=21)
     with pytest.raises(ValueError, match="folds"):
@@ -844,6 +878,19 @@ def test_trace_reports_decreasing_objective():
     values = [r["objective"] for r in seen]
     assert all(math.isfinite(v) for v in values)
     assert values[-1] < values[0]
+
+
+def test_trace_accounts_for_the_optimizer_result():
+    corpus = synthesize(20, mean_len=6.0, num_types=2, vocab=30, entity_rate=0.4, seed=24)
+    seen = []
+    _, result = fit_with_result(corpus, quick(l2=0.01), Mode("dgm", 4), trace=seen.append)
+    _, *steps = seen
+    assert result.success and result.nit > 1
+    assert [r["iteration"] for r in steps] == list(range(1, result.nit + 1))
+    assert sum(r["fevals"] for r in steps) == result.nfev
+    last = steps[-1]
+    assert np.float64(last["objective"]).tobytes() == np.float64(result.fun).tobytes()
+    assert np.float64(last["grad_inf_norm"]).tobytes() == np.abs(result.jac).max().tobytes()
 
 
 def test_huge_regularizer_collapses_weights():

@@ -34,21 +34,23 @@ and M is the identity.
 
 block_rows builds both operators for a whole block of sentences at once,
 and assembles them from per-token id columns by array gathers. When
-training, every distinct word, POS tag, shape and (word or POS, head's)
-pair of the block gets its template strings once (a shape is computed once
-per distinct word) and each string a block-local id; the local ids that
-occur are then interned once per distinct string, in the order of first
-occurrence in the rows X (a template's first span, then its place in
-that span's row), so the template ids are those of interning every row's
-templates one by one. When decoding, the ids are read from a model's
-Vocabulary, its templates re-keyed once into tables (Model.vocabulary
-builds them on first use): the words, POS tags and shapes they mention,
-each template family as an array from vocabulary code to template id, and
-each vocabulary word's shape and affix ids. A block then maps each token's
-word and tag to its code with one lookup and gathers every word-, POS- and
-shape-keyed id from the arrays; shapes and affixes are computed only for
-words outside the vocabulary, dependency templates are found by binary
-search on the codes of their parts, and len and seg are looked up by
+training, every distinct word, POS tag, shape, (word or POS, head's) pair
+and (value, offset) pair of an offset family in the block gets its template
+strings once (a shape is computed once per distinct word) and each string
+a block-local id; the local ids that occur are then interned once per
+distinct string, in the order of first occurrence in the rows X (a
+template's first span, then its place in that span's row), so the template
+ids are those of interning every row's templates one by one. When
+decoding, the ids are read from a model's Vocabulary, its templates
+re-keyed once into read-only tables (Model.vocabulary builds them on first
+use): the words, POS tags and shapes they mention, each per-token template
+family as an array from vocabulary code to template id, each vocabulary
+word's shape and affix ids, and the offset and dependency families sorted
+by an integer key made of an offset and codes. A block then maps each
+token's word and tag to its code with one lookup and gathers every word-,
+POS- and shape-keyed id from the arrays; shapes and affixes are computed
+only for words outside the vocabulary, offset and dependency templates are
+found by binary search on their keys, and len and seg are looked up by
 string, as in training. An unseen template gets id -1 and leaves its unit.
 """
 
@@ -185,15 +187,10 @@ class _LocalIds:
 
     def offsets(self, key: str, codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """Ids of i<key>:offset:value for codes of key at 1-based offsets.
-        Strings are made per value only up to the largest offset it is seen at."""
-        values = self.values[key]
-        reach = np.zeros(len(values), dtype=np.intp)
-        np.maximum.at(reach, codes, offset)
-        table = np.full((len(values), int(reach.max(initial=0))), -1, dtype=np.int32)
-        for o in range(1, table.shape[1] + 1):
-            have = np.flatnonzero(reach >= o)
-            table[have, o - 1] = self.lookup(f"i{key}:{o}", [values[i] for i in have])
-        return table[codes, offset - 1]
+        Each distinct (code, offset) pair is formatted once."""
+        values, width = self.values[key], int(offset.max(initial=0)) + 1
+        pair, pair_of = np.unique(codes * width + offset, return_inverse=True)
+        return self.lookup(f"i{key}", [f"{k % width}:{values[k // width]}" for k in pair.tolist()])[pair_of]
 
     def dependencies(self, tokens: _Tokens) -> np.ndarray:
         """(N, 4) ids of dw, dwl, dp, dpl of every token. Each distinct (word
@@ -269,8 +266,8 @@ class _Keyed:
 
 class Vocabulary:
     """A model's templates, in id order, re-keyed by template family and
-    value: the tables block_rows reads template ids from when decoding.
-    Model.vocabulary builds them once per model.
+    value: the read-only tables block_rows reads template ids from when
+    decoding. Model.vocabulary builds them once per model.
 
     Values are split from the family name at the first ':' and, in the
     offset families, from the offset at the second; a value may hold ':'.
@@ -278,9 +275,8 @@ class Vocabulary:
       words, POS tags and shapes of the templates); code len(code[key])
       stands for every other value.
     - family[name] maps a code to the id of name:value, -1 where there is
-      no such template. offset_table gives the same for i<key>:o:value
-      by (code, o - 1), for the offsets a block asks for; cells[key] holds
-      those templates by offset until then.
+      no such template. offset[key] maps the key o * (len(code[key]) + 1)
+      + code to the id of i<key>:o:value.
     - For each word code: shape is the code of its shape, pre and suf the
       ids of its affixes.
     - strings[name] maps a value to the id of name:value, for the families
@@ -289,10 +285,11 @@ class Vocabulary:
     - The dependency templates are split at '+' into their parts, every
       split of a value entered, since a word or tag may hold '+'; the
       dependent and head parts join the word (dw, dwl) or POS (dp, dpl)
-      codes, and rel numbers the relation parts. pair[key] maps the key
-      (dependent code, head code) of a pair that some template holds to a
-      pair code; unlabeled[key] maps a pair code to the dw or dp id, and
-      labeled[key] the key (pair code, relation code) to the dwl or dpl id.
+      codes, and rel numbers the relation parts. With n = len(code[key]) +
+      1, unlabeled[key] maps the key dependent * n + head to the dw or dp
+      id, and labeled[key] the key (dependent * n + head) * (len(rel) + 1)
+      + relation to the dwl or dpl id; these keys stay below 2**63 for up
+      to 2**21 codes and 2**20 relations.
     """
 
     def __init__(self, templates: tuple[str, ...]) -> None:
@@ -302,15 +299,15 @@ class Vocabulary:
         deps = {key: (_dependency_parts(strings, f"d{key}", 2), _dependency_parts(strings, f"d{key}l", 3)) for key in "wp"}
         self.code: dict[str, dict[str, int]] = {}
         self.family: dict[str, np.ndarray] = {}
-        self.offset: dict[str, np.ndarray] = {}
-        self.cells: dict[str, dict[int, dict[str, int]]] = {}
+        self.offset: dict[str, _Keyed] = {}
         for key, names in _FAMILIES.items():
             families = [strings.get(name, {}) for name in names]
-            # offsets as block_rows spells them; no span is 10**18 tokens long
-            offsets = self.cells[key] = {
+            # offsets as block_rows spells them, below 2**31 since no block
+            # holds a span that long: with under 2**32 codes, keys stay below 2**63
+            offsets = {
                 int(o): ids
                 for o, ids in _group(strings.get("i" + key, {}).items()).items()
-                if o.isdecimal() and len(o) < 19 and o == str(int(o)) != "0"
+                if o.isdecimal() and len(o) < 19 and o == str(int(o)) != "0" and int(o) < 2**31
             }
             dependents_and_heads = [chain.from_iterable(map(itemgetter(0, 1), parts)) for parts, _ in deps.get(key, ())]
             values = dict.fromkeys(chain(*families, *offsets.values(), *dependents_and_heads))
@@ -319,26 +316,26 @@ class Vocabulary:
             for name, ids in zip(names, families):
                 table = self.family[name] = np.full(len(code) + 1, -1, dtype=np.int32)
                 table[_get(code, ids, -1)] = list(ids.values())
+            offset = np.repeat(np.array(list(offsets), dtype=np.int64), list(map(len, offsets.values())))
+            self.offset[key] = _Keyed(
+                offset * (len(code) + 1) + _get(code, chain(*offsets.values()), -1),
+                np.fromiter(chain.from_iterable(map(dict.values, offsets.values())), dtype=np.int32),
+            )
         words, shapes = list(self.code["w"]), self.code["sh"]
         self.shape = np.append(_get(shapes, map(word_shape, words), len(shapes)), len(shapes))
         self.pre, self.suf = (np.vstack((a, np.full((1, 3), -1, dtype=np.int32))) for a in _affixes(self.lookup, words))
         labeled_parts = [parts for _, (parts, _) in deps.values()]
         self.rel = {r: c for c, r in enumerate(dict.fromkeys(chain(*(map(itemgetter(2), p) for p in labeled_parts))))}
-        self.pair: dict[str, _Keyed] = {}
-        self.unlabeled: dict[str, np.ndarray] = {}
+        self.unlabeled: dict[str, _Keyed] = {}
         self.labeled: dict[str, _Keyed] = {}
         for key, ((parts, ids), (labeled, labeled_ids)) in deps.items():
             code, n = self.code[key], len(self.code[key]) + 1
             pair = _get(code, chain.from_iterable(map(itemgetter(0, 1), parts + labeled)), -1).reshape(-1, 2)
             # key -1 for a pair with an empty part: no token's key is negative
             pair = np.where((pair >= 0).all(axis=1), pair[:, 0] * n + pair[:, 1], -1)
-            pair, pair_of = np.unique(pair, return_inverse=True)
-            pair_of = pair_of.ravel()
-            self.pair[key] = _Keyed(pair, np.arange(len(pair)))
-            table = self.unlabeled[key] = np.full(len(pair) + 1, -1, dtype=np.int32)  # the last for no pair
-            table[pair_of[: len(parts)]] = ids
-            rel = _get(self.rel, map(itemgetter(2), labeled), -1)
-            self.labeled[key] = _Keyed(pair_of[len(parts) :] * (len(self.rel) + 1) + rel, np.array(labeled_ids, dtype=np.int32))
+            self.unlabeled[key] = _Keyed(pair[: len(parts)], np.array(ids))
+            rel, pair = _get(self.rel, map(itemgetter(2), labeled), -1), pair[len(parts) :]
+            self.labeled[key] = _Keyed(np.where(pair >= 0, pair * (len(self.rel) + 1) + rel, -1), np.array(labeled_ids))
         # blocks read only these families by string
         self.strings = {name: strings[name] for name in ("len", "seg", *_AFFIX_FAMILIES) if name in strings}
 
@@ -349,20 +346,6 @@ class Vocabulary:
     def __len__(self) -> int:
         """The number of templates."""
         return self.size
-
-    def offset_table(self, key: str, reach: int) -> np.ndarray:
-        """(codes, w + 1) ids of i<key>:o:value at [code, o - 1] for the
-        offsets o up to w >= min(reach, the largest offset held); the last
-        column is -1. It is grown on demand, so that its width follows the
-        spans decoded, not an offset a template may spell."""
-        table, width = self.offset.get(key), min(reach, max(self.cells[key], default=0))
-        if table is None or table.shape[1] <= width:
-            code = self.code[key]
-            table = self.offset[key] = np.full((len(code) + 1, width + 1), -1, dtype=np.int32)
-            for o, ids in self.cells[key].items():
-                if o <= width:
-                    table[_get(code, ids, -1), o - 1] = list(ids.values())
-        return table
 
 
 class _VocabIds:
@@ -398,8 +381,7 @@ class _VocabIds:
 
     def offsets(self, key: str, codes: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """Ids of i<key>:offset:value for codes of key at 1-based offsets."""
-        table = self.vocab.offset_table(key, int(offset.max(initial=0)))
-        return table[codes, np.minimum(offset, table.shape[1]) - 1]
+        return self.vocab.offset[key](offset.astype(np.int64) * (len(self.vocab.code[key]) + 1) + codes)
 
     def dependencies(self, tokens: _Tokens) -> np.ndarray:
         """(N, 4) ids of dw, dwl, dp, dpl of every token, by binary search on vocabulary codes."""
@@ -410,10 +392,9 @@ class _VocabIds:
         for key in "wp":
             codes, n = self.codes[key], len(vocab.code[key]) + 1
             head = np.where(heads == 0, vocab.code[key].get(ROOT, n - 1), codes[head_at])
-            pair = vocab.pair[key](codes * n + head)  # -1 for a pair no template holds
-            columns.append(vocab.unlabeled[key][pair])
-            # a key from pair -1 is negative, so no table holds it
-            columns.append(vocab.labeled[key](pair.astype(np.int64) * (len(vocab.rel) + 1) + rel))
+            pair = codes * n + head
+            columns.append(vocab.unlabeled[key](pair))
+            columns.append(vocab.labeled[key](pair * (len(vocab.rel) + 1) + rel))
         return np.column_stack(columns)
 
 

@@ -397,8 +397,12 @@ def _compile(
                 splits_total += nsplit
             prev = K
             for (u, v), label in seg:
-                gold.append((offset, u, v, prev, label_id[label]))
-                prev = label_id[label]
+                y = label_id.get(label)
+                if y is None:
+                    etype = label[2:] if scheme == IOB_SCHEME else label
+                    raise ValueError(f"sentence {block_start + offset + 1}: entity type {etype!r} not in the model's labels")
+                gold.append((offset, u, v, prev, y))
+                prev = y
         sentence, u, v, prev, label = np.array(gold).T
         blocks.append(block)
         golds.append((lay.rows(sentence, u, v), prev, label))

@@ -269,11 +269,11 @@ def _gold_rows(sentences, lattices, scheme):
     return out
 
 
-def _check_against_reference(train, test, kind, dep, block_size):
-    """Compile train (interning) and test (vocabulary lookup) and compare
-    every block's implied rows, the gold counts and the template ids with the
-    string reference."""
-    mode = Mode(kind, 4)
+def _check_against_reference(train, test, kind, dep, block_size, max_len=4):
+    """Compile train (interning) and test (vocabulary lookup) at L = max_len
+    and compare every block's implied rows, the gold counts and the template
+    ids with the string reference; returns the templates in id order."""
+    mode = Mode(kind, max_len)
     scheme = label_scheme(mode)
     segments = scheme != IOB_SCHEME
     labels = mode_labels(LabelSet.from_corpus(train), mode)
@@ -303,6 +303,7 @@ def _check_against_reference(train, test, kind, dep, block_size):
     reference = reference_rows(test, lattices, segments, dep, ref_index.get)
     _assert_rows_equal(block, templates, reference, templates)
     assert block.units.shape[1] == len(templates)
+    return templates
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,10 +346,11 @@ def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds(
     # they are outside every word-keyed table; the seg lookup must still find
     # both spans, and "iw:2:q" and "dw:q+zz" the templates that name q.
     # "iw:02:q" spells its offset in a way no span's template does, and no
-    # span reaches the offsets of the last two iw templates.
+    # span reaches the offsets of the last four iw templates; the last two
+    # sit on either side of 2**31, where the vocabulary stops taking offsets.
     sentence = Sentence(tuple(Token(w, "NN") for w in ("zz", "q", "a:b")), DependencyTree((0, 1, 1), ("root", "dep", "dep")))
     other = Sentence(tuple(Token(w, "VB") for w in ("q", "zz")), DependencyTree((2, 0), ("dep", "root")))
-    templates = ("sw:k", "seg:zz q", "seg:a:b", "seg:q a:b x", "iw:2:q", "iw:02:q", "dw:q+zz", "ip:1:NN", f"iw:{10**15}:q", f"iw:{'9' * 5000}:q")
+    templates = ("sw:k", "seg:zz q", "seg:a:b", "seg:q a:b x", "iw:2:q", "iw:02:q", "dw:q+zz", "ip:1:NN", f"iw:{10**15}:q", f"iw:{'9' * 5000}:q", f"iw:{2**31 - 1}:q", f"iw:{2**31}:q")
     ids = {t: i for i, t in enumerate(templates)}
     mode = Mode("semi", 4)
     sentences = [sentence, other]
@@ -379,6 +381,16 @@ def test_rows_equal_string_reference_with_distinct_words(kind, dep, block_size):
     train = synthesize(70, mean_len=6.0, vocab=0, seed=31)
     test = synthesize(10, mean_len=6.0, vocab=0, seed=32)
     _check_against_reference(train, test, kind, dep, block_size=block_size)
+
+
+@pytest.mark.parametrize("kind", ["dgm", "semi"])
+def test_rows_equal_string_reference_at_offsets_past_8(kind):
+    # every sentence is longer than L = 20, so the training strings and the
+    # decode keys of the offset templates meet offsets past 8, up to 20
+    train = [s for s in synthesize(16, mean_len=26.0, vocab=40, seed=35) if s.n > 20]
+    test = [s for s in synthesize(8, mean_len=26.0, vocab=80, seed=36) if s.n > 20]
+    templates = _check_against_reference(train, test, kind, True, block_size=4, max_len=20)
+    assert max(int(t.split(":")[1]) for t in templates if t.startswith("iw:")) == 20
 
 
 def test_one_token_sentences_touch_both_edges():

@@ -37,7 +37,7 @@ from spancrf import (
     spans_to_iob,
     synthesize,
 )
-from spancrf import training
+from spancrf import features, training
 from spancrf.inference import IOB_SCHEME, label_scheme, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
@@ -141,6 +141,16 @@ def test_strict_objective_names_sentence_and_span(womack, shlomo):
     corpus = [shlomo, womack]
     model = fit(corpus, quick(max_iter=1), Mode("dgm-s", 8))
     with pytest.raises(ValueError, match=r"sentence 2: gold span \(5,8\)"):
+        objective_and_gradient(model, corpus)
+
+
+@pytest.mark.parametrize("kind", ["semi", "linear"])
+def test_objective_names_sentence_and_unknown_entity_type(kind):
+    # a model of two entity types, evaluated on a corpus of four
+    model = fit(synthesize(20, mean_len=8.0, num_types=2, seed=3), quick(max_iter=1), Mode(kind, 8))
+    corpus = synthesize(20, mean_len=8.0, num_types=4, seed=4)
+    number, etype = next((k, span.etype) for k, s in enumerate(corpus, 1) for span in s.gold if span.etype in ("T3", "T4"))
+    with pytest.raises(ValueError, match=rf"^sentence {number}: entity type '{etype}' not in the model's labels$"):
         objective_and_gradient(model, corpus)
 
 
@@ -788,6 +798,33 @@ def test_decode_builds_one_vocabulary_per_model(tmp_path, fitted):
         loaded.weights = np.concatenate((loaded.weights[order], loaded.weights[T:]))
         assert decode_corpus(loaded, _HELD) == whole
         assert built.call_count == 2
+
+
+def _snapshot(value):
+    """value with every array as its bytes and every table as its keys and ids, for comparison."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return {key: _snapshot(item) for key, item in value.items()}
+    if isinstance(value, features._Keyed):
+        return _snapshot(value.keys), _snapshot(value.ids)
+    return value
+
+
+def test_decoding_never_writes_to_a_vocabulary():
+    # a model's vocabulary is shared by every later decode, so decoding
+    # blocks whose spans reach the model's L must leave each of its tables as
+    # built, down to the bytes
+    mode = Mode("semi", 6)
+    model = fit(_HELD[:30], quick(l2=0.01, max_iter=5), mode)
+    vocab = training.Vocabulary(model.index)
+    before = _snapshot(vars(vocab))
+    held = [s for s in _HELD[30:] if s.n > mode.max_len]
+    for k in range(0, 30, 10):
+        block = training._block(held[k : k + 10], mode, model.labels, vocab, model.dep_features)
+        uv = block.scored.layout.uv
+        assert (uv[:, 1] - uv[:, 0] + 1).max() == mode.max_len
+    assert _snapshot(vars(vocab)) == before
 
 
 @pytest.mark.parametrize("kind", MODE_KINDS)

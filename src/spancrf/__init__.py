@@ -75,7 +75,6 @@ from .training import (
     decode_corpus,
     fit,
     objective_and_gradient,
-    project_gold,
 )
 
 __version__ = "0.1.0"

@@ -26,10 +26,9 @@ with their total length, and write into a (units, K) buffer kept on the
 block and into the gradient. Blocks are reduced in block order.
 
 _block builds a block in one step: its spans by one lattice.block_spans
-call, its ScoredBlock, whose layout is the one span-to-row map (_compile
-finds gold spans with layout.find and layout.rows), then from the layout's
-span arrays the (S, K) mask in one allowed_mask call and the operators by
-one features.block_rows call over the whole block. Training interns the
+call, its ScoredBlock, whose layout is the one span-to-row map, then from
+the layout's span arrays the (S, K) mask in one allowed_mask call and the
+operators by one features.block_rows call over the whole block. Training interns the
 templates into a growing dict of template ids, so each block's units has
 as many columns as there were templates after that block and an early
 block is narrower than W[:T]; templates interned later have larger ids,
@@ -38,6 +37,14 @@ builds its blocks the same way against the model's vocabulary, the tables
 block_rows gathers ids from, built once per model on first use (an unseen
 template is left out), and runs one Viterbi pass per block, which builds
 the layout's padded view of its forward steps, not the backward steps.
+
+_gold projects a block's gold onto its lattices: each token carries the
+label of the entity covering it (B-X or I-X in the iob scheme), or O. In
+the segment scheme an entity whose span layout.find locates is one
+segment, and every other token a segment of its own, so an entity outside
+its lattice becomes singletons of its type: fit counts it as split, and
+objective_and_gradient raises instead. layout.rows gives the segments'
+rows; the label before a sentence's first segment is K.
 
 fit is a compile (_prepare), whose summary it logs, then a solve (_solve)
 by _lbfgs (L-BFGS-B's steps, by the two-loop recursion), and can hand the
@@ -61,7 +68,7 @@ from scipy import sparse
 from scipy.optimize._dcsrch import DCSRCH
 from scipy.sparse import _sparsetools
 
-from .corpus import EntitySpan, LabelSet, Sentence, SerializationError, iob_to_spans, spans_to_iob
+from .corpus import EntitySpan, LabelSet, Sentence, SerializationError, iob_to_spans
 from .features import Vocabulary, block_rows
 from .inference import (
     IOB_SCHEME,
@@ -77,7 +84,7 @@ from .inference import (
     viterbi,
 )
 # build_lattice stays bound here for perfbench/spantrace.py, which wraps it by name
-from .lattice import Mode, SpanLattice, block_spans, build_lattice
+from .lattice import Mode, block_spans, build_lattice
 
 logger = logging.getLogger(__name__)
 
@@ -251,44 +258,6 @@ class Model:
             raise SerializationError(f"malformed model file: {exc}") from exc
 
 
-def _iob_gold(sentence: Sentence) -> Segmentation:
-    tags = spans_to_iob(sentence.gold, sentence.n)
-    return Segmentation(tuple(((i, i), tags[i - 1]) for i in range(1, sentence.n + 1)))
-
-
-def _segment_gold(sentence: Sentence, inside: list[bool], split: bool, name: str = "?") -> tuple[Segmentation, int]:
-    """project_gold, given inside[k]: is gold entity k's span in the lattice; without split, ValueError instead."""
-    segments: list[tuple[tuple[int, int], str]] = []
-    splits = 0
-    pos = 1
-    for span, allowed in zip(sentence.gold, inside):
-        while pos < span.start:
-            segments.append(((pos, pos), "O"))
-            pos += 1
-        if allowed:
-            segments.append(((span.start, span.end), span.etype))
-        elif split:
-            splits += 1
-            segments.extend(((i, i), span.etype) for i in range(span.start, span.end + 1))
-        else:
-            raise ValueError(f"sentence {name}: gold span ({span.start},{span.end}) not in lattice")
-        pos = span.end + 1
-    while pos <= sentence.n:
-        segments.append(((pos, pos), "O"))
-        pos += 1
-    return Segmentation(tuple(segments)), splits
-
-
-def project_gold(sentence: Sentence, lattice: SpanLattice) -> tuple[Segmentation, int]:
-    """Gold as a lattice segmentation, splitting unrepresentable entities.
-
-    An entity whose span is not in the lattice becomes single-token spans
-    that all carry its type; uncovered positions become O singletons.
-    Returns the segmentation and the number of entities split.
-    """
-    return _segment_gold(sentence, [(span.start, span.end) in lattice.allowed for span in sentence.gold], split=True)
-
-
 @dataclass
 class _Block:
     scored: ScoredBlock  # the block's spans and its emission and transition factors
@@ -368,6 +337,52 @@ def _add_counts(out: np.ndarray, block: _Block, label: np.ndarray, pair: np.ndar
     out[-len(pair) :] += pair
 
 
+def _gold(chunk: list[Sentence], lay, label_id: dict[str, int], scheme: str, project: bool, first_number: int):
+    """The gold factors of a block (see the module doc): the row in lay of
+    every gold segment, in row order, the label before it and its label,
+    and the number of entities split. Without project a span outside its
+    lattice raises ValueError too; the first sentence (numbered from
+    first_number) with one or with a type not in label_id is named, a span
+    outside the lattice before an unknown type."""
+    K = len(label_id)
+    entities = [(b, span.start, span.end) for b, sentence in enumerate(chunk) for span in sentence.gold]
+    b, u, v = np.array(entities, dtype=np.int64).reshape(-1, 3).T
+    etypes = [span.etype for sentence in chunk for span in sentence.gold]
+    if scheme == IOB_SCHEME:
+        first, inner = (np.array([label_id.get(f"{p}-{t}", -1) for t in etypes], dtype=np.int64) for p in "BI")
+        merged = outside = np.zeros(len(b), dtype=bool)
+    else:
+        first = inner = np.array([label_id.get(t, -1) for t in etypes], dtype=np.int64)
+        merged = lay.find(b, u, v) >= 0
+        outside = ~merged
+    strict = outside & (not project)
+    offending = strict | (first < 0)
+    if offending.any():
+        k = int(np.argmax(offending))
+        if (strict & (b == b[k])).any():
+            k = int(np.argmax(strict & (b == b[k])))
+            raise ValueError(f"sentence {first_number + b[k]}: gold span ({u[k]},{v[k]}) not in lattice")
+        raise ValueError(f"sentence {first_number + b[k]}: entity type {etypes[k]!r} not in the model's labels")
+    # per row of lay, the label of the token ending there; K at a sentence's start row
+    tag = np.full(lay.num_rows, label_id["O"])
+    tag[lay.first_row] = K
+    start, length = lay.first_row[b] + u, v - u + 1
+    token = np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+    tag[token] = np.repeat(inner, length)
+    tag[start] = first
+    # a segment starts at every token but the inner ones of a merged entity
+    opens = np.ones(lay.num_rows, dtype=bool)
+    opens[token[np.repeat(merged, length) & (token != np.repeat(start, length))]] = False
+    mark = np.flatnonzero(opens)  # the start rows of the sentences and of the segments
+    sentence = lay.row_sentence[mark]
+    position = mark - lay.first_row[sentence]
+    seg = np.flatnonzero(position > 0)
+    # a segment ends a row before the next mark: the next segment's or sentence's start
+    end = np.append(mark[1:], lay.num_rows)[seg] - 1 - lay.first_row[sentence[seg]]
+    rows = lay.rows(sentence[seg], position[seg], end)
+    return rows, tag[mark[seg - 1]], tag[mark[seg]], int(outside.sum())
+
+
 def _compile(
     corpus: list[Sentence],
     mode: Mode,
@@ -379,33 +394,15 @@ def _compile(
     scheme = label_scheme(mode)
     K = len(labels)
     label_id = {label: y for y, label in enumerate(labels)}
-    splits_total = 0
+    splits = 0
     blocks, golds = [], []
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         block = _block(chunk, mode, labels, index, dep)
-        lay = block.scored.layout
-        entities = [(offset, span.start, span.end) for offset, sentence in enumerate(chunk) for span in sentence.gold]
-        inside = iter((lay.find(*np.array(entities, dtype=np.int64).reshape(-1, 3).T) >= 0).tolist())
-        gold = []  # (sentence, u, v, previous label, label) of every gold factor in the block
-        for offset, sentence in enumerate(chunk):
-            if scheme == IOB_SCHEME:
-                seg = _iob_gold(sentence)
-            else:
-                allowed = [next(inside) for _ in sentence.gold]
-                seg, nsplit = _segment_gold(sentence, allowed, split=project, name=str(block_start + offset + 1))
-                splits_total += nsplit
-            prev = K
-            for (u, v), label in seg:
-                y = label_id.get(label)
-                if y is None:
-                    etype = label[2:] if scheme == IOB_SCHEME else label
-                    raise ValueError(f"sentence {block_start + offset + 1}: entity type {etype!r} not in the model's labels")
-                gold.append((offset, u, v, prev, y))
-                prev = y
-        sentence, u, v, prev, label = np.array(gold).T
+        *gold, block_splits = _gold(chunk, block.scored.layout, label_id, scheme, project, block_start + 1)
+        splits += block_splits
         blocks.append(block)
-        golds.append((lay.rows(sentence, u, v), prev, label))
+        golds.append(gold)
     gold_counts = np.zeros((len(index) + K + 1, K))
     for block, (row, prev, label) in zip(blocks, golds):
         # a span is at most one gold segment, so the (span, label) cells are distinct
@@ -414,7 +411,7 @@ def _compile(
         pairs = np.zeros((K + 1, K))
         np.add.at(pairs, (prev, label), 1.0)
         _add_counts(gold_counts, block, indicator, pairs)
-    return _Compiled(blocks, labels, gold_counts, splits_total)
+    return _Compiled(blocks, labels, gold_counts, splits)
 
 
 def _fill_scores(block: _Block, W: np.ndarray) -> None:
@@ -471,8 +468,10 @@ class Objective:
 def objective_and_gradient(model: Model, corpus: list[Sentence]) -> tuple[float, np.ndarray]:
     """Objective value and gradient (shaped like the weights) at the model's weights.
 
-    Every gold entity span must be present in its sentence's lattice;
-    otherwise a ValueError names the sentence and span.
+    Every gold entity span must be present in its sentence's lattice, and
+    every entity type among the model's labels; otherwise a ValueError names
+    the first such sentence and the span or the type, a span outside the
+    lattice before an unknown type in the same sentence.
     """
     if not corpus:
         raise ValueError("empty corpus")

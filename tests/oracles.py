@@ -13,7 +13,8 @@ Two more read a block's layout: the dense (S, K+1, K) factor marginals,
 from the package's alpha and beta, which the gradient's sums are checked
 against, and the layout's step schedules cut one position at a time.
 position_viterbi is Viterbi in scalars, one sentence and position at a
-time, for sentences too long to enumerate.
+time, for sentences too long to enumerate. project_gold is a sentence's
+gold segmentation, one token at a time, from the projection rule.
 scored_block and block_lattices convert between a tuple of per-sentence
 SpanLattice sets and a block's span arrays, in sorted order.
 The optimizer's oracle is scipy's L-BFGS-B run on the package's Objective.
@@ -182,6 +183,30 @@ def dense_mask(lattice, labels, scheme) -> np.ndarray:
                 else:
                     mask[s, p, y] = label != "O" or u == v
     return mask
+
+
+def project_gold(sentence: Sentence, lattice, scheme: str) -> tuple[list[tuple[tuple[int, int], str]], int]:
+    """A sentence's gold as ((u, v), label) segments covering 1..n, token by
+    token, and the number of entities split. In the IOB scheme every token is
+    a segment tagged B-X, I-X or O. Otherwise an entity whose span is in the
+    lattice is one segment of its type, an entity outside it one segment of
+    its type per token (split), and every other token an O segment."""
+    entity = {i: span for span in sentence.gold for i in range(span.start, span.end + 1)}
+    segments, splits, i = [], 0, 1
+    while i <= sentence.n:
+        span = entity.get(i)
+        if span is None:
+            segments.append(((i, i), "O"))
+        elif scheme == IOB_SCHEME:
+            segments.append(((i, i), ("B-" if i == span.start else "I-") + span.etype))
+        elif (span.start, span.end) in lattice.allowed:
+            segments.append(((i, span.end), span.etype))
+            i = span.end
+        else:
+            segments.append(((i, i), span.etype))
+            splits += i == span.start
+        i += 1
+    return segments, splits
 
 
 def brute_best_score(scored) -> float:

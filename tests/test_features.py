@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import block_lattices, orient_edges, reference_rows
+from oracles import block_lattices, orient_edges, project_gold, reference_rows
 from spancrf import DependencyTree, EntitySpan, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
 from spancrf.features import BOS, EOS, ROOT, Vocabulary, word_shape
 from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels
 from spancrf.lattice import MODE_KINDS, Mode, build_lattice
-from spancrf.training import _block, _compile, _iob_gold, project_gold
+from spancrf.training import _block, _compile
 
 
 @pytest.mark.parametrize(
@@ -258,21 +258,28 @@ def _assert_rows_equal(block, strings, reference, reference_strings):
     assert row_counts(rows, strings) == row_counts(expected, reference_strings)
 
 
-def _gold_rows(sentences, lattices, scheme):
-    """(row, label name) of every gold segment of the block, rows in span order."""
-    out, first = [], 0
+def _gold_factors(sentences, lattices, scheme, labels):
+    """(row, previous label id, label id) of every gold segment of the block,
+    rows in span order and K before a sentence's first segment, by the
+    oracle's projection, and the number of entities it split."""
+    out, splits, first = [], 0, 0
     for sentence, lattice in zip(sentences, lattices):
         spans = sorted(lattice.allowed)
-        seg = _iob_gold(sentence) if scheme == IOB_SCHEME else project_gold(sentence, lattice)[0]
-        out.extend((first + spans.index(span), label) for span, label in seg)
+        segments, split = project_gold(sentence, lattice, scheme)
+        prev = len(labels)
+        for span, label in segments:
+            out.append((first + spans.index(span), prev, labels.index(label)))
+            prev = labels.index(label)
+        splits += split
         first += len(spans)
-    return out
+    return out, splits
 
 
 def _check_against_reference(train, test, kind, dep, block_size, max_len=4):
     """Compile train (interning) and test (vocabulary lookup) at L = max_len
-    and compare every block's implied rows, the gold counts and the template
-    ids with the string reference; returns the templates in id order."""
+    and compare every block's implied rows, the template ids, and the gold
+    counts and split count of the oracle's projection with the string
+    reference; returns the templates in id order."""
     mode = Mode(kind, max_len)
     scheme = label_scheme(mode)
     segments = scheme != IOB_SCHEME
@@ -281,7 +288,8 @@ def _check_against_reference(train, test, kind, dep, block_size, max_len=4):
     with mock.patch.object(training, "_BLOCK_SIZE", block_size):
         compiled = _compile(train, mode, labels, index, dep, project=True)
     templates = tuple(index)
-    gold = np.zeros((len(index), len(labels)))
+    K = len(labels)
+    gold, pairs, splits = np.zeros((len(index), K)), np.zeros((K + 1, K)), 0
     for b, block in enumerate(compiled.blocks):
         chunk = train[b * block_size : (b + 1) * block_size]
         lattices = [build_lattice(s, mode) for s in chunk]
@@ -290,13 +298,18 @@ def _check_against_reference(train, test, kind, dep, block_size, max_len=4):
         # as wide as the templates after the block's, not as all of them
         assert block.units.shape[1] == len(ref_index)
         indptr, indices, data = reference
-        indicator = np.zeros((len(indptr) - 1, len(labels)))
-        for row, label in _gold_rows(chunk, lattices, scheme):
-            indicator[row, labels.index(label)] = 1.0
+        indicator = np.zeros((len(indptr) - 1, K))
+        factors, block_splits = _gold_factors(chunk, lattices, scheme, labels)
+        for row, prev, y in factors:
+            indicator[row, y] = 1.0
+            pairs[prev, y] += 1.0
+        splits += block_splits
         X = sparse.csr_matrix((data, indices, indptr), shape=(len(indicator), len(ref_index)))
         gold[: len(ref_index)] += X.T @ indicator
     assert templates == tuple(ref_index)
     np.testing.assert_array_equal(compiled.gold[: len(index)], gold)
+    np.testing.assert_array_equal(compiled.gold[len(index) :], pairs)
+    assert compiled.splits == splits
 
     block = _block(test, mode, labels, Vocabulary(templates), dep)
     lattices = [build_lattice(s, mode) for s in test]

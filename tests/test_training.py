@@ -19,6 +19,7 @@ from scipy import sparse
 from spancrf import (
     DependencyTree,
     EntitySpan,
+    LabelSet,
     Model,
     Sentence,
     SerializationError,
@@ -26,19 +27,16 @@ from spancrf import (
     TrainConfig,
     TrainingError,
     bench_per_evaluation,
-    build_lattice,
     cross_validate,
     decode_corpus,
     fit,
     objective_and_gradient,
-    project_gold,
     representability_stats,
     score,
-    spans_to_iob,
     synthesize,
 )
 from spancrf import features, training
-from spancrf.inference import IOB_SCHEME, label_scheme, viterbi
+from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels, viterbi
 from spancrf.lattice import MODE_KINDS, Mode
 
 from oracles import (
@@ -49,6 +47,7 @@ from oracles import (
     lbfgsb_fit,
     lbfgsb_message,
     path_score,
+    project_gold,
     random_sentence,
     reference_rows,
     reference_scores,
@@ -109,9 +108,18 @@ def test_model_validation():
     assert model.max_len == 2
 
 
+def library_gold(sentence, mode):
+    """The compile's gold segments of one sentence, ((u, v), label) with rows
+    mapped back through the layout, and its split count."""
+    labels = mode_labels(LabelSet.from_corpus([sentence]), mode)
+    lay = training._block([sentence], mode, labels, {}, True).scored.layout
+    label_id = {label: y for y, label in enumerate(labels)}
+    rows, _, label, splits = training._gold([sentence], lay, label_id, label_scheme(mode), True, 1)
+    return [(tuple(lay.uv[r].tolist()), labels[y]) for r, y in zip(rows, label)], splits
+
+
 def test_project_gold_identity_when_representable(womack):
-    lat = build_lattice(womack, Mode("dgm", 8))
-    seg, splits = project_gold(womack, lat)
+    seg, splits = library_gold(womack, Mode("dgm", 8))
     assert splits == 0
     entities = [(u, v, label) for (u, v), label in seg if label != "O"]
     assert entities == [(1, 3, "PER"), (5, 8, "MISC")]
@@ -120,21 +128,23 @@ def test_project_gold_identity_when_representable(womack):
 
 
 def test_project_gold_splits_unrepresentable(womack):
-    lat = build_lattice(womack, Mode("semi", 2))
-    seg, splits = project_gold(womack, lat)
+    seg, splits = library_gold(womack, Mode("semi", 2))
     assert splits == 2
-    labels = seg.labels()
+    labels = tuple(label for _, label in seg)
     assert labels == ("PER", "PER", "PER", "O", "MISC", "MISC", "MISC", "MISC", "O")
     assert all(v == u for (u, v), _ in seg)
 
 
 def test_project_gold_split_count_matches_coverage_stats():
-    corpus = synthesize(40, mean_len=12.0, leak_rate=0.6, seed=13)
-    mode = Mode("dgm-s", 8)
-    total, representable, _ = representability_stats(corpus, mode)
-    splits = sum(project_gold(s, build_lattice(s, mode))[1] for s in corpus)
-    assert splits == total - representable
-    assert splits > 0
+    for leak_rate in (0.0, 0.6):
+        corpus = synthesize(40, mean_len=12.0, leak_rate=leak_rate, seed=13)
+        for kind in ("semi", "dgm-s", "dgm"):
+            mode = Mode(kind, 8)
+            total, representable, _ = representability_stats(corpus, mode)
+            splits = training._prepare(corpus, mode, True)[1].splits
+            assert splits == total - representable, (leak_rate, kind)
+            if (leak_rate, kind) == (0.6, "dgm-s"):
+                assert splits > 0
 
 
 def test_strict_objective_names_sentence_and_span(womack, shlomo):
@@ -152,6 +162,27 @@ def test_objective_names_sentence_and_unknown_entity_type(kind):
     number, etype = next((k, span.etype) for k, s in enumerate(corpus, 1) for span in s.gold if span.etype in ("T3", "T4"))
     with pytest.raises(ValueError, match=rf"^sentence {number}: entity type '{etype}' not in the model's labels$"):
         objective_and_gradient(model, corpus)
+
+
+def test_objective_reports_lattice_before_unknown_type():
+    # within a sentence a span outside the lattice is named before an unknown
+    # entity type, whatever their order; across sentences the first one wins
+    def sentence(*gold):
+        # a path 1 <- 2 <- 3 <- 4 <- 5: dgm-s holds (2,4) and (1,3) nowhere
+        return Sentence(
+            tuple(Token(w, "NN") for w in "abcde"),
+            DependencyTree((0, 1, 2, 3, 4), ("root",) + ("dep",) * 4),
+            tuple(EntitySpan(*span) for span in gold),
+        )
+
+    model = fit([sentence((1, 2, "A"), (4, 5, "B"))], quick(max_iter=1), Mode("dgm-s", 8))
+    for corpus, message in (
+        ([sentence((1, 1, "C"), (2, 4, "A"))], r"sentence 1: gold span \(2,4\) not in lattice"),
+        ([sentence((1, 3, "A"), (5, 5, "C"))], r"sentence 1: gold span \(1,3\) not in lattice"),
+        ([sentence((1, 1, "C")), sentence((1, 3, "A"))], r"sentence 1: entity type 'C' not in the model's labels"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            objective_and_gradient(model, corpus)
 
 
 def test_value_and_gradient_at_zero_weights():
@@ -630,11 +661,7 @@ def test_objective_matches_enumeration_at_large_weights(kind):
         want_value, want_grad = 0.0, np.zeros(model.weights.shape)
         for sentence in corpus:
             scored = reference_scores(model, sentence)
-            if scheme == IOB_SCHEME:
-                tags = spans_to_iob(sentence.gold, sentence.n)
-                gold = [((i, i), tags[i - 1]) for i in range(1, sentence.n + 1)]
-            else:
-                gold = list(project_gold(sentence, block_lattices(scored)[0])[0])
+            gold = project_gold(sentence, block_lattices(scored)[0], scheme)[0]
             gold = [(int(scored.layout.rows(0, *span)[0]), model.labels.index(label)) for span, label in gold]
             want_value += brute_log_partition(scored) - path_score(scored, gold)
             indptr, indices, data = reference_rows([sentence], block_lattices(scored), scheme != IOB_SCHEME, True, ids.get)

@@ -39,6 +39,7 @@ from .evaluation import EvalReport, SignificanceResult, TypeScore, bootstrap_tes
 from .features import word_shape
 from .inference import (
     InvariantViolation,
+    Layout,
     ScoredBlock,
     Segmentation,
     allowed_mask,

@@ -1,18 +1,20 @@
 """Log-space dynamic programming over blocks of span lattices.
 
 A factor is a (span, previous label, label) triple, and its score is
-emission[s, y] + transition[p, y]. A ScoredBlock holds these two factors,
-not their product: emission of shape (S, K), one row per span, and
-transition of shape (K+1, K), whose row K is the begin sentinel. -inf marks
-what the labeling rule forbids: a label on a span in emission (O on a span
-longer than one token), a label pair in transition (IOB). That the begin
-sentinel precedes exactly the spans starting a sentence is structural:
-alpha's column K is finite only at first rows. Nothing composes the dense
-(S, K+1, K) table.
+emission[s, y] + transition[p, y]. A ScoredBlock is a block's Layout and
+these two factors, not their product: emission of shape (S, K), one row
+per span, and transition of shape (K+1, K), whose row K is the begin
+sentinel. -inf marks what the labeling rule forbids: a label on a span in
+emission (O on a span longer than one token), a label pair in transition
+(IOB). That the begin sentinel precedes exactly the spans starting a
+sentence is structural: alpha's column K is finite only at first rows.
+Nothing composes the dense (S, K+1, K) table.
 
 The DP runs on a whole ScoredBlock at once, one sentence or many, in one
-flat layout: sentence b owns rows off_b .. off_b + n_b, one per boundary,
+flat Layout: sentence b owns rows off_b .. off_b + n_b, one per boundary,
 and a span (u, v) of it reads row off_b + u - 1 and writes row off_b + v.
+A Layout in which some position is the end of no span cannot be built,
+so no pass, backward included, runs on a block without a segmentation.
 The previous label meets a span only through transition, so the sum over
 it depends on the row a span reads, not on the span (the semi-CRF
 recursion of Sarawagi & Cohen, 2004). Each pass pushes the transition
@@ -23,6 +25,8 @@ through each row once, and a span costs O(K):
             combines the spans that write one row with reduceat
   backward  H[r, y] = logsumexp over the spans starting at r of emission +
             beta[end, y]; then beta[r, p] = logsumexp_y(transition[p, y] + H[r, y])
+  sweep     both passes run one loop, _sweep: a step reduces a message plus
+            emission into alpha or H, then pushes those rows into G or beta
   row step  both row messages, logsumexp_p(x[r, p] + T[p, y]), are the
             max-shifted sum a_r + c_y + log sum_p exp(x[r, p] - a_r)
             exp(T[p, y] - c_y), with a_r the row max, c_y the column max and
@@ -63,7 +67,7 @@ the pair rule in pair_mask (on transition, begin row K included):
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -162,26 +166,38 @@ class _Padded(NamedTuple):
     span: np.ndarray  # span ids, each group's shorter first, padded with span 0 to its step's widest group
     source: np.ndarray  # the slot each of them reads; pads read the pad slot
     offset: np.ndarray  # where the padded spans of each group start
-    slot: np.ndarray  # the slot of each row; a gap (see check_gaps) maps to the pad slot
+    slot: np.ndarray  # the slot of each row (a Layout has no gaps, so none maps to the pad slot)
     steps: list[tuple]  # per step: its groups g:h, their padded spans a:b, and source[a:b] as (h - g, width)
 
 
-class _Layout:
-    """Flat rows and per-position steps of a block of sentences (see module doc)."""
+class Layout:
+    """Flat rows and per-position steps of a block of sentences (see module doc).
+
+    lengths holds each sentence's n, and spans the (sentence, u, v) int
+    arrays of all the block's spans in lattice.block_spans order: by
+    sentence, then u, then v; rows maps a span back to its index. Raises
+    InvariantViolation if a position of some sentence is the end of no span.
+    """
 
     def __init__(self, lengths: np.ndarray, spans: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        ns = np.asarray(lengths, dtype=np.int64)
-        self.first_row = np.concatenate(([0], np.cumsum(ns + 1)[:-1]))
-        self.last_row = self.first_row + ns
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.first_row = np.concatenate(([0], np.cumsum(self.lengths + 1)[:-1]))
+        self.last_row = self.first_row + self.lengths
         self.num_rows = int(self.last_row[-1]) + 1
         self.sentence, u, v = spans
         self.uv = np.column_stack((u, v))  # (S, 2) 1-based (u, v) of every span
         self.start_row = self.first_row[self.sentence] + u - 1
         self.end_row = self.first_row[self.sentence] + v
-        self.row_sentence = np.repeat(np.arange(len(ns)), ns + 1)
+        self.row_sentence = np.repeat(np.arange(len(self.lengths)), self.lengths + 1)
         reached = np.zeros(self.num_rows, dtype=bool)
         reached[self.first_row] = reached[self.end_row] = True
-        self.gaps = np.flatnonzero(~reached)
+        if not reached.all():
+            gap = int(np.argmin(reached))
+            b = int(self.row_sentence[gap])
+            raise InvariantViolation(f"no spans end at position {gap - self.first_row[b]} (sentence {b} of the block)")
+
+    def __repr__(self) -> str:
+        return f"Layout(lengths={self.lengths!r}, spans={(self.sentence, *self.uv.T)!r})"
 
     @cached_property
     def _forward_order(self) -> np.ndarray:
@@ -243,51 +259,28 @@ class _Layout:
             raise KeyError(f"span ({u}, {v}) not in the lattice of sentence {b} of the block")
         return at
 
-    def check_gaps(self) -> None:
-        """Raise if a position of some sentence is the end of no span."""
-        if len(self.gaps):
-            b = int(np.searchsorted(self.first_row, self.gaps[0], side="right")) - 1
-            j = self.gaps[0] - self.first_row[b]
-            raise InvariantViolation(f"no spans end at position {j} (sentence {b} of the block)")
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScoredBlock:
-    """A block of sentences, its span lattices and their factors (see module doc).
+    """A block's layout, its labels and its factors (see module doc).
 
-    lengths holds each sentence's n, and spans the (sentence, u, v) int
-    arrays of all the block's spans in lattice.block_spans order: by
-    sentence, then u, then v. Row s of emission is span s; layout.rows maps
-    a span back to its row. All sentences share one transition table.
+    Row s of emission is span s of the layout; all sentences share one
+    transition table.
     """
 
-    lengths: InitVar[np.ndarray]
-    spans: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    layout: Layout
     labels: tuple[str, ...]
     emission: np.ndarray
     transition: np.ndarray
-    layout: _Layout = field(init=False, repr=False)
 
-    def __post_init__(self, lengths, spans) -> None:
-        self.layout = _Layout(lengths, spans)
+    def __post_init__(self) -> None:
         K = len(self.labels)
         for name, want in (("emission", (len(self.layout.sentence), K)), ("transition", (K + 1, K))):
             table = getattr(self, name)
             if table.shape != want:
                 raise ValueError(f"{name} shape {table.shape}, expected {want}")
-            if np.isnan(table).any() or np.isposinf(table).any():
+            if not (table < np.inf).all():  # NaN and +inf both fail
                 raise ValueError(f"{name} scores must be finite or -inf")
-
-    def _repr_pretty_(self, p, cycle) -> None:
-        """Print the call that builds the block. Pretty printers that walk a
-        dataclass's init fields (hypothesis') would look up the InitVars,
-        which are not attributes."""
-        lay = self.layout
-        spans = (lay.sentence, *lay.uv.T)
-        p.text(
-            f"ScoredBlock(lengths={lay.last_row - lay.first_row!r}, spans={spans!r}, labels={self.labels!r}, "
-            f"emission={self.emission!r}, transition={self.transition!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -356,6 +349,16 @@ class _RowStep:
         return out
 
 
+def _sweep(steps: list[tuple], emission: np.ndarray, pushed: np.ndarray, reduced: np.ndarray, push: _RowStep) -> None:
+    """One sum-product pass over the steps: each step combines pushed[src] +
+    emission over the spans that write a row into reduced[dst], then pushes
+    that row through push into pushed[dst]."""
+    for idx, src, dst, starts in steps:
+        rows = np.logaddexp.reduceat(pushed[src] + emission[idx], starts, axis=0)
+        reduced[dst] = rows
+        pushed[dst] = push(rows)
+
+
 def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     """alpha and the row messages G of the block.
 
@@ -366,16 +369,11 @@ def forward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     is the score of entering label y from row r.
     """
     lay, K, trans = scored.layout, len(scored.labels), scored.transition
-    lay.check_gaps()
     alpha = np.full((lay.num_rows, K + 1), -np.inf)
     alpha[lay.first_row, K] = 0.0
     G = np.full((lay.num_rows, K), -np.inf)
     G[lay.first_row] = trans[K]
-    push = _RowStep(trans[:K])
-    for idx, src, dst, starts in lay.forward_steps:
-        rows = np.logaddexp.reduceat(G[src] + scored.emission[idx], starts, axis=0)
-        alpha[dst, :K] = rows
-        G[dst] = push(rows)
+    _sweep(lay.forward_steps, scored.emission, G, alpha[:, :K], _RowStep(trans[:K]))
     return alpha, G
 
 
@@ -391,11 +389,8 @@ def backward(scored: ScoredBlock) -> tuple[np.ndarray, np.ndarray]:
     beta = np.full((lay.num_rows, K + 1), -np.inf)
     beta[lay.last_row, :K] = 0.0
     H = np.full((lay.num_rows, K), -np.inf)
-    pull = _RowStep(trans[:K].T)  # sums over the next label y: T[y, p] = transition[p, y]
-    for idx, src, dst, starts in lay.backward_steps:
-        rows = np.logaddexp.reduceat(scored.emission[idx] + beta[src, :K], starts, axis=0)
-        H[dst] = rows
-        beta[dst, :K] = pull(rows)
+    # the pull sums over the next label y: T[y, p] = transition[p, y]
+    _sweep(lay.backward_steps, scored.emission, beta[:, :K], H, _RowStep(trans[:K].T))
     # at first rows only the begin sentinel precedes (the last step wrote them)
     first = lay.first_row
     beta[first, K] = np.logaddexp.reduce(trans[K] + H[first], axis=1)
@@ -445,7 +440,6 @@ def viterbi(scored: ScoredBlock) -> list[tuple[Segmentation, float]]:
     segmentation.
     """
     lay, K, trans = scored.layout, len(scored.labels), scored.transition
-    lay.check_gaps()
     pad = lay.padded_steps
     G, B = len(pad.offset), len(lay.first_row)
     emission = scored.emission[pad.span]

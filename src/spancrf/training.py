@@ -12,12 +12,13 @@ optimizer sees W.ravel().
 The corpus is compiled once into blocks of up to 512 sentences. Each block
 stores its span-by-template count matrix X as two sparse 0/1 operators,
 X = members @ units (features.py defines the units), the labeling rule as
-an (S, K) span-label mask and a (K+1, K) label-pair mask, and one
-ScoredBlock whose flat DP layout is built here once; the gold counts of the
-whole corpus are one constant (T+K+1, K) matrix, built from the gold
-(span, label) cells and (previous label, label) pairs. One objective call
-costs, per block, the emission factor members @ (units @ W[:T]), the masked
-W[T:] for the transition factor, one span-proportional forward and backward
+an (S, K) span-label mask and a (K+1, K) label-pair mask, and the block's
+Layout, its flat DP rows, built here once; the gold counts of the whole
+corpus are one constant (T+K+1, K) matrix, built from the gold (span,
+label) cells and (previous label, label) pairs. One objective call costs,
+per block, the emission factor members @ (units @ W[:T]) and the masked
+W[T:] for the transition factor, which _fill_scores returns with the
+Layout as a fresh ScoredBlock, one span-proportional forward and backward
 pass over the whole block (inference.py), and the expected counts
 units.T @ (members.T @ m.sum(axis=1)) stacked over m.sum(axis=0), both
 sums taken straight from the passes without the (S, K+1, K) marginals m.
@@ -26,9 +27,9 @@ with their total length, and write into a (units, K) buffer kept on the
 block and into the gradient. Blocks are reduced in block order.
 
 _block builds a block in one step: its spans by one lattice.block_spans
-call, its ScoredBlock, whose layout is the one span-to-row map, then from
-the layout's span arrays the (S, K) mask in one allowed_mask call and the
-operators by one features.block_rows call over the whole block. Training interns the
+call, its Layout, the one span-to-row map, then from the layout's span
+arrays the (S, K) mask in one allowed_mask call and the operators by one
+features.block_rows call over the whole block. Training interns the
 templates into a growing dict of template ids, so each block's units has
 as many columns as there were templates after that block and an early
 block is narrower than W[:T]; templates interned later have larger ids,
@@ -72,6 +73,7 @@ from .corpus import EntitySpan, LabelSet, Sentence, SerializationError, iob_to_s
 from .features import Vocabulary, block_rows
 from .inference import (
     IOB_SCHEME,
+    Layout,
     ScoredBlock,
     Segmentation,
     allowed_mask,
@@ -260,7 +262,7 @@ class Model:
 
 @dataclass
 class _Block:
-    scored: ScoredBlock  # the block's spans and its emission and transition factors
+    layout: Layout  # the block's spans and rows
     label_forbidden: np.ndarray  # (S, K) bool, True where the labeling rule forbids the label on the span
     pair_forbidden: np.ndarray  # (K+1, K) bool, True where label y may not follow p
     units: sparse.csr_matrix  # (units, T') 0/1 templates of each unit; T' <= T, see the module doc
@@ -294,13 +296,11 @@ def _block(
     scheme = label_scheme(mode)
     spans = block_spans(sentences, mode)
     S, K = len(spans[0]), len(labels)
-    lengths = np.array([sentence.n for sentence in sentences])
-    scored = ScoredBlock(lengths, spans, labels, np.zeros((S, K)), np.zeros((K + 1, K)))
-    lay = scored.layout
+    lay = Layout(np.array([sentence.n for sentence in sentences]), spans)
     (unit_ptr, ids), (indptr, members) = block_rows(sentences, lay.sentence, lay.uv, scheme != IOB_SCHEME, dep, index)
     num_units = len(unit_ptr) - 1
     return _Block(
-        scored,
+        lay,
         ~allowed_mask(lay.uv, K),
         ~pair_mask(labels, scheme),
         sparse.csr_matrix((np.ones(len(ids)), ids, unit_ptr), shape=(num_units, len(index))),
@@ -399,7 +399,7 @@ def _compile(
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         block = _block(chunk, mode, labels, index, dep)
-        *gold, block_splits = _gold(chunk, block.scored.layout, label_id, scheme, project, block_start + 1)
+        *gold, block_splits = _gold(chunk, block.layout, label_id, scheme, project, block_start + 1)
         splits += block_splits
         blocks.append(block)
         golds.append(gold)
@@ -414,21 +414,21 @@ def _compile(
     return _Compiled(blocks, labels, gold_counts, splits)
 
 
-def _fill_scores(block: _Block, W: np.ndarray) -> None:
-    """Emission members @ (units @ W[:T']) and transition W[T:], -inf where the labeling rule forbids."""
+def _fill_scores(block: _Block, W: np.ndarray, labels: tuple[str, ...]) -> ScoredBlock:
+    """The block scored at W: emission members @ (units @ W[:T']) and
+    transition W[T:], -inf where the labeling rule forbids."""
     block.unit_scores.fill(0.0)
     _accumulate(block.unit_scores, block.units, W[: block.units.shape[1]])
     emission = np.zeros(block.label_forbidden.shape)
     _accumulate(emission, block.members, block.unit_scores)
     emission[block.label_forbidden] = -np.inf
-    block.scored.emission = emission
-    block.scored.transition = np.where(block.pair_forbidden, -np.inf, W[-len(block.pair_forbidden) :])
+    transition = np.where(block.pair_forbidden, -np.inf, W[-len(block.pair_forbidden) :])
+    return ScoredBlock(block.layout, labels, emission, transition)
 
 
-def _eval_block(block: _Block, W: np.ndarray, grad: np.ndarray) -> float:
+def _eval_block(block: _Block, W: np.ndarray, labels: tuple[str, ...], grad: np.ndarray) -> float:
     """Summed log Z of the block's sentences; their expected counts are added to grad."""
-    _fill_scores(block, W)
-    scored = block.scored
+    scored = _fill_scores(block, W, labels)
     logz, label, pair = posteriors(scored, forward(scored), backward(scored))
     _add_counts(grad, block, label, pair)
     # a sequential sum over sentences; np.sum would add pairwise and round differently
@@ -453,7 +453,7 @@ class Objective:
         value = 0.0
         grad = np.zeros(gold.shape)
         for block in self.compiled.blocks:
-            value += _eval_block(block, W, grad)
+            value += _eval_block(block, W, self.compiled.labels, grad)
         # elementwise sums, not np.vdot: with OpenBLAS free to start threads,
         # each vdot took about 8 ms on a 2-core Xeon and slowed the calls after it
         value -= float(np.multiply(gold, W, out=self._buf).sum())
@@ -669,8 +669,8 @@ def decode_corpus(model: Model, corpus: list[Sentence]) -> list[tuple[EntitySpan
     for block_start in range(0, len(corpus), _BLOCK_SIZE):
         chunk = corpus[block_start : block_start + _BLOCK_SIZE]
         block = _block(chunk, model.mode, model.labels, model.vocabulary, model.dep_features)
-        _fill_scores(block, model.weights)
-        out.extend(_segmentation_entities(seg, scheme) for seg, _ in viterbi(block.scored))
+        scored = _fill_scores(block, model.weights, model.labels)
+        out.extend(_segmentation_entities(seg, scheme) for seg, _ in viterbi(scored))
     return out
 
 

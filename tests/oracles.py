@@ -13,7 +13,9 @@ Two more read a block's layout: the dense (S, K+1, K) factor marginals,
 from the package's alpha and beta, which the gradient's sums are checked
 against, and the layout's step schedules cut one position at a time.
 position_viterbi is Viterbi in scalars, one sentence and position at a
-time, for sentences too long to enumerate. project_gold is a sentence's
+time, for sentences too long to enumerate; exact_forward_backward is the
+forward and backward of one sentence in Python integers, which sum the
+weights of scores drawn as logs of integers exactly. project_gold is a sentence's
 gold segmentation, one token at a time, from the projection rule.
 scored_block and block_lattices convert between a tuple of per-sentence
 SpanLattice sets and a block's span arrays, in sorted order.
@@ -31,7 +33,7 @@ import scipy.optimize
 from spancrf import DependencyTree, EntitySpan, Sentence, SpanLattice, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
 from spancrf.features import BOS, EOS, ROOT, word_shape
-from spancrf.inference import IOB_SCHEME, ScoredBlock, Segmentation, backward, forward, label_scheme, log_partition, pair_mask
+from spancrf.inference import IOB_SCHEME, Layout, ScoredBlock, Segmentation, backward, forward, label_scheme, log_partition, pair_mask
 from spancrf.training import Objective
 
 
@@ -40,16 +42,16 @@ def scored_block(lattices, labels, emission, transition) -> ScoredBlock:
     lengths and their spans as (sentence, u, v) arrays in sorted order."""
     spans = [(b, u, v) for b, lattice in enumerate(lattices) for u, v in sorted(lattice.allowed)]
     sentence, u, v = np.array(spans, dtype=np.int64).reshape(-1, 3).T
-    return ScoredBlock(np.array([lattice.n for lattice in lattices]), (sentence, u, v), labels, emission, transition)
+    return ScoredBlock(Layout(np.array([lattice.n for lattice in lattices]), (sentence, u, v)), labels, emission, transition)
 
 
-def block_lattices(scored) -> list[SpanLattice]:
-    """The SpanLattice of each sentence of a block, read off its layout."""
-    lay = scored.layout
+def block_lattices(block) -> list[SpanLattice]:
+    """The SpanLattice of each sentence of a block, scored or compiled, read off its layout."""
+    lay = block.layout
     spans = [set() for _ in lay.first_row]
     for b, (u, v) in zip(lay.sentence.tolist(), lay.uv.tolist()):
         spans[b].add((u, v))
-    return [SpanLattice(int(n), frozenset(s)) for n, s in zip(lay.last_row - lay.first_row, spans)]
+    return [SpanLattice(int(n), frozenset(s)) for n, s in zip(lay.lengths.tolist(), spans)]
 
 
 def enumerate_labelings(scored):
@@ -284,6 +286,61 @@ def position_viterbi(scored):
             v, y = u - 1, p
         out.append((Segmentation(tuple(reversed(segments))), top))
     return out
+
+
+def exact_forward_backward(n, spans, E, T):
+    """The semi-Markov forward and backward of one sentence in Python ints,
+    one position at a time, straight from the recursion.
+
+    spans are the sentence's (u, v) in sorted order, E[s][y] >= 0 the
+    integer weight of span s with label y and T[p][y] that of label y after
+    label p, p = K the begin sentinel; a segmentation weighs the product of
+    its factors' weights, and a weight 0 is a score of -inf. Returns
+    (Z, alpha, enter, beta, follow, label, pair), for positions j = 0..n:
+      alpha[j][p]   summed weight of the segmentations of 1..j ending in
+                    label p; the begin sentinel p = K ends only position 0
+      enter[j][y]   sum_p alpha[j][p] T[p][y], entering label y after j
+      beta[j][p]    summed weight of the segmentations of j+1..n after label
+                    p at j, so beta[n][p] = 1 for p < K, and p = K only at 0
+      follow[j][y]  the part of those whose first segment has label y,
+                    without the transition into it
+      label[s][y]   summed weight of the segmentations in which span s is a
+                    segment with label y
+      pair[p][y]    summed weight of the segmentations, each times its
+                    number of (p, y) transitions
+    Z = sum_y alpha[n][y] = beta[0][K]; label / Z and pair / Z are the sums
+    of the factor marginals that the gradient needs.
+    """
+    K = len(T[0])
+    ending, starting = [[] for _ in range(n + 2)], [[] for _ in range(n + 2)]
+    for s, (u, v) in enumerate(spans):
+        ending[v].append(s)
+        starting[u].append(s)
+    alpha = [[0] * (K + 1) for _ in range(n + 1)]
+    alpha[0][K] = 1
+    enter = []
+    for j in range(n + 1):
+        for s in ending[j]:
+            u = spans[s][0]
+            for y in range(K):
+                alpha[j][y] += enter[u - 1][y] * E[s][y]
+        enter.append([sum(alpha[j][p] * T[p][y] for p in range(K + 1)) for y in range(K)])
+    beta = [[0] * (K + 1) for _ in range(n + 1)]
+    follow = [[0] * K for _ in range(n + 1)]
+    beta[n][:K] = [1] * K
+    for j in range(n - 1, -1, -1):
+        for s in starting[j + 1]:
+            v = spans[s][1]
+            for y in range(K):
+                follow[j][y] += E[s][y] * beta[v][y]
+        for p in [K] if j == 0 else range(K):
+            beta[j][p] = sum(T[p][y] * follow[j][y] for y in range(K))
+    Z = sum(alpha[n][:K])
+    if beta[0][K] != Z:
+        raise AssertionError("forward and backward disagree")
+    label = [[enter[u - 1][y] * E[s][y] * beta[v][y] for y in range(K)] for s, (u, v) in enumerate(spans)]
+    pair = [[T[p][y] * sum(alpha[j][p] * follow[j][y] for j in range(n + 1)) for y in range(K)] for p in range(K + 1)]
+    return Z, alpha, enter, beta, follow, label, pair
 
 
 def chain_spans_reference(n: int, arcs, max_len: int) -> set[tuple[int, int]]:

@@ -3,10 +3,14 @@
 A block concatenates scored sentences of mixed lengths under one mode;
 every per-sentence quantity read off the block must equal brute force, and
 equal what the same sentence gives as a block of one, bit for bit. Blocks of
-sentences too long to enumerate are decoded against a scalar Viterbi.
+sentences too long to enumerate are decoded against a scalar Viterbi, and
+their log Z, messages and marginal sums are checked against a forward and
+backward in exact integers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from spancrf.inference import (
     IOB_SCHEME,
     SEGMENT_SCHEME,
     InvariantViolation,
+    _FLOOR,
+    _TINY,
+    _RowStep,
     allowed_mask,
     backward,
     forward,
@@ -37,6 +44,7 @@ from oracles import (
     brute_viterbi,
     dense_mask,
     draw_factors,
+    exact_forward_backward,
     marginals,
     path_score,
     position_viterbi,
@@ -185,18 +193,99 @@ def test_block_viterbi_matches_scalar_viterbi_on_long_sentences(kind, ties, seed
     assert [(seg, best.hex()) for seg, best in got] == [(seg, best.hex()) for seg, best in want]
 
 
+def integer_weights(rng, table, scale, emission):
+    """A weight k >= 1 for every finite cell of a factor table, 0 for every
+    -inf one. small: k < 10^6. huge: that times 10^300 in one cell of eight.
+    redo: label 0 is best by far, emission k 10^300 against < 10^3, but meets
+    every label, before or after it, only through k = 1, while the other
+    pairs weigh about 10^288; so a row step's shifted sums underflow."""
+    out = []
+    for p, row in enumerate(table.tolist()):
+        ks = []
+        for y, score in enumerate(row):
+            k = int(rng.integers(1, 10**6))
+            if scale == "huge" and rng.random() < 1 / 8:
+                k *= 10**300
+            elif scale == "redo":
+                if emission:
+                    k = k * 10**300 if y == 0 else k // 1000 + 1
+                else:
+                    k = 1 if 0 in (p, y) else (k // 1000 + 1) * 10**285
+            ks.append(0 if score == -math.inf else k)
+        out.append(ks)
+    return out
+
+
+def log_weights(weights) -> np.ndarray:
+    return np.array([[math.log(k) if k else -math.inf for k in row] for row in weights])
+
+
+# (scale, L, longest sentence): small weights at every L up to n = 80; the
+# integers of huge and redo weights grow with n, so their blocks are shorter
+_EXACT_CASES = [("small", L, 80) for L in (1, 3, 8, 30)] + [("huge", 8, 48), ("huge", 30, 24), ("redo", 3, 32)]
+
+
+@pytest.mark.parametrize("scale, max_len, longest", _EXACT_CASES)
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_block_dp_matches_exact_integer_dp(kind, scale, max_len, longest, monkeypatch):
+    # with every score the log of an integer, Z and the marginals' numerators
+    # are integers, which exact_forward_backward sums exactly
+    rng = np.random.default_rng([MODE_KINDS.index(kind), max_len, longest])
+    mode = Mode(kind, max_len=max_len)
+    labels = mode_labels(LabelSet(["A", "B"]), mode)
+    lengths = rng.permutation([longest, 1, 1, *rng.integers(1, longest + 1, size=2)])
+    lattices = [build_lattice(random_sentence(rng, n=int(n)), mode) for n in lengths]
+    emissions, transition = draw_factors(lattices, labels, label_scheme(mode), np.zeros)
+    E = [integer_weights(rng, e, scale, emission=True) for e in emissions]
+    T = integer_weights(rng, transition, scale, emission=False)
+    block = scored_block(lattices, labels, np.concatenate([log_weights(e) for e in E]), log_weights(T))
+    # count the rows whose shifted sums underflow, which the row step redoes
+    redone, step = [], _RowStep.__call__
+
+    def spy(self, x):
+        a = np.maximum(x.max(axis=1), _FLOOR)[:, None]
+        redone.append(int((np.einsum("rp,py->ry", np.exp(x - a), self.E) <= _TINY).any(axis=1).sum()))
+        return step(self, x)
+
+    monkeypatch.setattr(_RowStep, "__call__", spy)
+    fwd = forward(block)
+    forward_redone = sum(redone)
+    bwd = backward(block)
+    logz, label, pair = posteriors(block, fwd, bwd)
+    # each score log k is rounded to within 2^-53 of itself, and a path sums
+    # up to 2n of them: a marginal's error grows with n and the largest score
+    tol = 4e-14 * longest * (1 + max(block.emission.max(), block.transition.max()))
+    lay, want_pair = block.layout, np.zeros(block.transition.shape)
+    for b, (lattice, weights) in enumerate(zip(lattices, E)):
+        Z, *messages, label_b, pair_b = exact_forward_backward(lattice.n, sorted(lattice.allowed), weights, T)
+        assert math.isclose(logz[b], math.log(Z), rel_tol=1e-14, abs_tol=1e-14)
+        rows = slice(lay.first_row[b], lay.last_row[b] + 1)
+        for got, want in zip((*fwd, *bwd), messages):
+            want = log_weights(want)
+            got = got[rows]
+            assert np.array_equal(got == -np.inf, want == -np.inf)
+            np.testing.assert_allclose(got[want > -np.inf], want[want > -np.inf], rtol=1e-14, atol=1e-14)
+        want_label = np.array([[k / Z for k in row] for row in label_b])
+        np.testing.assert_allclose(label[lay.sentence == b], want_label, rtol=0, atol=tol)
+        want_pair += [[k / Z for k in row] for row in pair_b]
+    np.testing.assert_allclose(pair, want_pair, rtol=tol, atol=tol)
+    if scale == "redo":
+        assert forward_redone > 0 and sum(redone) > forward_redone
+
+
 @settings(max_examples=50, deadline=None)
 @given(scored_sentences(), st.integers(2, 5), st.data())
 def test_gapped_lattice_inside_a_block_raises(singles, n, data):
+    # the block cannot be built, so no pass, backward included, runs on it
     gap = data.draw(st.integers(1, n), label="gap")
     where = data.draw(st.integers(0, len(singles)), label="where")
     labels = singles[0].labels
     spans = frozenset((u, v) for u in range(1, n + 1) for v in range(u, min(n, u + 1) + 1) if v != gap)
-    gapped = scored_block([SpanLattice(n, spans)], labels, np.zeros((len(spans), len(labels))), singles[0].transition)
-    block = as_block(singles[:where] + [gapped] + singles[where:])
-    for dp in (forward, marginals, viterbi):
-        with pytest.raises(InvariantViolation, match=f"position {gap} .sentence {where} "):
-            dp(block)
+    lattices, emissions = [block_lattices(s)[0] for s in singles], [s.emission for s in singles]
+    lattices.insert(where, SpanLattice(n, spans))
+    emissions.insert(where, np.zeros((len(spans), len(labels))))
+    with pytest.raises(InvariantViolation, match=f"no spans end at position {gap} .sentence {where} of the block.$"):
+        scored_block(lattices, labels, np.concatenate(emissions), singles[0].transition)
 
 
 @settings(max_examples=100, deadline=None)

@@ -78,7 +78,7 @@ def template_counts(sentence, span, kind="semi", dep=True, templates=None):
     compiled, templates = _compiled(sentence, kind, dep, templates)
     block = compiled.blocks[0]
     # the block holds one sentence; its rows are its spans in sorted order
-    row = sorted(block_lattices(block.scored)[0].allowed).index(span)
+    row = sorted(block_lattices(block)[0].allowed).index(span)
     return row_counts(implied_rows(block)[row], templates)[0]
 
 
@@ -203,7 +203,7 @@ def test_labels_share_one_row_per_span(womack):
     # every span has one row; a gold segment's counts sit in its label's column
     compiled, index = _compiled(womack, "semi")
     block = compiled.blocks[0]
-    spans = sorted(block_lattices(block.scored)[0].allowed)
+    spans = sorted(block_lattices(block)[0].allowed)
     rows = implied_rows(block)
     assert rows.shape == (len(spans), len(index))
     per, misc = compiled.labels.index("PER"), compiled.labels.index("MISC")

@@ -16,6 +16,7 @@ from spancrf.inference import (
     IOB_SCHEME,
     SEGMENT_SCHEME,
     InvariantViolation,
+    Layout,
     ScoredBlock,
     Segmentation,
     _RowStep,
@@ -183,13 +184,15 @@ def test_uniform_marginals_are_half():
 
 
 def test_scored_block_pretty_prints_as_the_call_that_builds_it():
-    # hypothesis prints falsifying ScoredBlocks this way; the InitVars are not attributes
+    # hypothesis prints falsifying ScoredBlocks this way: each field as the call that builds it
     lattices = [SpanLattice(2, frozenset({(1, 1), (2, 2), (1, 2)})), SpanLattice(1, frozenset({(1, 1)}))]
     emission = np.array([[0.5, -np.inf], [1.0, 2.0], [-1.0, 0.0], [0.25, -0.5]])
     block = scored_block(lattices, ("O", "A"), emission, np.zeros((3, 2)))
     text = pretty(block)
-    assert text.startswith("ScoredBlock(lengths=array([2, 1]), spans=(array([0, 0, 0, 1]), array([1, 1, 2, 1]), array([1, 2, 2, 1])),")
-    again = eval(text, {"ScoredBlock": ScoredBlock, "array": np.array, "inf": np.inf})
+    assert " ".join(text.split()).startswith(
+        "ScoredBlock(layout=Layout(lengths=array([2, 1]), spans=(array([0, 0, 0, 1]), array([1, 1, 2, 1]), array([1, 2, 2, 1]))),"
+    )
+    again = eval(text, {"ScoredBlock": ScoredBlock, "Layout": Layout, "array": np.array, "inf": np.inf})
     assert block_lattices(again) == block_lattices(block) and again.labels == block.labels
     assert np.array_equal(again.emission, emission) and np.array_equal(again.transition, block.transition)
 
@@ -330,15 +333,12 @@ def test_logz_bounds_viterbi_and_dominance_closes_the_gap():
 
 
 def test_gapped_lattice_raises_invariant_violation():
+    # no pass, backward included, can run on a block without a segmentation: its layout cannot be built
     lat = SpanLattice(3, frozenset({(1, 1), (3, 3)}))
-    labels = ("O", "A")
-    scored = scored_block([lat], labels, np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(InvariantViolation, match=r"no spans end at position 2 \(sentence 0 of the block\)"):
+        scored_block([lat], ("O", "A"), np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(InvariantViolation, match="position 2"):
-        forward(scored)
-    with pytest.raises(InvariantViolation):
-        log_partition(scored)
-    with pytest.raises(InvariantViolation):
-        viterbi(scored)
+        Layout(np.array([3]), (np.array([0, 0]), np.array([1, 3]), np.array([1, 3])))
 
 
 def test_viterbi_without_a_complete_segmentation_raises():

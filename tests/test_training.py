@@ -6,7 +6,7 @@ import base64
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -112,7 +112,7 @@ def library_gold(sentence, mode):
     """The compile's gold segments of one sentence, ((u, v), label) with rows
     mapped back through the layout, and its split count."""
     labels = mode_labels(LabelSet.from_corpus([sentence]), mode)
-    lay = training._block([sentence], mode, labels, {}, True).scored.layout
+    lay = training._block([sentence], mode, labels, {}, True).layout
     label_id = {label: y for y, label in enumerate(labels)}
     rows, _, label, splits = training._gold([sentence], lay, label_id, label_scheme(mode), True, 1)
     return [(tuple(lay.uv[r].tolist()), labels[y]) for r, y in zip(rows, label)], splits
@@ -619,7 +619,7 @@ def test_objective_products_are_bitwise_the_plain_expressions(kind):
         gold, W = compiled.gold, w.reshape(compiled.gold.shape)
         value, grad = 0.0, np.zeros(gold.shape)
         for block in compiled.blocks:
-            value += training._eval_block(block, W, grad)
+            value += training._eval_block(block, W, compiled.labels, grad)
         value -= float((gold * W).sum())
         grad -= gold
         value += 0.3 * float((W * W).sum())
@@ -627,6 +627,26 @@ def test_objective_products_are_bitwise_the_plain_expressions(kind):
         got_value, got_grad = objective(w)
         assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
         assert got_grad.tobytes() == grad.ravel().tobytes()
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_scoring_does_not_mutate_a_block(kind):
+    # each scoring returns a fresh ScoredBlock over the block's one layout;
+    # scoring again leaves the first one's factors as they were
+    corpus = synthesize(12, mean_len=6.0, num_types=2, vocab=40, seed=64)
+    _, compiled = training._prepare(corpus, Mode(kind, 4), True)
+    [block] = compiled.blocks
+    rng = np.random.default_rng(65)
+    first = training._fill_scores(block, rng.normal(size=compiled.gold.shape), compiled.labels)
+    emission, transition = first.emission.copy(), first.transition.copy()
+    second = training._fill_scores(block, rng.normal(size=compiled.gold.shape), compiled.labels)
+    assert first.layout is second.layout is block.layout
+    assert not np.shares_memory(first.emission, second.emission)
+    assert not np.shares_memory(first.transition, second.transition)
+    assert np.array_equal(first.emission, emission) and np.array_equal(first.transition, transition)
+    assert not np.array_equal(second.emission, emission)
+    with pytest.raises(FrozenInstanceError):
+        first.emission = second.emission
 
 
 @pytest.mark.parametrize("kind", MODE_KINDS)
@@ -704,7 +724,7 @@ def test_never_live_weights_stay_zero(kind):
         live_cells = np.zeros((T, len(model.labels)))
         live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
         for block in compiled.blocks:
-            allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block_lattices(block.scored)])
+            allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block_lattices(block)])
             live_cells[: block.units.shape[1]] += (block.members @ block.units).T @ allowed.any(axis=1)
             live_pairs |= allowed.any(axis=0)
         never = np.vstack([live_cells == 0, ~live_pairs])
@@ -791,8 +811,7 @@ def test_decode_does_not_depend_on_template_order(tmp_path, fitted, kind):
 
     def best(m):
         block = training._block(_HELD, m.mode, m.labels, m.vocabulary, m.dep_features)
-        training._fill_scores(block, m.weights)
-        return viterbi(block.scored)
+        return viterbi(training._fill_scores(block, m.weights, m.labels))
 
     want, got = best(model), best(permuted)
     assert [seg for seg, _ in got] == [seg for seg, _ in want]
@@ -849,7 +868,7 @@ def test_decoding_never_writes_to_a_vocabulary():
     held = [s for s in _HELD[30:] if s.n > mode.max_len]
     for k in range(0, 30, 10):
         block = training._block(held[k : k + 10], mode, model.labels, vocab, model.dep_features)
-        uv = block.scored.layout.uv
+        uv = block.layout.uv
         assert (uv[:, 1] - uv[:, 0] + 1).max() == mode.max_len
     assert _snapshot(vars(vocab)) == before
 

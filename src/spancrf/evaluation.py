@@ -126,9 +126,9 @@ def bootstrap_test(
 ) -> SignificanceResult:
     """One-sided bootstrap over sentences: can the worse system catch up?
 
-    Resamples sentence indices with replacement; p is the fraction of
-    resamples where the full-set loser scores at least as high as the
-    winner. An exact tie on the full set short-circuits to p = 1.
+    Resamples sentence indices with replacement; p = (hits + 1) / (samples
+    + 1), hits the resamples where the full-set loser scores at least as
+    high as the winner, so p > 0. An exact tie short-circuits to p = 1.
     Deterministic for a fixed seed and sample count.
     """
     if samples < 100:
@@ -147,8 +147,7 @@ def bootstrap_test(
         better = "b"
     n = len(gold)
     rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
+    hits = done = 0
     while done < samples:
         take = min(_CHUNK, samples - done)
         idx = rng.integers(0, n, size=(take, n))
@@ -157,4 +156,4 @@ def bootstrap_test(
         f_lose = _f1_of(lose[1][idx].sum(axis=1), lose[0][idx].sum(axis=1), g)
         hits += int((f_lose >= f_win).sum())
         done += take
-    return SignificanceResult(hits / samples, False, f1_a, f1_b, better)
+    return SignificanceResult((hits + 1) / (samples + 1), False, f1_a, f1_b, better)

@@ -9,35 +9,26 @@ the weight of template t for each label, row T+p the weight of the
 transition from previous label p (p = K is the begin sentinel). The
 optimizer sees W.ravel().
 
-The corpus is compiled once into blocks of up to 512 sentences. Each block
-stores its span-by-template count matrix X as two sparse 0/1 operators,
-X = members @ units (features.py defines the units), the labeling rule as
-an (S, K) span-label mask and a (K+1, K) label-pair mask, and the block's
-Layout, its flat DP rows, built here once; the gold counts of the whole
-corpus are one constant (T+K+1, K) matrix, built from the gold (span,
-label) cells and (previous label, label) pairs. One objective call costs,
-per block, the emission factor members @ (units @ W[:T]) and the masked
-W[T:] for the transition factor, which _fill_scores returns with the
-Layout as a fresh ScoredBlock, one span-proportional forward and backward
-pass over the whole block (inference.py), and the expected counts
-units.T @ (members.T @ m.sum(axis=1)) stacked over m.sum(axis=0), both
-sums taken straight from the passes without the (S, K+1, K) marginals m.
-The products cost the operators' entries, which grow with the spans, not
-with their total length, and write into a (units, K) buffer kept on the
-block and into the gradient. Blocks are reduced in block order.
+The corpus is compiled once into blocks of up to 512 sentences (_block).
+A block holds its Layout (its flat DP rows), the labeling rule as an
+(S, K) span-label mask and a (K+1, K) label-pair mask, and its
+span-by-template counts X = members @ units as two 0/1 operators
+(features.py defines the units), each the (indptr, indices) CSR pair that
+features.block_rows returns; the gold counts of the corpus are one
+constant (T+K+1, K) matrix. One objective call costs, per block, the
+emission factor members @ (units @ W[:T]) and the masked W[T:] for the
+transition factor, which _fill_scores returns as a ScoredBlock, one
+span-proportional forward and backward pass (inference.py), and the
+expected counts units.T @ (members.T @ m.sum(axis=1)) stacked over
+m.sum(axis=0), both sums taken from the passes without the (S, K+1, K)
+marginals m. The products cost the operators' entries, which grow with the
+spans, not with their total length. Blocks are reduced in block order.
 
-_block builds a block in one step: its spans by one lattice.block_spans
-call, its Layout, the one span-to-row map, then from the layout's span
-arrays the (S, K) mask in one allowed_mask call and the operators by one
-features.block_rows call over the whole block. Training interns the
-templates into a growing dict of template ids, so each block's units has
-as many columns as there were templates after that block and an early
-block is narrower than W[:T]; templates interned later have larger ids,
-so units @ W[:units.shape[1]] is exact. A model keeps its templates as a tuple in id order. Decoding
-builds its blocks the same way against the model's vocabulary, the tables
-block_rows gathers ids from, built once per model on first use (an unseen
-template is left out), and runs one Viterbi pass per block, which builds
-the layout's padded view of its forward steps, not the backward steps.
+Training interns the templates into a growing dict of template ids; a
+model keeps them as a tuple in id order. Decoding builds its blocks the
+same way against the model's vocabulary, the tables block_rows gathers ids
+from, built once per model on first use (an unseen template is left out),
+and runs one Viterbi pass per block over the layout's padded forward steps.
 
 _gold projects a block's gold onto its lattices: each token carries the
 label of the entity covering it (B-X or I-X in the iob scheme), or O. In
@@ -65,7 +56,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.optimize
-from scipy import sparse
 from scipy.optimize._dcsrch import DCSRCH
 from scipy.sparse import _sparsetools
 
@@ -265,8 +255,8 @@ class _Block:
     layout: Layout  # the block's spans and rows
     label_forbidden: np.ndarray  # (S, K) bool, True where the labeling rule forbids the label on the span
     pair_forbidden: np.ndarray  # (K+1, K) bool, True where label y may not follow p
-    units: sparse.csr_matrix  # (units, T') 0/1 templates of each unit; T' <= T, see the module doc
-    members: sparse.csr_matrix  # (S, units) 0/1 units of each span; members @ units counts its templates
+    units: tuple[np.ndarray, np.ndarray]  # (indptr, template ids), CSR: the 0/1 templates of each unit
+    members: tuple[np.ndarray, np.ndarray]  # (indptr, unit ids), CSR: each span's units; members @ units is X
     unit_scores: np.ndarray  # (units, K) buffer for the products through units, reused by every evaluation
 
 
@@ -286,45 +276,54 @@ class _Compiled:
 def _block(
     sentences: list[Sentence], mode: Mode, labels: tuple[str, ...], index: dict[str, int] | Vocabulary, dep: bool
 ) -> _Block:
-    """The block of sentences: spans, labeling-rule masks and template rows.
-
-    Every span gets one row of members, in span order; the units' templates
-    come from one block_rows call, which interns them into index, a dict,
-    or reads them from index, a Vocabulary, which leaves unseen templates
-    out. units has as many columns as index has templates afterwards.
+    """The block of sentences in one step: its spans by one block_spans call,
+    their Layout, the (S, K) mask by one allowed_mask call and the operators
+    by one block_rows call, which interns the units' templates into index, a
+    dict, or reads them from index, a Vocabulary, leaving unseen templates
+    out. Every span gets one row of members, in span order.
     """
     scheme = label_scheme(mode)
-    spans = block_spans(sentences, mode)
-    S, K = len(spans[0]), len(labels)
-    lay = Layout(np.array([sentence.n for sentence in sentences]), spans)
-    (unit_ptr, ids), (indptr, members) = block_rows(sentences, lay.sentence, lay.uv, scheme != IOB_SCHEME, dep, index)
-    num_units = len(unit_ptr) - 1
-    return _Block(
-        lay,
-        ~allowed_mask(lay.uv, K),
-        ~pair_mask(labels, scheme),
-        sparse.csr_matrix((np.ones(len(ids)), ids, unit_ptr), shape=(num_units, len(index))),
-        sparse.csr_matrix((np.ones(len(members)), members, indptr), shape=(S, num_units)),
-        np.empty((num_units, K)),
-    )
+    lay = Layout(np.array([sentence.n for sentence in sentences]), block_spans(sentences, mode))
+    operators = block_rows(sentences, lay.sentence, lay.uv, scheme != IOB_SCHEME, dep, index)
+    units, members = (_operator(*operator) for operator in operators)
+    unit_scores = np.empty((len(units[0]) - 1, len(labels)))
+    return _Block(lay, ~allowed_mask(lay.uv, len(labels)), ~pair_mask(labels, scheme), units, members, unit_scores)
 
 
-def _accumulate(out: np.ndarray, A: sparse.csr_matrix, X: np.ndarray, transpose: bool = False) -> None:
-    """out += A @ X, or A.T @ X with transpose, for C-contiguous float64 out.
+_ONES = np.ones(0)  # the 1.0 of every operator entry, see _accumulate
+_ONES.flags.writeable = False
 
-    These are the kernels scipy's A @ X runs, adding into out instead of
-    returning a new array: with a fresh (units, K) result per product, a
-    train-dgm-shaped fit took about four times the minor page faults per
-    evaluation and ran its iterations about 7 % slower.
+
+def _operator(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pair in the kernels' one index type, int32 unless int64 is needed; grows _ONES to cover it."""
+    global _ONES
+    if len(_ONES) < len(indices):
+        _ONES = np.ones(len(indices))
+        _ONES.flags.writeable = False
+    dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    return indptr.astype(dtype, copy=False), indices.astype(dtype, copy=False)
+
+
+def _accumulate(out: np.ndarray, A: tuple[np.ndarray, np.ndarray], X: np.ndarray, transpose: bool = False) -> None:
+    """out += A @ X, or A.T @ X with transpose, by scipy's kernels, for a 0/1
+    operator A = (indptr, indices) from _operator and C-contiguous float64
+    out; a fresh result per product cost a train-dgm-shaped fit four times
+    the minor page faults and about 7 % per iteration. Each entry's 1.0 is
+    read from _ONES, which is never written (read-only) and holds as many
+    ones as the largest operator built so far in the process. Only the rows
+    of X (of out, with transpose) that A names are touched, so W[:T] and
+    grad[:T] serve every block.
     """
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    rows, cols = A.shape
+    indptr, indices = A
+    rows = len(indptr) - 1
+    fits = len(X if transpose else out) == rows and X.shape[1] == out.shape[1] and len(indices) <= len(_ONES)
+    if not (fits and out.flags.c_contiguous):
+        raise ValueError(f"A of {rows} rows and X {X.shape} do not fit C-contiguous out {out.shape}")
     X = np.ascontiguousarray(X, dtype=np.float64)
     if transpose:  # A's CSR arrays are A.T's CSC arrays
-        _sparsetools.csc_matvecs(cols, rows, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+        _sparsetools.csc_matvecs(len(out), rows, X.shape[1], indptr, indices, _ONES, X.ravel(), out.ravel())
     else:
-        _sparsetools.csr_matvecs(rows, cols, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+        _sparsetools.csr_matvecs(rows, len(X), X.shape[1], indptr, indices, _ONES, X.ravel(), out.ravel())
 
 
 def _add_counts(out: np.ndarray, block: _Block, label: np.ndarray, pair: np.ndarray) -> None:
@@ -333,7 +332,7 @@ def _add_counts(out: np.ndarray, block: _Block, label: np.ndarray, pair: np.ndar
     transition counts pair to the last K+1 rows."""
     block.unit_scores.fill(0.0)
     _accumulate(block.unit_scores, block.members, label, transpose=True)
-    _accumulate(out[: block.units.shape[1]], block.units, block.unit_scores, transpose=True)
+    _accumulate(out[: -len(pair)], block.units, block.unit_scores, transpose=True)
     out[-len(pair) :] += pair
 
 
@@ -406,7 +405,7 @@ def _compile(
     gold_counts = np.zeros((len(index) + K + 1, K))
     for block, (row, prev, label) in zip(blocks, golds):
         # a span is at most one gold segment, so the (span, label) cells are distinct
-        indicator = np.zeros((block.members.shape[0], K))
+        indicator = np.zeros(block.label_forbidden.shape)
         indicator[row, label] = 1.0
         pairs = np.zeros((K + 1, K))
         np.add.at(pairs, (prev, label), 1.0)
@@ -415,10 +414,10 @@ def _compile(
 
 
 def _fill_scores(block: _Block, W: np.ndarray, labels: tuple[str, ...]) -> ScoredBlock:
-    """The block scored at W: emission members @ (units @ W[:T']) and
+    """The block scored at W: emission members @ (units @ W[:T]) and
     transition W[T:], -inf where the labeling rule forbids."""
     block.unit_scores.fill(0.0)
-    _accumulate(block.unit_scores, block.units, W[: block.units.shape[1]])
+    _accumulate(block.unit_scores, block.units, W[: -len(block.pair_forbidden)])
     emission = np.zeros(block.label_forbidden.shape)
     _accumulate(emission, block.members, block.unit_scores)
     emission[block.label_forbidden] = -np.inf
@@ -493,7 +492,7 @@ def _summary(corpus: list[Sentence], index: tuple[str, ...], compiled: _Compiled
     """The compile summary of fit, logged at INFO; emission entries are the
     operators' entries (units and members) per span."""
     tokens = sum(sentence.n for sentence in corpus)
-    spans = sum(block.members.shape[0] for block in compiled.blocks)
+    spans = sum(len(block.label_forbidden) for block in compiled.blocks)
     summary = {
         "sentences": len(corpus),
         "tokens": tokens,
@@ -502,7 +501,7 @@ def _summary(corpus: list[Sentence], index: tuple[str, ...], compiled: _Compiled
         "split_entities": compiled.splits,
         "templates": len(index),
         "weights": compiled.num_weights,
-        "emission_entries_per_span": sum(block.units.nnz + block.members.nnz for block in compiled.blocks) / spans,
+        "emission_entries_per_span": sum(len(b.units[1]) + len(b.members[1]) for b in compiled.blocks) / spans,
         "compile_s": seconds,
     }
     logger.info(

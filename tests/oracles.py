@@ -18,7 +18,9 @@ forward and backward of one sentence in Python integers, which sum the
 weights of scores drawn as logs of integers exactly. project_gold is a sentence's
 gold segmentation, one token at a time, from the projection rule.
 scored_block and block_lattices convert between a tuple of per-sentence
-SpanLattice sets and a block's span arrays, in sorted order.
+SpanLattice sets and a block's span arrays, in sorted order, and
+implied_rows reads a compiled block's two operators back as the scipy
+matrix members @ units.
 The optimizer's oracle is scipy's L-BFGS-B run on the package's Objective.
 """
 
@@ -29,6 +31,7 @@ from collections import Counter
 
 import numpy as np
 import scipy.optimize
+from scipy import sparse
 
 from spancrf import DependencyTree, EntitySpan, Sentence, SpanLattice, Token, build_lattice
 from spancrf import iob_to_spans, random_tree
@@ -52,6 +55,17 @@ def block_lattices(block) -> list[SpanLattice]:
     for b, (u, v) in zip(lay.sentence.tolist(), lay.uv.tolist()):
         spans[b].add((u, v))
     return [SpanLattice(int(n), frozenset(s)) for n, s in zip(lay.lengths.tolist(), spans)]
+
+
+def implied_rows(block, width: int) -> sparse.csr_matrix:
+    """A compiled block's span-by-template count matrix members @ units, as
+    a (spans, width) scipy matrix rebuilt from the operators' CSR index
+    pairs, every entry 1, indices sorted; width is at least the templates."""
+    (unit_ptr, ids), (indptr, members) = block.units, block.members
+    units = sparse.csr_matrix((np.ones(len(ids)), ids, unit_ptr), shape=(len(unit_ptr) - 1, width))
+    rows = (sparse.csr_matrix((np.ones(len(members)), members, indptr), shape=(len(indptr) - 1, units.shape[0])) @ units).tocsr()
+    rows.sort_indices()
+    return rows
 
 
 def enumerate_labelings(scored):

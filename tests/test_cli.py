@@ -158,7 +158,7 @@ def test_significance_tie_and_win(tmp_path, corpus_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "better: a" in out
-    assert "p = 0.0000 (200 resamples)" in out
+    assert "p = 0.0050 (200 resamples)" in out  # (0 + 1) / (200 + 1)
 
 
 def test_stats_csv_and_coverage_log(corpus_path, capsys, caplog):

@@ -88,10 +88,19 @@ def test_bootstrap_perfect_vs_useless():
     assert result.better == "a"
     assert not result.tie
     assert result.f1_a == 100.0 and result.f1_b == 0.0
-    assert result.p_value == 0.0
+    assert result.p_value == 1 / 501
     flipped = bootstrap_test(gold, useless, perfect, samples=500)
     assert flipped.better == "b"
-    assert flipped.p_value == 0.0
+    assert flipped.p_value == 1 / 501
+
+
+def test_bootstrap_p_counts_the_full_set_when_no_resample_catches_up():
+    # the loser finds no entity and the winner every one, in every resample:
+    # no hit, so p = (0 + 1) / (samples + 1), not 0
+    gold = [[e(1, 1)], [e(2, 2)], [e(1, 2)]]
+    for samples in (100, 1000):
+        result = bootstrap_test(gold, [list(s) for s in gold], [[] for _ in gold], samples=samples)
+        assert result.p_value == 1 / (samples + 1)
 
 
 def test_bootstrap_is_deterministic():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import block_lattices, orient_edges, project_gold, reference_rows
+from oracles import block_lattices, implied_rows, orient_edges, project_gold, reference_rows
 from spancrf import DependencyTree, EntitySpan, LabelSet, Sentence, Token, random_tree, synthesize
 from spancrf import training
 from spancrf.features import BOS, EOS, ROOT, Vocabulary, word_shape
@@ -58,13 +58,6 @@ def _compiled(sentence, kind, dep=True, templates=None):
     return compiled, tuple(ids) if templates is None else templates
 
 
-def implied_rows(block) -> sparse.csr_matrix:
-    """The block's span-by-template count matrix members @ units, indices sorted."""
-    rows = (block.members @ block.units).tocsr()
-    rows.sort_indices()
-    return rows
-
-
 def row_counts(rows: sparse.csr_matrix, strings) -> list[dict[str, float]]:
     """Each row of a count matrix as template string -> count."""
     return [
@@ -79,7 +72,7 @@ def template_counts(sentence, span, kind="semi", dep=True, templates=None):
     block = compiled.blocks[0]
     # the block holds one sentence; its rows are its spans in sorted order
     row = sorted(block_lattices(block)[0].allowed).index(span)
-    return row_counts(implied_rows(block)[row], templates)[0]
+    return row_counts(implied_rows(block, len(templates))[row], templates)[0]
 
 
 def gold_transitions(sentence, kind="semi"):
@@ -204,7 +197,7 @@ def test_labels_share_one_row_per_span(womack):
     compiled, index = _compiled(womack, "semi")
     block = compiled.blocks[0]
     spans = sorted(block_lattices(block)[0].allowed)
-    rows = implied_rows(block)
+    rows = implied_rows(block, len(index))
     assert rows.shape == (len(spans), len(index))
     per, misc = compiled.labels.index("PER"), compiled.labels.index("MISC")
     np.testing.assert_array_equal(compiled.gold[: len(index), per], rows[spans.index((1, 3))].toarray()[0])
@@ -251,7 +244,7 @@ def corpora(draw, words=_WORDS, max_sentences=5, max_n=7):
 def _assert_rows_equal(block, strings, reference, reference_strings):
     """The block's implied rows, read through strings, hold the reference's
     integer counts, read through reference_strings, template by template."""
-    rows = implied_rows(block)
+    rows = implied_rows(block, len(strings))
     assert (rows.data == np.rint(rows.data)).all()
     indptr, indices, data = reference
     expected = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(reference_strings)))
@@ -295,8 +288,6 @@ def _check_against_reference(train, test, kind, dep, block_size, max_len=4):
         lattices = [build_lattice(s, mode) for s in chunk]
         reference = reference_rows(chunk, lattices, segments, dep, lambda t: ref_index.setdefault(t, len(ref_index)))
         _assert_rows_equal(block, templates, reference, tuple(ref_index))
-        # as wide as the templates after the block's, not as all of them
-        assert block.units.shape[1] == len(ref_index)
         indptr, indices, data = reference
         indicator = np.zeros((len(indptr) - 1, K))
         factors, block_splits = _gold_factors(chunk, lattices, scheme, labels)
@@ -315,7 +306,6 @@ def _check_against_reference(train, test, kind, dep, block_size, max_len=4):
     lattices = [build_lattice(s, mode) for s in test]
     reference = reference_rows(test, lattices, segments, dep, ref_index.get)
     _assert_rows_equal(block, templates, reference, templates)
-    assert block.units.shape[1] == len(templates)
     return templates
 
 
@@ -348,7 +338,7 @@ def test_frozen_lookup_rows_with_unknown_repeats_and_an_empty_row():
     lattices = [build_lattice(s, mode) for s in sentences]
     reference = reference_rows(sentences, lattices, True, True, {t: i for i, t in enumerate(templates)}.get)
     _assert_rows_equal(block, templates, reference, templates)
-    rows = implied_rows(block).toarray()
+    rows = implied_rows(block, len(templates)).toarray()
     spans = sorted(lattices[0].allowed)
     assert rows[spans.index((1, 2)), -1] == rows[spans.index((1, 3)), -1] == 1
     assert not rows[len(spans) + sorted(lattices[1].allowed).index((1, 2))].any()
@@ -371,7 +361,7 @@ def test_frozen_lookup_rows_find_seg_templates_of_words_no_other_template_holds(
     lattices = [build_lattice(s, mode) for s in sentences]
     reference = reference_rows(sentences, lattices, True, True, ids.get)
     _assert_rows_equal(block, templates, reference, templates)
-    rows = implied_rows(block).toarray()
+    rows = implied_rows(block, len(templates)).toarray()
     spans = sorted(lattices[0].allowed)
     for span, template in (((1, 2), "seg:zz q"), ((3, 3), "seg:a:b"), ((1, 2), "iw:2:q"), ((2, 2), "dw:q+zz")):
         assert rows[spans.index(span), ids[template]] == 1, template
@@ -394,6 +384,15 @@ def test_rows_equal_string_reference_with_distinct_words(kind, dep, block_size):
     train = synthesize(70, mean_len=6.0, vocab=0, seed=31)
     test = synthesize(10, mean_len=6.0, vocab=0, seed=32)
     _check_against_reference(train, test, kind, dep, block_size=block_size)
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_rows_equal_string_reference_on_bench_shaped_corpora(kind):
+    # sentences of mean length 25 at L = 8 over the default vocabulary, as in
+    # the benchmark's corpora; 24 training sentences make two blocks of 16
+    train = synthesize(24, mean_len=25.0, seed=37)
+    test = synthesize(6, mean_len=25.0, seed=38)
+    _check_against_reference(train, test, kind, True, block_size=16, max_len=8)
 
 
 @pytest.mark.parametrize("kind", ["dgm", "semi"])

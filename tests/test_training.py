@@ -7,6 +7,7 @@ import json
 import logging
 import math
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -36,14 +37,16 @@ from spancrf import (
     synthesize,
 )
 from spancrf import features, training
-from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels, viterbi
-from spancrf.lattice import MODE_KINDS, Mode
+from spancrf.inference import IOB_SCHEME, label_scheme, mode_labels, pair_mask, viterbi
+from spancrf.lattice import MODE_KINDS, Mode, build_lattice
 
 from oracles import (
     block_lattices,
     brute_log_partition,
     brute_marginals,
     dense_mask,
+    exact_forward_backward,
+    implied_rows,
     lbfgsb_fit,
     lbfgsb_message,
     path_score,
@@ -702,6 +705,112 @@ def test_objective_matches_enumeration_at_large_weights(kind):
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-9, err_msg=f"scale {scale}")
 
 
+@pytest.mark.parametrize("dep", [True, False])
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_expected_counts_match_exact_rationals(kind, dep):
+    # With every weight log k, k in 1..4, a span's emission is the log of
+    # the integer product of its templates' k, so exact_forward_backward's
+    # label and pair numerators over Z are the exact factor marginals; each
+    # template's expected count is then a sum of rationals, span by span
+    # through the string reference's rows. Sentences run up to n = 80, two
+    # are one token long, and the corpus is compiled into two blocks.
+    rng = np.random.default_rng([MODE_KINDS.index(kind), dep])
+    mode = Mode(kind, 8)
+    scheme = label_scheme(mode)
+    labels = mode_labels(LabelSet(["A", "B"]), mode)
+    lengths = rng.permutation([80, 1, 1, *rng.integers(2, 30, size=3)])
+    corpus = [random_sentence(rng, n=int(n)) for n in lengths]
+    index = {}
+    with mock.patch.object(training, "_BLOCK_SIZE", 4):
+        compiled = training._compile(corpus, mode, labels, index, dep, project=True)
+    assert len(compiled.blocks) == 2
+    T, K = len(index), len(labels)
+    k = rng.integers(1, 5, size=(T + K + 1, K))
+    grad = np.zeros(k.shape)
+    for block in compiled.blocks:
+        training._eval_block(block, np.log(k), labels, grad)
+
+    want = [[Fraction(0)] * K for _ in range(T + K + 1)]
+    allowed_pairs = pair_mask(labels, scheme)
+    trans = [[int(k[T + p, y]) if allowed_pairs[p, y] else 0 for y in range(K)] for p in range(K + 1)]
+    for sentence in corpus:
+        lattice = build_lattice(sentence, mode)
+        indptr, ids, counts = reference_rows([sentence], [lattice], scheme != IOB_SCHEME, dep, index.get)
+        rows = [list(zip(ids[lo:hi].tolist(), counts[lo:hi].astype(int).tolist())) for lo, hi in zip(indptr[:-1], indptr[1:])]
+        live = dense_mask(lattice, labels, scheme).any(axis=1)
+        emission = [[math.prod(int(k[t, y]) ** c for t, c in row) if live[s, y] else 0 for y in range(K)] for s, row in enumerate(rows)]
+        Z, *_, label, pair = exact_forward_backward(lattice.n, sorted(lattice.allowed), emission, trans)
+        numerators = {}
+        for row, weights in zip(rows, label):
+            for t, c in row:
+                cell = numerators.setdefault(t, [0] * K)
+                for y in range(K):
+                    cell[y] += c * weights[y]
+        for t, cell in numerators.items():
+            want[t] = [w + Fraction(num, Z) for w, num in zip(want[t], cell)]
+        for p in range(K + 1):
+            want[T + p] = [w + Fraction(num, Z) for w, num in zip(want[T + p], pair[p])]
+    want = np.array([[float(w) for w in row] for row in want])
+    assert (want[:T] > 0).any() and (want[T:] > 0).any()
+    np.testing.assert_allclose(grad[:T], want[:T], rtol=1e-10, atol=1e-10, err_msg="template rows")
+    np.testing.assert_allclose(grad[T:], want[T:], rtol=1e-10, atol=1e-10, err_msg="transition rows")
+
+
+def test_operators_read_one_shared_read_only_ones_array():
+    # every operator entry reads its 1.0 from training._ONES, which nothing
+    # writes and which only a larger operator than any before replaces
+    corpus = synthesize(40, mean_len=25.0, seed=41)
+    mode = Mode("semi", 8)
+    model = fit(corpus, quick(l2=0.01, max_iter=1), mode)
+    _, compiled = training._prepare(corpus, mode, True)
+    ones = training._ONES
+    assert not ones.flags.writeable and (ones == 1.0).all()
+    assert len(ones) >= max(len(op[1]) for block in compiled.blocks for op in (block.units, block.members))
+    with pytest.raises(ValueError, match="read-only"):
+        ones[0] = 2.0
+    decode_corpus(model, corpus[:2])
+    assert training._ONES is ones
+
+
+def test_accumulate_refuses_operands_that_do_not_fit():
+    # the kernels index raw buffers; a misfit must raise, not write elsewhere
+    A = training._operator(np.array([0, 2, 3]), np.array([0, 2, 1]))  # 2 x 3
+    out = np.zeros((2, 4))
+    training._accumulate(out, A, np.ones((3, 4)))
+    np.testing.assert_array_equal(out, [[2.0] * 4, [1.0] * 4])
+    back = np.zeros((3, 4))
+    training._accumulate(back, A, out, transpose=True)
+    np.testing.assert_array_equal(back, [[2.0] * 4, [1.0] * 4, [2.0] * 4])
+    for bad, X, transpose in (
+        (np.zeros((3, 4)), np.ones((3, 4)), False),  # out has A's columns as rows
+        (np.zeros((2, 3)), np.ones((3, 4)), False),  # out narrower than X
+        (np.zeros((3, 4)), np.ones((3, 4)), True),  # X has A's columns as rows
+        (np.zeros((4, 2)).T, np.ones((3, 4)), False),  # out not C-contiguous
+    ):
+        with pytest.raises(ValueError, match="do not fit"):
+            training._accumulate(bad, A, X, transpose=transpose)
+
+
+# (spans, operator entries) of synthesize(24, mean_len=25.0, seed=37) at L = 8,
+# with and without dependency templates, as counted when the operators were scipy matrices
+_OPERATOR_ENTRIES = {
+    "linear": ((615, 10401), (615, 7941)),
+    "semi": ((4248, 82446), (4248, 61878)),
+    "dgm-s": ((904, 25412), (904, 20981)),
+    "dgm": ((961, 26731), (961, 21945)),
+}
+
+
+@pytest.mark.parametrize("kind", MODE_KINDS)
+def test_compile_summary_counts_operator_entries(kind):
+    corpus = synthesize(24, mean_len=25.0, seed=37)
+    for dep, (spans, entries) in zip((True, False), _OPERATOR_ENTRIES[kind]):
+        index, compiled = training._prepare(corpus, Mode(kind, 8), dep)
+        summary = training._summary(corpus, index, compiled, 0.0)
+        assert summary["spans_per_token"] * summary["tokens"] == pytest.approx(spans, rel=1e-12)
+        assert summary["emission_entries_per_span"] == entries / spans
+
+
 @pytest.mark.parametrize("kind", MODE_KINDS)
 def test_never_live_weights_stay_zero(kind):
     # a (template, label) cell or transition that no lattice of the corpus
@@ -712,20 +821,17 @@ def test_never_live_weights_stay_zero(kind):
         corpus = synthesize(sentences, mean_len=mean_len, num_types=2, vocab=40, seed=26)
         with mock.patch.object(training, "_BLOCK_SIZE", 64):
             model = fit(corpus, quick(l2=0.01, max_iter=30), mode)
-            # compiled as fit compiles it: into a fresh dict, so an early block is narrower than W[:T]
+            # compiled as fit compiles it: into a fresh dict, so an early block names fewer templates
             index = {}
             compiled = training._compile(corpus, mode, model.labels, index, True, project=True)
         assert len(compiled.blocks) == (sentences + 63) // 64
         assert tuple(index) == model.index
         T = len(model.index)
-        widths = [block.units.shape[1] for block in compiled.blocks]
-        assert widths == sorted(widths) and widths[-1] == T
-        assert len(widths) == 1 or widths[0] < T
         live_cells = np.zeros((T, len(model.labels)))
         live_pairs = np.zeros(model.weights[T:].shape, dtype=bool)
         for block in compiled.blocks:
             allowed = np.concatenate([dense_mask(lat, model.labels, scheme) for lat in block_lattices(block)])
-            live_cells[: block.units.shape[1]] += (block.members @ block.units).T @ allowed.any(axis=1)
+            live_cells += implied_rows(block, T).T @ allowed.any(axis=1)
             live_pairs |= allowed.any(axis=0)
         never = np.vstack([live_cells == 0, ~live_pairs])
         assert never.any() and np.abs(model.weights[~never]).max() > 0
@@ -745,7 +851,7 @@ def test_decode_does_not_depend_on_block_layout():
 
 @pytest.mark.parametrize("kind", MODE_KINDS)
 def test_objective_does_not_depend_on_block_layout(kind):
-    # blocks of 7 (fifteen, the early ones narrower than W[:T]), of 64 (two) and the default (one)
+    # blocks of 7 (fifteen, the early ones naming fewer templates than W[:T] has rows), of 64 (two) and the default (one)
     corpus = synthesize(100, mean_len=5.0, num_types=2, vocab=40, entity_rate=0.4, seed=28)
     mode = Mode(kind, 4)
     strings, results = [], []
